@@ -84,18 +84,9 @@ def _lattice_kind(text: str) -> str:
     return kind
 
 
-def _bool(text: str) -> bool:
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
-
-
-def _build_parser(suppress: bool = False):
-    """Build the CLI parser; with ``suppress`` the parsed namespace contains
-    only values given explicitly on the command line (for config merging)."""
+def _build_parser():
+    """Build the CLI parser; returns it, the flag types of each subcommand
+    (for config values and the echo) and the subcommand parsers."""
     typemap: dict[str, dict] = {}
     parser = _Parser(
         prog="liqdrop",
@@ -110,16 +101,8 @@ def _build_parser(suppress: bool = False):
 
         def add(flag: str, *, type=str, default=None, help: str = ""):
             dest = flag.lstrip("-").replace("-", "_")
-            kw: dict = {"help": help, "dest": dest}
-            if type is bool:
-                kw["action"] = "store_true"
-                kw["default"] = argparse.SUPPRESS if suppress else bool(default)
-                typemap[name][dest] = _bool
-            else:
-                kw["type"] = type
-                kw["default"] = argparse.SUPPRESS if suppress else default
-                typemap[name][dest] = type
-            sp.add_argument(flag, **kw)
+            typemap[name][dest] = type
+            sp.add_argument(flag, type=type, default=default, help=help, dest=dest)
 
         for flag, typ, dv, h in (
             ("--seed", int, 0, "master RNG seed"),
@@ -187,7 +170,7 @@ def _build_parser(suppress: bool = False):
     add("--rho", type=float, default=0.3, help="background fraction")
     add("--probes", type=int, default=3, help="pieces probed for far-field decay")
 
-    return parser, typemap
+    return parser, typemap, subs.choices
 
 
 def _read_config(path: str) -> dict:
@@ -276,7 +259,6 @@ def _cmd_jellium_gc(ns):
         seed=ns.seed,
         window=ns.window,
         starts=ns.starts,
-        threads=ns.threads,
     )
     by_n = rep.values_by_n
     items = sorted((int(k), float(v)) for k, v in dict(by_n).items())
@@ -578,7 +560,7 @@ def _emit(ns, typemap: dict, payload: dict) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, typemap = _build_parser(suppress=False)
+    parser, typemap, subparsers = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as e:
@@ -597,12 +579,8 @@ def main(argv=None) -> int:
         except ValueError as e:
             print(f"liqdrop: {e}", file=sys.stderr)
             return EXIT_BAD_ARGS
-        sparser, _ = _build_parser(suppress=True)
-        try:
-            explicit = set(vars(sparser.parse_args(argv)))
-        except SystemExit as e:
-            return int(e.code or 0)
         known = typemap[ns.subcommand]
+        defaults = {}
         for key, value in raw.items():
             if key not in known:
                 print(
@@ -610,13 +588,14 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_BAD_ARGS
-            if key in explicit:
-                continue  # flags win
             try:
-                setattr(ns, key, known[key](value))
+                defaults[key] = known[key](value)
             except (ValueError, argparse.ArgumentTypeError) as e:
                 print(f"liqdrop: bad config value for {key!r}: {e}", file=sys.stderr)
                 return EXIT_BAD_ARGS
+        # config values become defaults, so flags win on the second parse
+        subparsers[ns.subcommand].set_defaults(**defaults)
+        ns = parser.parse_args(argv)
 
     try:
         payload = _HANDLERS[ns.subcommand](ns)

@@ -22,6 +22,10 @@ __all__ = ["PeriodicKernel", "madelung_z3"]
 class PeriodicKernel:
     """Ewald evaluator for the zero-mean periodic Coulomb kernel at period ``ell``.
 
+    ``energy_and_gradient`` gives the pair energy of a configuration and its
+    gradient from one real-space and one structure-factor pass;
+    ``pair_energy`` and ``pair_gradient`` return one of the two.
+
     Parameters
     ----------
     ell : float
@@ -96,55 +100,49 @@ class PeriodicKernel:
 
     # -- many-body sums -----------------------------------------------------
 
-    def _reduced_pair_displacements(self, positions):
-        pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-        iu, ju = np.triu_indices(len(pos), k=1)
-        dx = pos[iu] - pos[ju]
-        dx -= self.ell * np.round(dx / self.ell)
-        return pos, dx
+    def energy_and_gradient(self, positions, q: float = 1.0):
+        """(q^2 * sum_{j<k} G_ell(x_j - x_k), its gradient in every position).
 
-    def pair_energy(self, positions, q: float = 1.0) -> float:
-        """q^2 * sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""
-        pos, dx = self._reduced_pair_displacements(positions)
-        n = len(pos)
-        if n < 2:
-            return 0.0
-        d = dx[:, None, :] - self.shifts[None, :, :]
-        r = np.linalg.norm(d, axis=-1)
-        if np.any(r < 1e-300):
-            raise ValueError("coincident points in pair energy")
-        real = np.sum(erfc(np.sqrt(self.alpha) * r) / r)
-        phase = pos @ self.kvecs.T
-        sk2 = np.cos(phase).sum(axis=0) ** 2 + np.sin(phase).sum(axis=0) ** 2
-        recip = 0.5 * np.dot(self.kcoef, sk2 - n)
-        npairs = n * (n - 1) / 2.0
-        return q**2 * (real + recip - npairs * self.self_const)
-
-    def pair_gradient(self, positions, q: float = 1.0) -> np.ndarray:
-        """Gradient of ``pair_energy`` with respect to every position."""
+        One minimum-image reduction, one erfc pass and one structure factor
+        serve both results.
+        """
         pos = np.asarray(positions, dtype=float).reshape(-1, 3)
         n = len(pos)
         grad = np.zeros_like(pos)
         if n < 2:
-            return grad
+            return 0.0, grad
         iu, ju = np.triu_indices(n, k=1)
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
         d = dx[:, None, :] - self.shifts[None, :, :]
         r = np.linalg.norm(d, axis=-1)
+        if np.any(r < 1e-300):
+            raise ValueError("coincident points in pair energy")
         sa = np.sqrt(self.alpha)
+        screened = erfc(sa * r)
+        real = np.sum(screened / r)
         # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
-        mag = erfc(sa * r) / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-self.alpha * r**2) / r
+        mag = screened / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-self.alpha * r**2) / r
         gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)  # grad wrt x_i of pair (i, j)
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
         phase = pos @ self.kvecs.T
         c, s = np.cos(phase), np.sin(phase)
         ctot, stot = c.sum(axis=0), s.sum(axis=0)
+        recip = 0.5 * np.dot(self.kcoef, ctot**2 + stot**2 - n)
         # sum_{j != i} sin(k.(x_i - x_j)) = s_i ctot - c_i stot
         cross = s * ctot[None, :] - c * stot[None, :]
         grad += -(cross * self.kcoef[None, :]) @ self.kvecs
-        return q**2 * grad
+        npairs = n * (n - 1) / 2.0
+        return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
+
+    def pair_energy(self, positions, q: float = 1.0) -> float:
+        """q^2 * sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""
+        return self.energy_and_gradient(positions, q)[0]
+
+    def pair_gradient(self, positions, q: float = 1.0) -> np.ndarray:
+        """Gradient of ``pair_energy`` with respect to every position."""
+        return self.energy_and_gradient(positions, q)[1]
 
 
 def madelung_z3(ell: float = 1.0, alpha: float | None = None) -> float:

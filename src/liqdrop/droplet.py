@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from liqdrop.coulomb.grid import freespace_coulomb_energy, grid_potential
+from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
     domain_pair_coulomb,
     potential_domain,
     potential_domain_gradient,
 )
-from liqdrop.geom import Ball, BallUnion, Cube, Tetrahedron, VoxelSet
+from liqdrop.geom import Ball, BallUnion, Cube, Tetrahedron, VoxelSet, sample_in_domain
 
 __all__ = [
     "DropletConstants",
@@ -337,23 +337,6 @@ def _inner_distance_gradient(lam, pts):
     raise TypeError("unsupported container for penalty gradients")
 
 
-def _sample_in_domain(rng, lam, n):
-    if isinstance(lam, Tetrahedron):
-        lo = lam.vertices.min(axis=0)
-        hi = lam.vertices.max(axis=0)
-    elif isinstance(lam, Ball):
-        c = np.asarray(lam.center)
-        lo, hi = c - lam.radius, c + lam.radius
-    else:
-        c = np.asarray(lam.center)
-        lo, hi = c - lam.side / 2.0, c + lam.side / 2.0
-    out = np.empty((0, 3))
-    while len(out) < n:
-        cand = rng.random((4 * n + 16, 3)) * (hi - lo) + lo
-        out = np.concatenate([out, cand[lam.contains(cand)]])
-    return out[:n]
-
-
 def grand_canonical_F(
     lam,
     rho: float,
@@ -390,10 +373,11 @@ def grand_canonical_F(
     for k in range(max(1, kmin), kmax + 1):
         rng = np.random.default_rng(seeds[k - 1])
         obj = _gc_objective_factory(lam, rho, mu, penalty_base * k, k, tol)
+        value = _gc_objective_factory(lam, rho, mu, 0.0, k, tol)
         best_k = np.inf
         best_ck, best_rk = None, None
         for _ in range(starts):
-            c0 = _sample_in_domain(rng, lam, k)
+            c0 = sample_in_domain(rng, lam, k)
             r0 = OPT_RADIUS * rng.uniform(0.8, 1.2, size=k)
             x0 = np.concatenate([c0.ravel(), r0])
             bounds = [(None, None)] * (3 * k) + [(1e-3, radius_hi)] * k
@@ -405,7 +389,7 @@ def grand_canonical_F(
             if not feasible:
                 converged = False
                 continue
-            e = bb + _penalty_free_value(lam, rho, mu, c, r, tol)
+            e = bb + value(np.concatenate([c.ravel(), r]))[0]
             if e < best_k:
                 best_k, best_ck, best_rk = e, c, r
         if best_ck is not None:
@@ -446,19 +430,6 @@ def _make_feasible(lam, c, r, shrink=1.0 - 1e-9):
         if ok:
             return c, r, True
     return c, r, False
-
-
-def _penalty_free_value(lam, rho, mu, c, r, tol):
-    q = 4.0 * np.pi * r**3 / 3.0
-    e = float(np.sum(4.0 * np.pi * r**2 + 0.6 * q**2 / r - mu * q))
-    if len(r) >= 2:
-        iu, ju = np.triu_indices(len(r), 1)
-        d = np.linalg.norm(c[iu] - c[ju], axis=1)
-        e += float(np.sum(q[iu] * q[ju] / d))
-    if rho > 0.0:
-        phi = potential_domain(lam, c, tol=tol)
-        e -= rho * float(np.sum(q * (phi - (2.0 * np.pi / 5.0) * r**2)))
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ consumes these types.  Conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ __all__ = [
     "ScaledTranslate",
     "regular_tetrahedron",
     "domain_measure",
+    "sample_in_domain",
     "BallUnion",
     "VoxelSet",
     "voxelize",
@@ -287,16 +287,23 @@ def domain_measure(domain) -> tuple:
     return (domain.volume, domain.diameter)
 
 
-def scale_translate(domain, scale: float, shift=(0.0, 0.0, 0.0)):
-    """Scaled/translated copy; keeps native types where that is cheap."""
-    shift = np.asarray(shift, dtype=float)
-    if isinstance(domain, Cube):
-        return Cube(side=domain.side * scale, center=tuple(np.asarray(domain.center) * scale + shift))
-    if isinstance(domain, Ball):
-        return Ball(radius=domain.radius * scale, center=tuple(np.asarray(domain.center) * scale + shift))
+def sample_in_domain(rng, domain, n: int) -> np.ndarray:
+    """n uniform points in a Tetrahedron, Ball or Cube, by rejection from its
+    bounding box in batches of 4 n + 16 draws of ``rng``."""
     if isinstance(domain, Tetrahedron):
-        return Tetrahedron(vertices=domain.vertices * scale + shift)
-    return ScaledTranslate(base=domain, scale=scale, shift=tuple(shift))
+        lo = domain.vertices.min(axis=0)
+        hi = domain.vertices.max(axis=0)
+    elif isinstance(domain, Ball):
+        c = np.asarray(domain.center)
+        lo, hi = c - domain.radius, c + domain.radius
+    else:
+        c = np.asarray(domain.center)
+        lo, hi = c - domain.side / 2.0, c + domain.side / 2.0
+    out = np.empty((0, 3))
+    while len(out) < n:
+        cand = rng.random((4 * n + 16, 3)) * (hi - lo) + lo
+        out = np.concatenate([out, cand[domain.contains(cand)]])
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,14 @@ one, the object whose ground state drives the dilute droplet expansion.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from liqdrop.coulomb.ewald import PeriodicKernel
-from liqdrop.coulomb.potentials import (
-    domain_pair_coulomb,
-    potential_domain,
-    potential_domain_gradient,
-)
-from liqdrop.geom import Tetrahedron, regular_tetrahedron
+from liqdrop.coulomb.potentials import domain_pair_coulomb, potential_domain, tetra_field
+from liqdrop.geom import Tetrahedron, regular_tetrahedron, sample_in_domain
 
 __all__ = [
     "PointConfiguration",
@@ -118,8 +114,8 @@ def minimize_local(
         if np.any(r < 1e-10 * kernel.ell):
             # off-manifold guard: huge value, gradient pushing apart
             return 1e12, np.zeros_like(x)
-        e = kernel.pair_energy(pos, q=q)
-        g = kernel.pair_gradient(pos, q=q).ravel()
+        e, g = kernel.energy_and_gradient(pos, q=q)
+        g = g.ravel()
         trace.append((len(trace), e, float(np.abs(g).max())))
         return e, g
 
@@ -273,42 +269,33 @@ class GrandCanonicalPointReport:
     background_self: float  # (1/2) int int over the scaled tetra
 
 
-def _finite_objective_factory(q, verts, bb, penalty):
-    tet = Tetrahedron(vertices=verts)
-    normals, offsets = tet.face_planes()
-
-    def objective(x):
-        pos = x.reshape(-1, 3)
-        n = len(pos)
-        e = bb
-        g = np.zeros_like(pos)
-        if n >= 2:
-            iu, ju = np.triu_indices(n, k=1)
-            d = pos[iu] - pos[ju]
-            r = np.linalg.norm(d, axis=1)
-            r = np.maximum(r, 1e-12)
-            e += q**2 * float(np.sum(1.0 / r))
-            gp = -q**2 * d / (r**3)[:, None]
-            np.add.at(g, iu, gp)
-            np.add.at(g, ju, -gp)
-        if n >= 1:
-            phi, dphi = _tetra_phi_grad(verts, pos, tol=3e-8)
-            e -= q * float(np.sum(phi))
-            g -= q * dphi
-            # quadratic penalty per violated face keeps iterates inside
-            s = pos @ normals.T - offsets  # (n, 4), negative = outside
-            viol = np.minimum(s, 0.0)
-            e += penalty * float(np.sum(viol**2))
-            g += 2.0 * penalty * (viol @ normals)
-        return e, g.ravel()
-
-    return objective
-
-
-def _tetra_phi_grad(verts, pos, tol=1e-9):
-    from liqdrop.coulomb.potentials import tetra_field
-
-    return tetra_field(verts, pos, tol=tol)
+def _finite_energy(pos, q, tet, bb, penalty, tol):
+    """Energy of charges q at ``pos`` on the unit background of ``tet`` (whose
+    self term is ``bb``), plus ``penalty`` times the squared face violations;
+    returns (energy, flat gradient)."""
+    n = len(pos)
+    e = bb
+    g = np.zeros_like(pos)
+    if n >= 2:
+        iu, ju = np.triu_indices(n, k=1)
+        d = pos[iu] - pos[ju]
+        r = np.linalg.norm(d, axis=1)
+        r = np.maximum(r, 1e-12)
+        e += q**2 * float(np.sum(1.0 / r))
+        gp = -q**2 * d / (r**3)[:, None]
+        np.add.at(g, iu, gp)
+        np.add.at(g, ju, -gp)
+    if n >= 1:
+        phi, dphi = tetra_field(tet.vertices, pos, tol=tol)
+        e -= q * float(np.sum(phi))
+        g -= q * dphi
+        # quadratic penalty per violated face keeps iterates inside
+        normals, offsets = tet.face_planes()
+        s = pos @ normals.T - offsets  # (n, 4), negative = outside
+        viol = np.minimum(s, 0.0)
+        e += penalty * float(np.sum(viol**2))
+        g += 2.0 * penalty * (viol @ normals)
+    return e, g.ravel()
 
 
 def grand_canonical_point_jellium(
@@ -318,7 +305,6 @@ def grand_canonical_point_jellium(
     seed: int = 0,
     window: tuple | None = None,
     starts: int = 3,
-    threads: int = 1,
 ) -> GrandCanonicalPointReport:
     """Minimize over n and positions in the tetra A*Delta the energy of n
     charges q on unit background, scanning n over a window around A^3/q.
@@ -355,14 +341,17 @@ def grand_canonical_point_jellium(
             configs[0] = np.zeros((0, 3))
             continue
         rng = np.random.default_rng(seeds[n - lo])
-        obj = _finite_objective_factory(q, verts, bb, penalty)
         best_e, best_pos = np.inf, None
         for _ in range(starts):
-            x0 = _sample_in_tetra(rng, tet, n).ravel()
-            res = minimize(obj, x0, jac=True, method="L-BFGS-B",
-                           options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14})
+            x0 = sample_in_domain(rng, tet, n).ravel()
+            # the tolerances pick the quadrature orders of the tetra potential
+            res = minimize(
+                lambda x: _finite_energy(x.reshape(n, 3), q, tet, bb, penalty, 3e-8),
+                x0, jac=True, method="L-BFGS-B",
+                options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14},
+            )
             pos = _project_into(tet, res.x.reshape(n, 3))
-            e = _finite_value(q, verts, bb, pos)
+            e, _ = _finite_energy(pos, q, tet, bb, 0.0, 1e-9)
             if e < best_e:
                 best_e, best_pos = e, pos
         values[n] = best_e
@@ -385,19 +374,6 @@ def grand_canonical_point_jellium(
     )
 
 
-def _finite_value(q, verts, bb, pos):
-    e = bb
-    n = len(pos)
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        r = np.linalg.norm(pos[iu] - pos[ju], axis=1)
-        e += q**2 * float(np.sum(1.0 / r))
-    if n >= 1:
-        phi, _ = _tetra_phi_grad(verts, pos)
-        e -= q * float(np.sum(phi))
-    return e
-
-
 def _project_into(tet: Tetrahedron, pos: np.ndarray) -> np.ndarray:
     """Push points just inside the tetra (cyclic projection on violated faces)."""
     normals, offsets = tet.face_planes()
@@ -411,17 +387,6 @@ def _project_into(tet: Tetrahedron, pos: np.ndarray) -> np.ndarray:
         bad = worst < 0.0
         pos[bad] -= worst[bad, None] * normals[f[bad]]
     return pos
-
-
-def _sample_in_tetra(rng, tet, n):
-    lo = tet.vertices.min(axis=0)
-    hi = tet.vertices.max(axis=0)
-    out = np.empty((0, 3))
-    while len(out) < n:
-        cand = rng.random((4 * n + 16, 3)) * (hi - lo) + lo
-        good = cand[tet.contains(cand)]
-        out = np.concatenate([out, good])
-    return out[:n]
 
 
 # ---------------------------------------------------------------------------

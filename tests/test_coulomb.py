@@ -162,6 +162,32 @@ def test_green_lattice_periodicity():
     )
 
 
+@pytest.mark.parametrize("n", [2, 7, 16])
+def test_energy_and_gradient_invariances(n):
+    ell = n ** (1.0 / 3.0)
+    k = PeriodicKernel(ell)
+    rng = np.random.default_rng(100 + n)
+    pts = rng.random((n, 3)) * ell
+    e, g = k.energy_and_gradient(pts, q=1.3)
+    # the wrappers return exactly the fused results
+    assert k.pair_energy(pts, q=1.3) == e
+    np.testing.assert_array_equal(k.pair_gradient(pts, q=1.3), g)
+
+    def check(moved, order):
+        e2, g2 = k.energy_and_gradient(moved, q=1.3)
+        assert e2 == pytest.approx(e, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g2, g[order], rtol=1e-9, atol=1e-11)
+
+    ident = np.arange(n)
+    check(pts + rng.normal(size=3), ident)
+    for axis in range(3):
+        moved = pts.copy()
+        moved[n // 2, axis] += ell
+        check(moved, ident)
+    perm = rng.permutation(n)
+    check(pts[perm], perm)
+
+
 # ---------------------------------------------------------------------------
 # closed-form free-space potentials
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import liqdrop.jellium as jellium
 from liqdrop.coulomb import PeriodicKernel, domain_pair_coulomb
 from liqdrop.geom import Ball, regular_tetrahedron
 from liqdrop.jellium import (
@@ -124,6 +125,35 @@ def test_minimize_local_descends_and_reaches_stationarity():
     assert e1 < e0
     assert np.abs(periodic_gradient(pts, kern)).max() < 1e-6
     assert len(trace) >= 2
+
+
+def test_minimize_local_evaluates_energy_and_gradient_once(monkeypatch):
+    fused, objective = [], []
+    fused_call = PeriodicKernel.energy_and_gradient
+    scipy_minimize = jellium.minimize
+
+    def counted_fused(self, *args, **kwargs):
+        fused.append(1)
+        return fused_call(self, *args, **kwargs)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("pair_gradient called by the minimizer")
+
+    def counted_minimize(fun, x0, **kwargs):
+        def counted_fun(x):
+            objective.append(1)
+            return fun(x)
+
+        return scipy_minimize(counted_fun, x0, **kwargs)
+
+    monkeypatch.setattr(PeriodicKernel, "energy_and_gradient", counted_fused)
+    monkeypatch.setattr(PeriodicKernel, "pair_gradient", forbidden)
+    monkeypatch.setattr(jellium, "minimize", counted_minimize)
+    kern = PeriodicKernel(2.0)
+    pts = np.random.default_rng(11).random((8, 3)) * 2.0
+    _, trace = minimize_local(pts, kern)
+    assert len(objective) >= 2
+    assert len(fused) == len(objective) == len(trace)
 
 
 def test_basin_hop_deterministic_and_thread_invariant():

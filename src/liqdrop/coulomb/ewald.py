@@ -26,6 +26,14 @@ class PeriodicKernel:
     gradient from one real-space and one structure-factor pass;
     ``pair_energy`` and ``pair_gradient`` return one of the two.
 
+    Its real-space sum runs over blocks of about 2^16 image terms, each a
+    ``(shifts, 3, pairs)`` array contiguous along the pair axis, so the
+    temporaries stay small.  The reduction order is fixed: the energy terms
+    fill one pair-major ``(pairs, shifts)`` buffer summed by a single pairwise
+    ``np.sum``, and the gradient is summed sequentially in shift order.
+    Outputs are written at full ``repr`` precision and L-BFGS amplifies a
+    one-ulp change, so that order is part of the result.
+
     Parameters
     ----------
     ell : float
@@ -114,16 +122,33 @@ class PeriodicKernel:
         iu, ju = np.triu_indices(n, k=1)
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
-        d = dx[:, None, :] - self.shifts[None, :, :]
-        r = np.linalg.norm(d, axis=-1)
-        if np.any(r < 1e-300):
-            raise ValueError("coincident points in pair energy")
+        dxt = np.ascontiguousarray(dx.T)  # (3, pairs)
+        npair, nshift = len(iu), len(self.shifts)
         sa = np.sqrt(self.alpha)
-        screened = erfc(sa * r)
-        real = np.sum(screened / r)
-        # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
-        mag = screened / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-self.alpha * r**2) / r
-        gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)  # grad wrt x_i of pair (i, j)
+        gauss = 2.0 * sa / np.sqrt(np.pi)
+        terms = np.empty((npair, nshift))  # erfc(s r)/r, pair-major
+        step = max(1, 2**16 // npair)  # about 2^16 image terms per block
+        # row 0: running sum of -(grad wrt x_i of pair (i, j)); rows 1..: one block
+        blk = np.empty((min(step, nshift) + 1, 3, npair))
+        blk[0] = 0.0
+        for s0 in range(0, nshift, step):
+            sh = self.shifts[s0 : s0 + step]
+            rows = blk[: len(sh) + 1]
+            d = np.subtract(dxt, sh[:, :, None], out=rows[1:])  # (shifts, 3, pairs)
+            x, y, z = d[:, 0], d[:, 1], d[:, 2]
+            r = np.sqrt((x * x + y * y) + z * z)  # the grouping np.linalg.norm uses
+            if np.any(r < 1e-300):
+                raise ValueError("coincident points in pair energy")
+            screened = erfc(sa * r)
+            np.divide(screened, r, out=terms[:, s0 : s0 + step].T)
+            # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
+            r2 = r**2
+            mag = screened / r2 + gauss * np.exp(-self.alpha * r2) / r
+            d *= (mag / r)[:, None, :]
+            # the running sum leads the block, so the sum stays sequential in shifts
+            blk[0] = np.sum(rows, axis=0)
+        real = np.sum(terms)
+        gpair = -blk[0].T
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
         phase = pos @ self.kvecs.T

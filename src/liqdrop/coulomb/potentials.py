@@ -138,6 +138,12 @@ def _tetra_face_quad(vertices: np.ndarray, pts: np.ndarray, order: int, want_gra
     W_f the signed apex-tetra volume.  No term is singular unless x sits on
     a face plane of its own decomposition, which cannot happen strictly
     inside and is measure zero outside.
+
+    ``g`` is a ``(3, P, Q)`` array, contiguous in the quadrature node.  The
+    node sums keep one fixed order: one gemv per face for the potential and a
+    sequential sum over nodes for the gradient.  Outputs are written at full
+    ``repr`` precision and L-BFGS amplifies a one-ulp change, so that order is
+    part of the result.
     """
     a, b, w = _RULES[order]
     c = 1.0 - a - b
@@ -154,16 +160,14 @@ def _tetra_face_quad(vertices: np.ndarray, pts: np.ndarray, order: int, want_gra
         # diverge while wf -> 0, with product limit 0; drop it explicitly so
         # roundoff in wf cannot inject 0 * inf garbage
         wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
-        g = (
-            pa[:, None, :] * a[None, :, None]
-            + pb[:, None, :] * b[None, :, None]
-            + pc[:, None, :] * c[None, :, None]
-        )  # (P, Q, 3)
-        gn = np.linalg.norm(g, axis=-1)
+        g = pa.T[:, :, None] * a + pb.T[:, :, None] * b + pc.T[:, :, None] * c  # (3, P, Q)
+        gn = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])  # as np.linalg.norm
         gn = np.maximum(gn, 1e-300)
         phi += 3.0 * wf * ((1.0 / gn) @ w)
         if want_grad:
-            grad += 6.0 * wf[:, None] * np.einsum("pqi,q->pi", g / gn[..., None] ** 3, w)
+            # contiguous (Q, 3P): over a transposed view np.sum would go pairwise
+            t = np.ascontiguousarray((g / gn**3).reshape(3 * npts, -1).T)
+            grad += 6.0 * wf[:, None] * np.sum(t * w[:, None], axis=0).reshape(3, npts).T
     return phi, grad
 
 

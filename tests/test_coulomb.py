@@ -1,10 +1,11 @@
 """Coulomb layer: lattice sums, periodic kernel, closed-form potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gamma as _gamma, gammaincc
+from scipy.special import erfc, gamma as _gamma, gammaincc
 
 from liqdrop.coulomb import (
     CUBE_SELF_INTEGRAL,
@@ -23,6 +24,7 @@ from liqdrop.coulomb import (
     tetra_field,
     upper_gamma,
 )
+from liqdrop.coulomb.potentials import _FACES, _ORDERS, _RULES, _tetra_face_quad
 from liqdrop.geom import (
     Ball,
     BallUnion,
@@ -162,7 +164,7 @@ def test_green_lattice_periodicity():
     )
 
 
-@pytest.mark.parametrize("n", [2, 7, 16])
+@pytest.mark.parametrize("n", [2, 7, 16, 54])
 def test_energy_and_gradient_invariances(n):
     ell = n ** (1.0 / 3.0)
     k = PeriodicKernel(ell)
@@ -186,6 +188,60 @@ def test_energy_and_gradient_invariances(n):
         check(moved, ident)
     perm = rng.permutation(n)
     check(pts[perm], perm)
+
+
+def _broadcast_energy_and_gradient(k, pos, q):
+    """Reference: the real-space sum over one (pairs, shifts, 3) array."""
+    n = len(pos)
+    grad = np.zeros_like(pos)
+    iu, ju = np.triu_indices(n, k=1)
+    dx = pos[iu] - pos[ju]
+    dx -= k.ell * np.round(dx / k.ell)
+    d = dx[:, None, :] - k.shifts[None, :, :]
+    r = np.linalg.norm(d, axis=-1)
+    sa = np.sqrt(k.alpha)
+    screened = erfc(sa * r)
+    real = np.sum(screened / r)
+    mag = screened / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-k.alpha * r**2) / r
+    gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)
+    np.add.at(grad, iu, gpair)
+    np.add.at(grad, ju, -gpair)
+    phase = pos @ k.kvecs.T
+    c, s = np.cos(phase), np.sin(phase)
+    ctot, stot = c.sum(axis=0), s.sum(axis=0)
+    recip = 0.5 * np.dot(k.kcoef, ctot**2 + stot**2 - n)
+    cross = s * ctot[None, :] - c * stot[None, :]
+    grad += -(cross * k.kcoef[None, :]) @ k.kvecs
+    npairs = n * (n - 1) / 2.0
+    return q**2 * (real + recip - npairs * k.self_const), q**2 * grad
+
+
+# one pair; one block; several blocks with a partial last one; many blocks
+@pytest.mark.parametrize("n", [2, 3, 16, 54, 200])
+def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n):
+    rng = np.random.default_rng(500 + n)
+    ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
+    q = rng.uniform(0.2, 3.0)
+    pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
+    k = PeriodicKernel(ell)
+    e, g = k.energy_and_gradient(pts, q)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
+    assert e == e_ref
+    np.testing.assert_array_equal(g, g_ref)
+
+
+def test_energy_and_gradient_peak_memory_n128():
+    n = 128
+    ell = n ** (1.0 / 3.0)
+    pts = np.random.default_rng(7).random((n, 3)) * ell
+    k = PeriodicKernel(ell)
+    tracemalloc.start()
+    try:
+        k.energy_and_gradient(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +339,51 @@ def test_tetra_field_matches_finite_differences():
             2.0 * h
         )
         np.testing.assert_allclose(grad[:, k], fd, rtol=1e-6, atol=1e-8)
+
+
+def _einsum_face_quad(vertices, pts, order, want_grad):
+    """Reference: the apex rule over one (P, Q, 3) array per face."""
+    a, b, w = _RULES[order]
+    c = 1.0 - a - b
+    phi = np.zeros(len(pts))
+    grad = np.zeros((len(pts), 3)) if want_grad else None
+    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))
+    for fa, fb, fc in _FACES:
+        pa, pb, pc = vertices[fa] - pts, vertices[fb] - pts, vertices[fc] - pts
+        wf = np.einsum("pi,pi->p", pa, np.cross(pb, pc)) / 6.0
+        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
+        g = (
+            pa[:, None, :] * a[None, :, None]
+            + pb[:, None, :] * b[None, :, None]
+            + pc[:, None, :] * c[None, :, None]
+        )
+        gn = np.maximum(np.linalg.norm(g, axis=-1), 1e-300)
+        phi += 3.0 * wf * ((1.0 / gn) @ w)
+        if want_grad:
+            grad += 6.0 * wf[:, None] * np.einsum("pqi,q->pi", g / gn[..., None] ** 3, w)
+    return phi, grad
+
+
+@pytest.mark.parametrize("npts", [1, 2, 6, 11])
+def test_tetra_face_quad_bitwise_equal_to_einsum_formula(npts):
+    rng = np.random.default_rng(600 + npts)
+    verts = regular_tetrahedron(1.0).vertices + 0.1 * rng.normal(size=(4, 3))
+    # points inside and outside the body
+    pts = rng.normal(size=(npts, 3)) * 0.8
+    # the last point lies within 1e-14 of a face plane: that face's W_f drops to 0
+    fa, fb, fc = _FACES[npts % 4]
+    pts[-1] = rng.dirichlet([1.0, 1.0, 1.0]) @ verts[[fa, fb, fc]]
+    normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
+    pts[-1] += 5e-15 * normal / np.linalg.norm(normal)
+    for order in _ORDERS:
+        for want_grad in (False, True):
+            phi, grad = _tetra_face_quad(verts, pts, order, want_grad)
+            phi_ref, grad_ref = _einsum_face_quad(verts, pts, order, want_grad)
+            np.testing.assert_array_equal(phi, phi_ref)
+            if want_grad:
+                np.testing.assert_array_equal(grad, grad_ref)
+            else:
+                assert grad is None
 
 
 def test_potential_domain_dispatch():

@@ -48,9 +48,8 @@ __all__ = [
 
 
 def _lexsort_rows(a: np.ndarray) -> np.ndarray:
-    """Rows of an integer array sorted lexicographically (x, then y, then z)."""
-    order = np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
-    return order
+    """Row order sorting an integer array lexicographically (x, then y, then z)."""
+    return np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
 
 
 def _box_domain_relation(domain, centers: np.ndarray, half: float):
@@ -119,19 +118,6 @@ class LayerPiece:
     background_fraction: float
     tile_size: float
 
-    @property
-    def volume(self) -> float:
-        sides = self.box_hi - self.box_lo
-        return float(np.prod(sides, axis=1).sum())
-
-    @property
-    def inner_volume(self) -> float:
-        return self.inner_side**3
-
-    @property
-    def inner_perimeter(self) -> float:
-        return 6.0 * self.inner_side**2
-
 
 @dataclass(frozen=True)
 class PieceDiagnostics:
@@ -154,23 +140,36 @@ class BoundaryLayer:
     lexicographically by tile index; merged and plain exterior cubes
     interleaved), then the fully-exterior subcells of boundary tiles (sorted
     by subcell index).
+
+    :func:`quadrupole_layer` fixes every per-host array at build time: tile
+    indices, the merged subcell centers with their CSR pointers, support
+    volumes, first moments, inner-cube centers and sides, the inner-cube
+    displacement from the tile center and the containment margin.  Subcell
+    pieces are fixed by their integer keys and one common inner side.  The
+    bulk accessors only concatenate these arrays with the subcell values
+    and combine them elementwise; nothing is recomputed from the pieces.
     """
 
-    def __init__(self, domain, eps, subdiv, rho, *, _build=None):
-        if _build is None:
-            raise TypeError("use quadrupole_layer() to construct a BoundaryLayer")
+    def __init__(
+        self, domain, eps, subdiv, rho, *, host_index, host_sub_centers,
+        host_sub_ptr, host_volumes, host_moments, host_inner_center,
+        host_inner_side, host_shift, host_margins, sub_index,
+    ):
         self.domain = domain
         self.eps = float(eps)
         self.subdiv = int(subdiv)
         self.rho = float(rho)
-        (
-            self._host_index,  # (nh, 3) int, lex sorted: all fully-exterior tiles
-            self._host_sub_centers,  # (M, 3) float: merged subcell centers
-            self._host_sub_ptr,  # (nh+1,) int CSR pointers into the above
-            self._host_inner_center,  # (nh, 3)
-            self._host_inner_side,  # (nh,)
-            self._sub_index,  # (ns, 3) int, lex sorted: exterior subcells
-        ) = _build
+        self._host_index = host_index  # (nh, 3) int, lex sorted
+        self._host_sub_centers = host_sub_centers  # (M, 3) merged subcell centers
+        self._host_sub_ptr = host_sub_ptr  # (nh+1,) CSR pointers into the above
+        self._host_volumes = host_volumes  # (nh,)
+        self._host_moments = host_moments  # (nh, 3) first moments of the support
+        self._host_inner_center = host_inner_center  # (nh, 3)
+        self._host_inner_side = host_inner_side  # (nh,)
+        self._host_shift = host_shift  # (nh,) max-norm inner-cube displacement
+        self._host_margins = host_margins  # (nh,)
+        self._sub_index = sub_index  # (ns, 3) int, lex sorted: exterior subcells
+        self._sub_inner_side = self.rho ** (1.0 / 3.0) * self.eps / self.subdiv
 
     # -- sequence protocol --------------------------------------------------
 
@@ -209,14 +208,12 @@ class BoundaryLayer:
             box_lo=(c - h)[None, :],
             box_hi=(c + h)[None, :],
             inner_center=c.copy(),
-            inner_side=self.rho ** (1.0 / 3.0) * eps / k,
+            inner_side=self._sub_inner_side,
             background_fraction=rho,
             tile_size=eps,
         )
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         n = len(self)
         if i < 0:
             i += n
@@ -224,10 +221,6 @@ class BoundaryLayer:
             raise IndexError("piece index out of range")
         nh = len(self._host_index)
         return self._host_piece(i) if i < nh else self._sub_piece(i - nh)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     # -- bulk diagnostics ---------------------------------------------------
 
@@ -248,27 +241,13 @@ class BoundaryLayer:
             [host, np.full(len(self._sub_index), "subcell")]
         )
 
-    def _host_volumes(self) -> np.ndarray:
-        eps, k = self.eps, self.subdiv
-        nsub = np.diff(self._host_sub_ptr)
-        return eps**3 + nsub * (eps / k) ** 3
-
-    def _host_first_moments(self) -> np.ndarray:
-        eps, k = self.eps, self.subdiv
-        hostm = eps**3 * (eps * self._host_index.astype(float))
-        subm = _segment_sums(self._host_sub_centers, self._host_sub_ptr)
-        return hostm + (eps / k) ** 3 * subm
-
     def volumes(self) -> np.ndarray:
         """Support volume of every piece, in sequence order."""
         sub = np.full(len(self._sub_index), (self.eps / self.subdiv) ** 3)
-        return np.concatenate([self._host_volumes(), sub])
+        return np.concatenate([self._host_volumes, sub])
 
     def inner_sides(self) -> np.ndarray:
-        sub = np.full(
-            len(self._sub_index),
-            self.rho ** (1.0 / 3.0) * self.eps / self.subdiv,
-        )
+        sub = np.full(len(self._sub_index), self._sub_inner_side)
         return np.concatenate([self._host_inner_side, sub])
 
     def charges(self) -> np.ndarray:
@@ -280,42 +259,11 @@ class BoundaryLayer:
         eps, k, rho = self.eps, self.subdiv, self.rho
         host = (
             self._host_inner_side[:, None] ** 3 * self._host_inner_center
-            - rho * self._host_first_moments()
+            - rho * self._host_moments
         )
-        side = rho ** (1.0 / 3.0) * eps / k
-        if len(self._sub_index):
-            c = _subcell_center(self._sub_index, eps, k)
-            sub = (side**3 - rho * (eps / k) ** 3) * c
-        else:
-            sub = np.zeros((0, 3))
+        c = _subcell_center(self._sub_index, eps, k)
+        sub = (self._sub_inner_side**3 - rho * (eps / k) ** 3) * c
         return np.vstack([host, sub])
-
-    def quadrupoles(self) -> np.ndarray:
-        """Trace-free second moment of the signed density of every piece."""
-        eps, k, rho = self.eps, self.subdiv, self.rho
-        n = len(self)
-        out = np.zeros((n, 3, 3))
-        # centered pieces (plain exterior cubes and subcells) have a signed
-        # second moment proportional to the identity, hence zero trace-free
-        # part up to the same roundoff as the charge; compute only merged.
-        nsub = np.diff(self._host_sub_ptr)
-        for i in np.nonzero(nsub)[0]:
-            lo, hi = self._host_sub_ptr[i], self._host_sub_ptr[i + 1]
-            host_c = eps * self._host_index[i].astype(float)
-            cs = np.vstack([host_c[None, :], self._host_sub_centers[lo:hi]])
-            vols = np.full(len(cs), (eps / k) ** 3)
-            vols[0] = eps**3
-            halves = np.full(len(cs), eps / (2.0 * k))
-            halves[0] = eps / 2.0
-            s_bg = np.einsum("b,bi,bj->ij", vols, cs, cs)
-            s_bg[np.diag_indices(3)] += (vols * halves**2).sum() / 3.0
-            side = self._host_inner_side[i]
-            cc = self._host_inner_center[i]
-            s_in = side**3 * np.outer(cc, cc)
-            s_in[np.diag_indices(3)] += side**3 * (side / 2.0) ** 2 / 3.0
-            s = s_in - rho * s_bg
-            out[i] = s - np.trace(s) / 3.0 * np.eye(3)
-        return out
 
     def inner_perimeters(self) -> np.ndarray:
         return 6.0 * self.inner_sides() ** 2
@@ -328,24 +276,17 @@ class BoundaryLayer:
 
     def containment_margins(self) -> np.ndarray:
         """Distance from each inner cube to its host tile's boundary (> 0)."""
-        eps, k = self.eps, self.subdiv
-        host_c = eps * self._host_index.astype(float)
-        shift = np.abs(self._host_inner_center - host_c).max(axis=1)
-        host = eps / 2.0 - shift - self._host_inner_side / 2.0
-        sub_margin = (1.0 - self.rho ** (1.0 / 3.0)) * eps / (2.0 * k)
+        sub_margin = (1.0 - self.rho ** (1.0 / 3.0)) * self.eps / (2.0 * self.subdiv)
         return np.concatenate(
-            [host, np.full(len(self._sub_index), sub_margin)]
+            [self._host_margins, np.full(len(self._sub_index), sub_margin)]
         )
 
     def com_shift_constant(self) -> float:
         """Max inner-cube displacement from its tile center in units of
         tile size over (subdivision + 1)."""
-        eps = self.eps
-        host_c = eps * self._host_index.astype(float)
-        shift = np.abs(self._host_inner_center - host_c).max(axis=1)
-        if not len(shift):
+        if not len(self._host_shift):
             return 0.0
-        return float(shift.max() * (self.subdiv + 1) / eps)
+        return float(self._host_shift.max() * (self.subdiv + 1) / self.eps)
 
     def shell_volume(self) -> float:
         """Volume of the outer shell that provably contains every piece."""
@@ -364,31 +305,20 @@ class BoundaryLayer:
         return float(self.volumes().sum())
 
 
-def _segment_sums(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment row sums for CSR-style pointers (empty segments give 0)."""
-    n = len(ptr) - 1
-    out = np.zeros((n, rows.shape[1])) if rows.ndim > 1 else np.zeros(n)
-    counts = np.diff(ptr)
-    nz = counts > 0
-    if rows.size and nz.any():
-        starts = ptr[:-1][nz]
-        out[nz] = np.add.reduceat(rows, starts, axis=0)
-    return out
-
-
 def _subcell_center(key, eps: float, k: int) -> np.ndarray:
     """Center of the subcell with integer key ``k*z + m`` (m in [0, k)^3)."""
     key = np.asarray(key, dtype=float)
     return (eps / k) * (key + 0.5) - eps / 2.0
 
 
-def _enumerate_layer_tiles(domain, eps: float, pool_reach: float):
+def _enumerate_layer_tiles(domain, eps: float):
     """Integer indices of layer and host tiles around the boundary.
 
     Returns ``(pool, pool_dist, boundary)``: fully-exterior tiles within
-    ``pool_reach`` of the domain (lexicographically sorted, with matching
+    three tile sizes of the domain (lexicographically sorted, with matching
     distances) and the boundary-crossing tiles.
     """
+    pool_reach = 3.0 * eps
     c = np.asarray(domain.center, dtype=float)
     reach = domain.diameter / 2.0 + pool_reach + 1.5 * eps
     lo = np.floor((c - reach) / eps).astype(int)
@@ -405,18 +335,19 @@ def _enumerate_layer_tiles(domain, eps: float, pool_reach: float):
     return pool[order], pool_dist[order], boundary[_lexsort_rows(boundary)]
 
 
-def _classify_subcells(domain, boundary_tiles, eps: float, k: int, batch: int = 2_000_000):
+def _classify_subcells(domain, boundary_tiles, eps: float, k: int):
     """Split boundary tiles into (eps/k)-subcells; classify each one.
 
     Returns ``(ext_keys, bnd_keys)``: integer keys ``k*z + m`` of subcells
     fully outside the closed domain and of subcells meeting the boundary.
+    Tiles are classified in batches of about two million subcells.
     """
     m = np.stack(
         np.meshgrid(np.arange(k), np.arange(k), np.arange(k), indexing="ij"),
         axis=-1,
     ).reshape(-1, 3)
     ext_parts, bnd_parts = [], []
-    tiles_per_batch = max(1, batch // (k**3))
+    tiles_per_batch = max(1, 2_000_000 // (k**3))
     for start in range(0, len(boundary_tiles), tiles_per_batch):
         zb = boundary_tiles[start : start + tiles_per_batch]
         keys = (k * zb[:, None, :] + m[None, :, :]).reshape(-1, 3)
@@ -427,47 +358,6 @@ def _classify_subcells(domain, boundary_tiles, eps: float, k: int, batch: int = 
     ext = np.vstack(ext_parts) if ext_parts else np.zeros((0, 3), dtype=int)
     bnd = np.vstack(bnd_parts) if bnd_parts else np.zeros((0, 3), dtype=int)
     return ext[_lexsort_rows(ext)], bnd[_lexsort_rows(bnd)]
-
-
-class _HostState:
-    """Running feasibility state of candidate host tiles during assembly."""
-
-    __slots__ = ("eps", "k", "rho", "cell_vol", "tile_vol", "cx", "cy", "cz",
-                 "count", "mx", "my", "mz", "members")
-
-    def __init__(self, tile_index: np.ndarray, eps: float, k: int, rho: float):
-        n = len(tile_index)
-        self.eps = eps
-        self.k = k
-        self.rho = rho
-        self.cell_vol = (eps / k) ** 3
-        self.tile_vol = eps**3
-        centers = eps * tile_index.astype(float)
-        self.cx = centers[:, 0].tolist()
-        self.cy = centers[:, 1].tolist()
-        self.cz = centers[:, 2].tolist()
-        self.count = [0] * n
-        self.mx = [0.0] * n
-        self.my = [0.0] * n
-        self.mz = [0.0] * n
-        self.members: list = [[] for _ in range(n)]
-
-    def margin_if(self, i: int, ox: float, oy: float, oz: float) -> float:
-        vol = self.tile_vol + (self.count[i] + 1) * self.cell_vol
-        w = self.cell_vol / vol
-        shift = max(
-            abs((self.mx[i] + ox) * w),
-            abs((self.my[i] + oy) * w),
-            abs((self.mz[i] + oz) * w),
-        )
-        return self.eps / 2.0 - shift - (self.rho * vol) ** (1.0 / 3.0) / 2.0
-
-    def add(self, i: int, sub: int, ox: float, oy: float, oz: float) -> None:
-        self.count[i] += 1
-        self.mx[i] += ox
-        self.my[i] += oy
-        self.mz[i] += oz
-        self.members[i].append(sub)
 
 
 def _assemble_hosts(
@@ -483,8 +373,11 @@ def _assemble_hosts(
     Hosts are fully-exterior tiles (nearest preferred, by distance between
     the closed boxes, ties by lexicographic tile index); a subcell spills
     over to the next-nearest host whenever the addition would push the
-    host's inner cube out of its tile.  Raises ``ValueError`` when a subcell
-    cannot be placed at all (subdivision too coarse).
+    host's inner cube out of its tile.  When no certified candidate can take
+    it, hosts are scanned in growing neighborhoods (6 and 12 tile sizes),
+    then all of them.  Returns the per-tile subcell counts and member
+    lists.  Raises ``ValueError`` when a subcell cannot be placed at all
+    (subdivision too coarse).
     """
     n_pool = len(pool_tiles)
     if n_pool == 0:
@@ -493,14 +386,37 @@ def _assemble_hosts(
             "decrease the tile size"
         )
     reserve = 1e-3 * eps
-    state = _HostState(pool_tiles, eps, k, rho)
+    cell_vol = (eps / k) ** 3
+    tile_vol = eps**3
+    tile_centers = eps * pool_tiles.astype(float)
+    tx, ty, tz = (tile_centers[:, j].tolist() for j in range(3))
+    count = [0] * n_pool
+    mx, my, mz = [0.0] * n_pool, [0.0] * n_pool, [0.0] * n_pool
+    members: list = [[] for _ in range(n_pool)]
     ns = len(sub_keys)
     if ns == 0:
-        return state
+        return count, members
+
+    def place(i, s: int, pt) -> bool:
+        # add subcell s (center pt) to host i if its inner cube stays inside
+        ox, oy, oz = pt[0] - tx[i], pt[1] - ty[i], pt[2] - tz[i]
+        vol = tile_vol + (count[i] + 1) * cell_vol
+        w = cell_vol / vol
+        shift = max(
+            abs((mx[i] + ox) * w), abs((my[i] + oy) * w), abs((mz[i] + oz) * w)
+        )
+        if eps / 2.0 - shift - (rho * vol) ** (1.0 / 3.0) / 2.0 >= reserve:
+            count[i] += 1
+            mx[i] += ox
+            my[i] += oy
+            mz[i] += oz
+            members[i].append(s)
+            return True
+        return False
+
     centers = _subcell_center(sub_keys, eps, k)
     half_sum = eps / 2.0 + eps / (2.0 * k)
     pad = math.sqrt(3.0) * half_sum
-    tile_centers = eps * pool_tiles.astype(float)
     tree = cKDTree(tile_centers)
 
     # candidate hosts per subcell: nearest kq tile centers, re-ranked by the
@@ -535,55 +451,31 @@ def _assemble_hosts(
     # nearest-first greedy: subcells in order of increasing distance to
     # their preferred host, ties in lexicographic subcell order
     sched = np.lexsort((np.arange(ns), d_pref))
-    cxs, cys, czs = centers[:, 0], centers[:, 1], centers[:, 2]
-    for s in sched:
-        sx, sy, sz = cxs[s], cys[s], czs[s]
-        placed = False
-        for i in cand_order[s, : max(1, cand_certified[s])]:
-            ox, oy, oz = sx - state.cx[i], sy - state.cy[i], sz - state.cz[i]
-            if state.margin_if(i, ox, oy, oz) >= reserve:
-                state.add(i, int(s), ox, oy, oz)
-                placed = True
+    for s in sched.tolist():
+        pt = centers[s]
+        if any(place(i, s, pt) for i in cand_order[s, : max(1, cand_certified[s])]):
+            continue
+        n_tried = 0
+        for radius in (6.0 * eps, 12.0 * eps, None):
+            if radius is None:
+                idx = np.arange(n_pool)
+            else:
+                idx = np.asarray(sorted(tree.query_ball_point(pt, radius)), dtype=int)
+                if len(idx) == n_tried:
+                    continue
+            gap = np.abs(tile_centers[idx] - pt) - half_sum
+            d_all = np.linalg.norm(np.maximum(gap, 0.0), axis=1)
+            if any(place(int(idx[j]), s, pt) for j in np.lexsort((idx, d_all))):
                 break
-        if not placed:
-            placed = _place_wide(state, tree, tile_centers, centers[s], int(s),
-                                 half_sum, reserve)
-        if not placed:
+            n_tried = len(idx)
+        else:
             key = tuple(int(v) for v in sub_keys[s])
             raise ValueError(
                 f"no host tile can absorb the boundary subcell at index {key} "
                 f"without its inner cube escaping; increase the subdivision "
                 f"or use coarser tiles"
             )
-    return state
-
-
-def _place_wide(state, tree, tile_centers, pt, s, half_sum, reserve) -> bool:
-    """Fallback placement scanning hosts in growing neighborhoods, then all."""
-    eps = state.eps
-    tried = None
-    for radius in (6.0 * eps, 12.0 * eps, None):
-        if radius is None:
-            idx = np.arange(len(tile_centers))
-        else:
-            idx = np.asarray(
-                sorted(tree.query_ball_point(pt, radius)), dtype=int
-            )
-            if len(idx) == 0 or (tried is not None and len(idx) == len(tried)):
-                tried = idx
-                continue
-        gap = np.abs(tile_centers[idx] - pt) - half_sum
-        d_all = np.linalg.norm(np.maximum(gap, 0.0), axis=1)
-        for j in np.lexsort((idx, d_all)):
-            i = int(idx[j])
-            ox = pt[0] - state.cx[i]
-            oy = pt[1] - state.cy[i]
-            oz = pt[2] - state.cz[i]
-            if state.margin_if(i, ox, oy, oz) >= reserve:
-                state.add(i, s, ox, oy, oz)
-                return True
-        tried = idx
-    return False
+    return count, members
 
 
 def quadrupole_layer(domain, eps: float, subdiv: int, rho: float) -> BoundaryLayer:
@@ -619,36 +511,37 @@ def quadrupole_layer(domain, eps: float, subdiv: int, rho: float) -> BoundaryLay
     if subdiv < 2:
         raise ValueError("subdivision must be an integer >= 2")
 
-    pool, pool_dist, boundary = _enumerate_layer_tiles(domain, eps, 3.0 * eps)
+    pool, pool_dist, boundary = _enumerate_layer_tiles(domain, eps)
     first_shell = pool_dist <= eps * (1.0 + 1e-12)
     ext_keys, bnd_keys = _classify_subcells(domain, boundary, eps, subdiv)
-    state = _assemble_hosts(pool, bnd_keys, eps, subdiv, rho)
+    count, members = _assemble_hosts(pool, bnd_keys, eps, subdiv, rho)
 
     # hosts: every first-shell exterior tile, plus any farther tile that
     # received spilled subcells
-    counts_pool = np.asarray(state.count, dtype=int)
+    counts_pool = np.asarray(count, dtype=int)
     rows = np.nonzero(first_shell | (counts_pool > 0))[0]
     hosts = pool[rows]
     counts = counts_pool[rows]
     ptr = np.zeros(len(hosts) + 1, dtype=int)
     np.cumsum(counts, out=ptr[1:])
-    member_ids = [sorted(state.members[r]) for r in rows]
-    flat = [s for ids in member_ids for s in ids]
+    flat = [s for r in rows for s in sorted(members[r])]
+    sub_sums = np.zeros((len(hosts), 3))
     if flat:
         sub_centers = _subcell_center(bnd_keys[np.asarray(flat)], eps, subdiv)
+        nz = counts > 0
+        sub_sums[nz] = np.add.reduceat(sub_centers, ptr[:-1][nz], axis=0)
     else:
         sub_centers = np.zeros((0, 3))
 
     vols = eps**3 + counts * (eps / subdiv) ** 3
     host_c = eps * hosts.astype(float)
-    moments = eps**3 * host_c + (eps / subdiv) ** 3 * _segment_sums(
-        sub_centers, ptr
-    )
+    moments = eps**3 * host_c + (eps / subdiv) ** 3 * sub_sums
     com = moments / vols[:, None]
     sides = np.cbrt(rho * vols)
 
     # strict containment of every inner cube in its host tile
-    margins = eps / 2.0 - np.abs(com - host_c).max(axis=1) - sides / 2.0
+    shift = np.abs(com - host_c).max(axis=1)
+    margins = eps / 2.0 - shift - sides / 2.0
     bad = np.nonzero(margins <= 0.0)[0]
     if len(bad):
         z = tuple(int(v) for v in hosts[bad[0]])
@@ -657,26 +550,30 @@ def quadrupole_layer(domain, eps: float, subdiv: int, rho: float) -> BoundaryLay
             f"{z} (margin {margins[bad[0]]:.3e}); increase the subdivision"
         )
 
-    build = (hosts, sub_centers, ptr, com, sides, ext_keys)
-    return BoundaryLayer(domain, eps, subdiv, rho, _build=build)
+    return BoundaryLayer(
+        domain, eps, subdiv, rho,
+        host_index=hosts,
+        host_sub_centers=sub_centers,
+        host_sub_ptr=ptr,
+        host_volumes=vols,
+        host_moments=moments,
+        host_inner_center=com,
+        host_inner_side=sides,
+        host_shift=shift,
+        host_margins=margins,
+        sub_index=ext_keys,
+    )
 
 
-_FIT_DIRECTIONS = None
-
-
-def _fit_directions(count: int = 32) -> np.ndarray:
-    """Deterministic, roughly equidistributed unit directions."""
-    global _FIT_DIRECTIONS
-    if _FIT_DIRECTIONS is None or len(_FIT_DIRECTIONS) != count:
-        i = np.arange(count, dtype=float)
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        zc = 1.0 - (2.0 * i + 1.0) / count
-        theta = 2.0 * math.pi * i / phi
-        s = np.sqrt(np.maximum(1.0 - zc**2, 0.0))
-        _FIT_DIRECTIONS = np.stack(
-            [s * np.cos(theta), s * np.sin(theta), zc], axis=1
-        )
-    return _FIT_DIRECTIONS
+def _fit_directions() -> np.ndarray:
+    """32 deterministic, roughly equidistributed unit directions."""
+    count = 32
+    i = np.arange(count, dtype=float)
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    zc = 1.0 - (2.0 * i + 1.0) / count
+    theta = 2.0 * math.pi * i / phi
+    s = np.sqrt(np.maximum(1.0 - zc**2, 0.0))
+    return np.stack([s * np.cos(theta), s * np.sin(theta), zc], axis=1)
 
 
 def piece_potential(piece: LayerPiece, pts) -> np.ndarray:
@@ -689,15 +586,14 @@ def piece_potential(piece: LayerPiece, pts) -> np.ndarray:
     return v
 
 
-def far_field_exponent(
-    piece: LayerPiece, radii=None, directions: int = 32
-) -> float:
-    """Fitted decay exponent p of |potential| ~ r^(-p) away from the piece."""
+def far_field_exponent(piece: LayerPiece, radii=None) -> float:
+    """Fitted decay exponent p of |potential| ~ r^(-p) away from the piece,
+    from the RMS over 32 fixed directions at each radius."""
     eps = piece.tile_size
     if radii is None:
         radii = np.geomspace(4.0 * eps, 32.0 * eps, 7)
     radii = np.asarray(radii, dtype=float)
-    dirs = _fit_directions(directions)
+    dirs = _fit_directions()
     com = _piece_com(piece)
     rms = np.empty(len(radii))
     for i, r in enumerate(radii):
@@ -716,7 +612,7 @@ def _piece_com(piece: LayerPiece) -> np.ndarray:
     return (vols[:, None] * centers).sum(axis=0) / vols.sum()
 
 
-def piece_diagnostics(piece: LayerPiece, directions: int = 32) -> PieceDiagnostics:
+def piece_diagnostics(piece: LayerPiece) -> PieceDiagnostics:
     """Exact charge/dipole/quadrupole and fitted far-field decay exponent.
 
     Moments are closed-form box integrals; the decay exponent is a log-log
@@ -745,7 +641,7 @@ def piece_diagnostics(piece: LayerPiece, directions: int = 32) -> PieceDiagnosti
         charge=float(charge),
         dipole=dipole,
         quadrupole=quad,
-        decay_exponent=far_field_exponent(piece, directions=directions),
+        decay_exponent=far_field_exponent(piece),
     )
 
 

@@ -5,7 +5,8 @@ provenance block (echo of the resolved numeric configuration, the master
 seed, and the package version; never timestamps), and, where a sweep is
 involved, a two-column whitespace data file for offline plotting.  Runs with
 the same configuration produce byte-identical outputs, independent of
-``--threads``.
+``--threads`` (``jellium-opt`` and ``expansion``, the subcommands that run a
+thread pool).
 
 Exit codes: 0 ok, 1 bad arguments, 2 numeric failure, 3 I/O failure.
 """
@@ -106,7 +107,6 @@ def _build_parser():
 
         for flag, typ, dv, h in (
             ("--seed", int, 0, "master RNG seed"),
-            ("--threads", int, 1, "worker threads (does not change results)"),
             ("--tol", float, 1e-8, "generic numeric tolerance"),
             ("--config", str, None, "key=value file merged under flags (flags win)"),
             ("--out", str, ".", "output directory"),
@@ -127,6 +127,7 @@ def _build_parser():
     add("--density", type=float, default=1.0, help="points per unit volume")
     add("--restarts", type=int, default=4, help="independent random restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
+    add("--threads", type=int, default=1, help="worker threads (does not change results)")
 
     sp, add = sub("jellium-gc", "grand-canonical point-charge energy in a scaled simplex")
     add("--a", type=float, default=8.0, help="simplex scale")
@@ -149,6 +150,7 @@ def _build_parser():
     add("--n", type=int, default=16, help="points per periodic cell")
     add("--restarts", type=int, default=4, help="optimizer restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
+    add("--threads", type=int, default=1, help="worker threads (does not change results)")
 
     sp, add = sub("gs-check", "Monte Carlo localization identities for rigid tilings")
     add("--samples", type=int, default=200000, help="rigid-motion samples")
@@ -199,7 +201,7 @@ def _cmd_zeta(ns):
         z = epstein_zeta(lat, s)
         rows.append((ns.lattice, s, z.value, z.error))
         values[repr(float(s))] = {"value": z.value, "truncation_error": z.error}
-    plot = [(s, v["value"]) for s, v in zip(ns.s, values.values())]
+    plot = [(s, value) for _, s, value, _ in rows]
     return {
         "header": ("lattice", "s", "value", "truncation_error"),
         "rows": rows,

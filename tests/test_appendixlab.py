@@ -1,5 +1,6 @@
 """Boundary screening layers, ball-packing schedules, averaged limits."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,36 @@ def test_exterior_cubes_decay_faster(cube_layer):
     assert np.abs(d.dipole).max() == 0.0
     assert np.abs(d.quadrupole).max() == 0.0
     assert d.decay_exponent > 4.0
+
+
+def test_merged_piece_quadrupole_is_symmetric_and_trace_free(small_layer):
+    kinds = small_layer.kinds()
+    for i in np.nonzero(kinds == "merged")[0][:3]:
+        q = piece_diagnostics(small_layer[i]).quadrupole
+        scale = np.abs(q).max()
+        assert scale > 0.0
+        assert np.abs(q - q.T).max() <= 1e-15 * scale
+        assert abs(np.trace(q)) <= 1e-15 * scale
+
+
+def test_fallback_placement_is_pinned():
+    # at the densest background 93 boundary subcells find no certified
+    # candidate host and are placed by the widening fallback scan; the
+    # digests pin which host receives every subcell
+    layer = quadrupole_layer(Ball(radius=2.0, center=(0.0, 0.0, 0.0)), 0.25, 8, 0.5)
+    assert len(layer) == 323896
+    assert layer.counts() == {"merged": 2048, "exterior-cube": 0, "subcell": 321848}
+    digests = {
+        name: hashlib.sha256(getattr(layer, name)().tobytes()).hexdigest()
+        for name in ("volumes", "dipoles", "containment_margins")
+    }
+    assert digests == {
+        "volumes": "de57440bc6523bde48e0e6fca6ce71b1ea41f243656fab74d4683ec462ce30fc",
+        "dipoles": "7132a4de6f637177d1940937caea1fff02b1094ac350a226a26fd793bd66ce71",
+        "containment_margins": (
+            "d33096406944cafe3798ab57bbb4aa103ad1565d6682d603d40e57e122c17c7b"
+        ),
+    }
 
 
 def test_commensurate_cube_has_no_merged_pieces(cube_layer):

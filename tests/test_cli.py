@@ -50,6 +50,16 @@ def test_zeta_multi_s_writes_plot(tmp_path):
     assert len(dat) == 3
 
 
+def test_zeta_repeated_s_pairs_each_value(tmp_path):
+    assert run("zeta", "--s", "1,1,2", "--out", str(tmp_path)) == EXIT_OK
+    _, rows = read_csv(tmp_path / "zeta.csv")
+    dat = (tmp_path / "zeta.dat").read_text().splitlines()[1:]
+    pairs = [tuple(float(v) for v in line.split()) for line in dat]
+    assert pairs == [(float(r[1]), float(r[2])) for r in rows]
+    assert [s for s, _ in pairs] == [1.0, 1.0, 2.0]
+    assert pairs[0][1] == pytest.approx(ZETA_BCC_1, abs=1e-12)
+
+
 def test_madelung_value(tmp_path):
     assert run("madelung", "--out", str(tmp_path), "--prefix", "m") == EXIT_OK
     _, rows = read_csv(tmp_path / "m.csv")
@@ -237,6 +247,15 @@ def test_bad_arguments_exit_one(tmp_path):
     assert run("zeta", "--lattice", "hex") == EXIT_BAD_ARGS
     assert run("zeta", "--no-such-flag") == EXIT_BAD_ARGS
     assert run("no-such-command") == EXIT_BAD_ARGS
+
+
+def test_threads_only_where_a_pool_runs(tmp_path):
+    # only jellium-opt and expansion read --threads; elsewhere it is unknown
+    assert run("zeta", "--threads", "2", "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run("zeta", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not (tmp_path / "zeta.csv").exists()
 
 
 def test_numeric_failures_exit_two(tmp_path):

@@ -449,11 +449,13 @@ def _assemble_hosts(
             ).sum(axis=1)
 
     # nearest-first greedy: subcells in order of increasing distance to
-    # their preferred host, ties in lexicographic subcell order
+    # their preferred host, ties in lexicographic subcell order; place() runs
+    # on Python floats and ints, not numpy scalars
     sched = np.lexsort((np.arange(ns), d_pref))
+    pts, certified = centers.tolist(), cand_certified.tolist()
     for s in sched.tolist():
-        pt = centers[s]
-        if any(place(i, s, pt) for i in cand_order[s, : max(1, cand_certified[s])]):
+        pt = pts[s]
+        if any(place(i, s, pt) for i in cand_order[s, : max(1, certified[s])].tolist()):
             continue
         n_tried = 0
         for radius in (6.0 * eps, 12.0 * eps, None):

@@ -6,7 +6,10 @@ seed, and the package version; never timestamps), and, where a sweep is
 involved, a two-column whitespace data file for offline plotting.  Runs with
 the same configuration produce byte-identical outputs, independent of
 ``--threads`` (``jellium-opt`` and ``expansion``, the subcommands that run a
-thread pool).
+thread pool).  The pool splits the Ewald pair axis when one kernel call
+spans at least two blocks of 2^16 image terms (n >= 27 at the default
+tolerance), and runs optimizer restarts side by side otherwise;
+``--threads`` must be at least 1.
 
 Exit codes: 0 ok, 1 bad arguments, 2 numeric failure, 3 I/O failure.
 """
@@ -51,6 +54,11 @@ EXIT_BAD_ARGS = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
+_THREADS_HELP = (
+    "worker threads: the Ewald pair axis when a call spans at least two blocks "
+    "of 2^16 image terms, restarts otherwise (does not change results)"
+)
+
 # execution plumbing that is not part of the numeric configuration echo
 _NON_CONFIG = {"config", "out", "prefix", "threads", "seed", "subcommand"}
 
@@ -76,6 +84,13 @@ def _int_pair(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two integers: {text!r}")
     return (int(parts[0]), int(parts[1]))
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"threads must be at least 1: {text!r}")
+    return count
 
 
 def _lattice_kind(text: str) -> str:
@@ -127,7 +142,7 @@ def _build_parser():
     add("--density", type=float, default=1.0, help="points per unit volume")
     add("--restarts", type=int, default=4, help="independent random restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
-    add("--threads", type=int, default=1, help="worker threads (does not change results)")
+    add("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
 
     sp, add = sub("jellium-gc", "grand-canonical point-charge energy in a scaled simplex")
     add("--a", type=float, default=8.0, help="simplex scale")
@@ -150,7 +165,7 @@ def _build_parser():
     add("--n", type=int, default=16, help="points per periodic cell")
     add("--restarts", type=int, default=4, help="optimizer restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
-    add("--threads", type=int, default=1, help="worker threads (does not change results)")
+    add("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
 
     sp, add = sub("gs-check", "Monte Carlo localization identities for rigid tilings")
     add("--samples", type=int, default=200000, help="rigid-motion samples")

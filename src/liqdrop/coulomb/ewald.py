@@ -13,10 +13,14 @@ parameter alpha.
 
 from __future__ import annotations
 
+from concurrent.futures import wait
+
 import numpy as np
 from scipy.special import erfc
 
 __all__ = ["PeriodicKernel", "madelung_z3"]
+
+_BLOCK = 2**16  # image terms per real-space block
 
 
 class PeriodicKernel:
@@ -33,6 +37,13 @@ class PeriodicKernel:
     ``np.sum``, and the gradient is summed sequentially in shift order.
     Outputs are written at full ``repr`` precision and L-BFGS amplifies a
     one-ulp change, so that order is part of the result.
+
+    Given an executor, ``energy_and_gradient`` splits the real-space sum into
+    contiguous pair ranges, one task each.  A task writes only its own rows of
+    the energy buffer and its own columns of the gradient accumulator, and
+    runs the same per-pair operations in the same shift order; the energy is
+    still one ``np.sum`` over the whole buffer.  The result is therefore
+    bitwise equal to the serial call for any number of workers.
 
     Parameters
     ----------
@@ -108,11 +119,20 @@ class PeriodicKernel:
 
     # -- many-body sums -----------------------------------------------------
 
-    def energy_and_gradient(self, positions, q: float = 1.0):
+    def chunks(self, n: int, threads: int) -> int:
+        """Pair ranges the real-space sum at ``n`` points is split into on
+        ``threads`` workers: at most one per worker, and each at least one
+        full block of 2^16 image terms."""
+        pairs = n * (n - 1) // 2
+        return max(1, min(threads, pairs * len(self.shifts) // _BLOCK))
+
+    def energy_and_gradient(self, positions, q: float = 1.0, executor=None):
         """(q^2 * sum_{j<k} G_ell(x_j - x_k), its gradient in every position).
 
         One minimum-image reduction, one erfc pass and one structure factor
-        serve both results.
+        serve both results.  With a ``ThreadPoolExecutor`` the real-space
+        pair axis is split over its workers (see ``chunks``); the result is
+        bitwise the same.
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 3)
         n = len(pos)
@@ -123,32 +143,21 @@ class PeriodicKernel:
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
         dxt = np.ascontiguousarray(dx.T)  # (3, pairs)
-        npair, nshift = len(iu), len(self.shifts)
-        sa = np.sqrt(self.alpha)
-        gauss = 2.0 * sa / np.sqrt(np.pi)
-        terms = np.empty((npair, nshift))  # erfc(s r)/r, pair-major
-        step = max(1, 2**16 // npair)  # about 2^16 image terms per block
-        # row 0: running sum of -(grad wrt x_i of pair (i, j)); rows 1..: one block
-        blk = np.empty((min(step, nshift) + 1, 3, npair))
-        blk[0] = 0.0
-        for s0 in range(0, nshift, step):
-            sh = self.shifts[s0 : s0 + step]
-            rows = blk[: len(sh) + 1]
-            d = np.subtract(dxt, sh[:, :, None], out=rows[1:])  # (shifts, 3, pairs)
-            x, y, z = d[:, 0], d[:, 1], d[:, 2]
-            r = np.sqrt((x * x + y * y) + z * z)  # the grouping np.linalg.norm uses
-            if np.any(r < 1e-300):
-                raise ValueError("coincident points in pair energy")
-            screened = erfc(sa * r)
-            np.divide(screened, r, out=terms[:, s0 : s0 + step].T)
-            # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
-            r2 = r**2
-            mag = screened / r2 + gauss * np.exp(-self.alpha * r2) / r
-            d *= (mag / r)[:, None, :]
-            # the running sum leads the block, so the sum stays sequential in shifts
-            blk[0] = np.sum(rows, axis=0)
+        npair = len(iu)
+        terms = np.empty((npair, len(self.shifts)))  # erfc(s r)/r, pair-major
+        acc = np.empty((3, npair))  # -(grad wrt x_i of pair (i, j))
+        parts = 1 if executor is None else self.chunks(n, executor._max_workers)
+        if parts == 1:
+            self._real_space(dxt, 0, npair, terms, acc)
+        else:
+            bounds = [npair * c // parts for c in range(parts + 1)]
+            futures = [executor.submit(self._real_space, dxt, lo, hi, terms, acc)
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
+            wait(futures)  # no task outlives the call, even when one raises
+            for f in futures:
+                f.result()
         real = np.sum(terms)
-        gpair = -blk[0].T
+        gpair = -acc.T
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
         phase = pos @ self.kvecs.T
@@ -160,6 +169,36 @@ class PeriodicKernel:
         grad += -(cross * self.kcoef[None, :]) @ self.kvecs
         npairs = n * (n - 1) / 2.0
         return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
+
+    def _real_space(self, dxt, lo, hi, terms, acc):
+        """Real-space image sum of pairs ``lo:hi``: fills those rows of the
+        pair-major ``terms`` with erfc(s r)/r and those columns of ``acc``
+        with the pair forces, summed in shift order."""
+        dxt = dxt[:, lo:hi]
+        npair, nshift = hi - lo, len(self.shifts)
+        sa = np.sqrt(self.alpha)
+        gauss = 2.0 * sa / np.sqrt(np.pi)
+        step = max(1, _BLOCK // npair)  # about 2^16 image terms per block
+        # row 0: running sum of the pair forces; rows 1..: one block
+        blk = np.empty((min(step, nshift) + 1, 3, npair))
+        blk[0] = 0.0
+        for s0 in range(0, nshift, step):
+            sh = self.shifts[s0 : s0 + step]
+            rows = blk[: len(sh) + 1]
+            d = np.subtract(dxt, sh[:, :, None], out=rows[1:])  # (shifts, 3, pairs)
+            x, y, z = d[:, 0], d[:, 1], d[:, 2]
+            r = np.sqrt((x * x + y * y) + z * z)  # the grouping np.linalg.norm uses
+            if np.any(r < 1e-300):
+                raise ValueError("coincident points in pair energy")
+            screened = erfc(sa * r)
+            np.divide(screened, r, out=terms[lo:hi, s0 : s0 + step].T)
+            # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
+            r2 = r**2
+            mag = screened / r2 + gauss * np.exp(-self.alpha * r2) / r
+            d *= (mag / r)[:, None, :]
+            # the running sum leads the block, so the sum stays sequential in shifts
+            blk[0] = np.sum(rows, axis=0)
+        acc[:, lo:hi] = blk[0]
 
     def pair_energy(self, positions, q: float = 1.0) -> float:
         """q^2 * sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""

@@ -258,6 +258,17 @@ def test_threads_only_where_a_pool_runs(tmp_path):
     assert not (tmp_path / "zeta.csv").exists()
 
 
+def test_threads_below_one_exit_one(tmp_path):
+    # rejected while parsing, before any pool or thread exists
+    for value in ("0", "-1", "-1000000000"):
+        assert run("jellium-opt", "--threads", value, "--out", str(tmp_path)) == EXIT_BAD_ARGS
+        assert run("expansion", "--threads", value, "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 0\n")
+    assert run("jellium-opt", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_numeric_failures_exit_two(tmp_path):
     assert run("cheese", "--k", "20", "--out", str(tmp_path)) == EXIT_NUMERIC
     assert run("droplet", "--rho", "0.7", "--out", str(tmp_path)) == EXIT_NUMERIC

@@ -1,7 +1,10 @@
 """Coulomb layer: lattice sums, periodic kernel, closed-form potentials."""
 
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from liqdrop.geom import (
     regular_tetrahedron,
     voxelize,
 )
+from liqdrop.jellium import crystal_positions, minimize_local
 
 # independently derived high-precision reference values
 MADELUNG_Z3 = -2.837297479480619
@@ -242,6 +246,70 @@ def test_energy_and_gradient_peak_memory_n128():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def _random_case(n):
+    rng = np.random.default_rng(900 + n)
+    ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
+    q = rng.uniform(0.2, 3.0)
+    pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
+    return PeriodicKernel(ell), pts, q
+
+
+def _assert_bitwise(result, reference):
+    assert np.float64(result[0]).tobytes() == np.float64(reference[0]).tobytes()
+    assert result[1].tobytes() == reference[1].tobytes()
+
+
+# on 2 and 3 workers, n = 2 and 3 run inline and n = 54 and 200 split
+@pytest.mark.parametrize("n", [2, 3, 54, 200])
+def test_energy_and_gradient_split_bitwise_equal_to_serial(n):
+    k, pts, q = _random_case(n)
+    serial = k.energy_and_gradient(pts, q)
+    for workers in (2, 3):
+        assert (k.chunks(n, workers) > 1) == (n >= 54)
+        with ThreadPoolExecutor(workers) as pool:
+            _assert_bitwise(k.energy_and_gradient(pts, q, executor=pool), serial)
+
+
+def test_energy_and_gradient_split_raises_on_coincident_pair():
+    n = 54
+    k = PeriodicKernel(n ** (1.0 / 3.0))
+    pts = np.random.default_rng(3).random((n, 3)) * k.ell
+    pts[-1] = pts[-2]  # the last pair, in the last worker's range
+    assert k.chunks(n, 2) == 2
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="coincident"):
+            k.energy_and_gradient(pts, executor=pool)
+
+
+def test_energy_and_gradient_split_stress_many_switches():
+    k, pts, q = _random_case(200)
+    serial = k.energy_and_gradient(pts, q)
+    interval = sys.getswitchinterval()
+    t0 = time.perf_counter()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for _ in range(2):
+                _assert_bitwise(k.energy_and_gradient(pts, q, executor=pool), serial)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_minimize_local_bitwise_equal_with_pool():
+    n = 54
+    side = n ** (1.0 / 3.0)
+    k = PeriodicKernel(side)
+    rng = np.random.default_rng(54)
+    start = crystal_positions("bcc", 3, side) + rng.normal(scale=0.1, size=(n, 3))
+    pos0, trace0 = minimize_local(start, k, maxiter=5)
+    with ThreadPoolExecutor(2) as pool:
+        pos1, trace1 = minimize_local(start, k, maxiter=5, executor=pool)
+    assert len(trace0) >= 5
+    assert pos1.tobytes() == pos0.tobytes()
+    assert trace1.tobytes() == trace0.tobytes()
 
 
 # ---------------------------------------------------------------------------

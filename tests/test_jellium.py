@@ -167,6 +167,27 @@ def test_basin_hop_deterministic_and_thread_invariant():
     assert a.restart_table.tobytes() == c.restart_table.tobytes()
 
 
+def test_basin_hop_split_path_thread_invariant():
+    # at n = 54 the kernel splits its pair axis, so restarts run in order
+    n = 54
+    side = n ** (1.0 / 3.0)
+    kern = PeriodicKernel(side)
+    assert kern.chunks(n, 2) > 1
+    rng = np.random.default_rng(5)
+    starts = [crystal_positions("bcc", 3, side) + rng.normal(scale=1e-3, size=(n, 3))]
+    a = basin_hop(n, kern, restarts=0, hops=0, threads=1, initial_configs=starts)
+    b = basin_hop(n, kern, restarts=0, hops=0, threads=2, initial_configs=starts)
+    assert a.best_positions.tobytes() == b.best_positions.tobytes()
+    assert a.restart_table.tobytes() == b.restart_table.tobytes()
+
+
+def test_basin_hop_rejects_fewer_than_one_thread():
+    kern = PeriodicKernel(2.0)
+    for threads in (0, -1, -(10**9)):
+        with pytest.raises(ValueError, match="threads"):
+            basin_hop(8, kern, restarts=1, hops=0, threads=threads)
+
+
 def test_basin_hop_crystal_seed_is_never_beaten_badly():
     # with a bcc crystal among the starts, the best energy is at most the
     # crystal energy (the hop acceptance is monotone)

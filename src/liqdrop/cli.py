@@ -79,18 +79,28 @@ def _floats(text: str):
     return vals
 
 
-def _int_pair(text: str):
+def _count_window(text: str):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two integers: {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    lo, hi = int(parts[0]), int(parts[1])
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"window lo,hi needs 0 <= lo <= hi: {text!r}")
+    return (lo, hi)
 
 
-def _thread_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     count = int(text)
     if count < 1:
-        raise argparse.ArgumentTypeError(f"threads must be at least 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
     return count
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
+    return value
 
 
 def _lattice_kind(text: str) -> str:
@@ -142,13 +152,14 @@ def _build_parser():
     add("--density", type=float, default=1.0, help="points per unit volume")
     add("--restarts", type=int, default=4, help="independent random restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
-    add("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
+    add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("jellium-gc", "grand-canonical point-charge energy in a scaled simplex")
-    add("--a", type=float, default=8.0, help="simplex scale")
-    add("--charge", type=float, default=2.5, help="chemical-potential charge weight")
-    add("--starts", type=int, default=2, help="optimizer starts per count")
-    add("--window", type=_int_pair, default=None, help="count window lo,hi")
+    add("--a", type=_positive, default=8.0, help="simplex scale")
+    add("--charge", type=_positive, default=2.5, help="chemical-potential charge weight")
+    add("--starts", type=_at_least_one, default=2, help="optimizer starts per count")
+    add("--window", type=_count_window, default=None,
+        help="count window lo,hi with 0 <= lo <= hi")
 
     sp, add = sub("droplet", "isolated droplet constants and an energy breakdown")
     add("--radius", type=float, default=None, help="droplet radius (default: optimal)")
@@ -158,14 +169,14 @@ def _build_parser():
     add("--rho", type=_floats, default=(0.01,), help="comma list of densities")
     add("--side", type=float, default=6.0, help="container cube side")
     add("--kmax", type=int, default=2, help="max droplets in the ansatz")
-    add("--starts", type=int, default=2, help="optimizer starts per count")
+    add("--starts", type=_at_least_one, default=2, help="optimizer starts per count")
 
     sp, add = sub("expansion", "dilute-limit upper-bound pipeline and coefficient fit")
     add("--rho", type=_floats, default=(1e-3, 3e-4, 1e-4, 3e-5), help="density grid")
     add("--n", type=int, default=16, help="points per periodic cell")
     add("--restarts", type=int, default=4, help="optimizer restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
-    add("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
+    add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("gs-check", "Monte Carlo localization identities for rigid tilings")
     add("--samples", type=int, default=200000, help="rigid-motion samples")

@@ -2,8 +2,11 @@
 
 Potentials are of unit density: Phi_D(x) = integral over D of dy/|x-y|.
 Balls and boxes have closed forms; tetrahedra are integrated by an
-apex-decomposition quadrature that stays accurate arbitrarily close to and
-inside the body.
+apex-decomposition quadrature whose order ladder (8 to 38 Gauss points per
+side) stops when two orders agree to ``tol``.  It is not exact: the ladder
+stops at order 38 without reporting a miss, and near a face, inside or
+outside, the error reaches about 1e-4 in the potential and 1e-2 in the
+gradient (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -122,10 +125,34 @@ def _triangle_rule(n: int):
 
 
 _RULES = {n: _triangle_rule(n) for n in _ORDERS}
+# the third barycentric coordinate c = 1 - a - b of every node of each rule
+_THIRD = {n: 1.0 - a - b for n, (a, b, _) in _RULES.items()}
 
 
-def _tetra_face_quad(vertices: np.ndarray, pts: np.ndarray, order: int, want_grad: bool):
-    """One pass of the apex rule at a fixed order.
+def _tetra_faces(vertices: np.ndarray, pts: np.ndarray):
+    """The order-independent part of the apex rule, once per call.
+
+    For each face of ``_FACES`` returns ``(pa, pb, pc, wf)``: the face
+    vertices relative to the points as ``(3, P, 1)`` views, ready to
+    broadcast against the nodes, and the signed apex-tetra volumes ``W_f``.
+    """
+    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))  # 6 V of the body
+    faces = []
+    for fa, fb, fc in _FACES:
+        pa = vertices[fa] - pts  # (P, 3)
+        pb = vertices[fb] - pts
+        pc = vertices[fc] - pts
+        wf = np.einsum("pi,pi->p", pa, np.cross(pb, pc)) / 6.0  # signed volume
+        # x on (or within roundoff of) this face plane: the face integral can
+        # diverge while wf -> 0, with product limit 0; drop it explicitly so
+        # roundoff in wf cannot inject 0 * inf garbage
+        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
+        faces.append((pa.T[:, :, None], pb.T[:, :, None], pc.T[:, :, None], wf))
+    return faces
+
+
+def _tetra_face_quad(faces, order: int, want_grad: bool):
+    """One pass of the apex rule at a fixed order over ``_tetra_faces`` data.
 
     Splitting the body into four signed tetrahedra with apex at the
     evaluation point turns both the potential and its gradient into smooth
@@ -139,35 +166,37 @@ def _tetra_face_quad(vertices: np.ndarray, pts: np.ndarray, order: int, want_gra
     a face plane of its own decomposition, which cannot happen strictly
     inside and is measure zero outside.
 
-    ``g`` is a ``(3, P, Q)`` array, contiguous in the quadrature node.  The
-    node sums keep one fixed order: one gemv per face for the potential and a
-    sequential sum over nodes for the gradient.  Outputs are written at full
-    ``repr`` precision and L-BFGS amplifies a one-ulp change, so that order is
-    part of the result.
+    Each face fills one ``(3, P, Q)`` array ``g``, contiguous in the
+    quadrature node, in place: ``pa a``, then ``+ pb b``, then ``+ pc c``.
+    The norm is ``sqrt((g0^2 + g1^2) + g2^2)`` as in ``np.linalg.norm``.  The
+    node sums keep one fixed order: one gemv per face for the potential, and
+    for the gradient ``np.add.accumulate`` along the node axis, a sequential
+    sum in node order.  Outputs are written at full ``repr`` precision and
+    L-BFGS amplifies a one-ulp change, so that order is part of the result.
     """
     a, b, w = _RULES[order]
-    c = 1.0 - a - b
-    npts = pts.shape[0]
+    c = _THIRD[order]
+    npts = faces[0][3].shape[0]
     phi = np.zeros(npts)
     grad = np.zeros((npts, 3)) if want_grad else None
-    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))  # 6 V of the body
-    for fa, fb, fc in _FACES:
-        pa = vertices[fa] - pts  # (P, 3)
-        pb = vertices[fb] - pts
-        pc = vertices[fc] - pts
-        wf = np.einsum("pi,pi->p", pa, np.cross(pb, pc)) / 6.0  # signed volume
-        # x on (or within roundoff of) this face plane: the face integral can
-        # diverge while wf -> 0, with product limit 0; drop it explicitly so
-        # roundoff in wf cannot inject 0 * inf garbage
-        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
-        g = pa.T[:, :, None] * a + pb.T[:, :, None] * b + pc.T[:, :, None] * c  # (3, P, Q)
-        gn = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])  # as np.linalg.norm
-        gn = np.maximum(gn, 1e-300)
-        phi += 3.0 * wf * ((1.0 / gn) @ w)
+    g = np.empty((3, npts, len(w)))
+    tmp = np.empty_like(g)
+    gn = np.empty((npts, len(w)))
+    for pa, pb, pc, wf in faces:
+        np.multiply(pa, a, out=g)
+        g += np.multiply(pb, b, out=tmp)
+        g += np.multiply(pc, c, out=tmp)
+        np.multiply(g[0], g[0], out=gn)
+        gn += np.multiply(g[1], g[1], out=tmp[0])
+        gn += np.multiply(g[2], g[2], out=tmp[0])
+        np.sqrt(gn, out=gn)
+        np.maximum(gn, 1e-300, out=gn)
+        phi += 3.0 * wf * (np.divide(1.0, gn, out=tmp[0]) @ w)
         if want_grad:
-            # contiguous (Q, 3P): over a transposed view np.sum would go pairwise
-            t = np.ascontiguousarray((g / gn**3).reshape(3 * npts, -1).T)
-            grad += 6.0 * wf[:, None] * np.sum(t * w[:, None], axis=0).reshape(3, npts).T
+            g /= np.power(gn, 3, out=tmp[0])
+            g *= w
+            np.add.accumulate(g, axis=2, out=tmp)
+            grad += 6.0 * wf[:, None] * tmp[:, :, -1].T
     return phi, grad
 
 
@@ -178,9 +207,10 @@ def _tetra_eval(vertices, pts, tol, want_grad):
         # vertices so the potential comes out positive for every input order
         vertices = vertices[[0, 2, 1, 3]]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    faces = _tetra_faces(vertices, pts)
     prev_phi = prev_grad = None
     for order in _ORDERS:
-        phi, grad = _tetra_face_quad(vertices, pts, order, want_grad)
+        phi, grad = _tetra_face_quad(faces, order, want_grad)
         if prev_phi is not None:
             err = np.max(np.abs(phi - prev_phi))
             if want_grad:

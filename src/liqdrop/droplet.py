@@ -356,6 +356,8 @@ def grand_canonical_F(
     """
     if not 0.0 <= rho <= 0.5:
         raise ValueError("background density must lie in [0, 1/2]")
+    if starts < 1:
+        raise ValueError("need at least one optimizer start per count")
     mu = OPT_ENERGY_PER_VOLUME if mu is None else float(mu)
     bb = 0.0
     if rho > 0.0:

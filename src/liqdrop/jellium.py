@@ -278,10 +278,11 @@ class GrandCanonicalPointReport:
     background_self: float  # (1/2) int int over the scaled tetra
 
 
-def _finite_energy(pos, q, tet, bb, penalty, tol):
+def _finite_energy(pos, q, tet, planes, bb, penalty, tol):
     """Energy of charges q at ``pos`` on the unit background of ``tet`` (whose
-    self term is ``bb``), plus ``penalty`` times the squared face violations;
-    returns (energy, flat gradient)."""
+    self term is ``bb`` and whose ``face_planes()`` are ``planes``), plus
+    ``penalty`` times the squared face violations; returns (energy, flat
+    gradient)."""
     n = len(pos)
     e = bb
     g = np.zeros_like(pos)
@@ -299,7 +300,7 @@ def _finite_energy(pos, q, tet, bb, penalty, tol):
         e -= q * float(np.sum(phi))
         g -= q * dphi
         # quadratic penalty per violated face keeps iterates inside
-        normals, offsets = tet.face_planes()
+        normals, offsets = planes
         s = pos @ normals.T - offsets  # (n, 4), negative = outside
         viol = np.minimum(s, 0.0)
         e += penalty * float(np.sum(viol**2))
@@ -322,10 +323,21 @@ def grand_canonical_point_jellium(
     averaging the energy over i.i.d. uniform positions, and the convex
     combination of J_N, J_{N+1} at N = floor(A^3/q) that certifies a
     strictly negative optimum for every A with A^3 > q.
+
+    Raises ValueError unless ``a_scale`` and ``charge`` are positive and
+    finite, ``starts`` is at least 1 and ``window`` (lo, hi) has
+    0 <= lo <= hi.
     """
+    if not (0.0 < a_scale < np.inf and 0.0 < charge < np.inf):
+        raise ValueError("scale and charge must be positive and finite")
+    if starts < 1:
+        raise ValueError("need at least one optimizer start per count")
+    if window is not None and not 0 <= window[0] <= window[1]:
+        raise ValueError(f"count window lo,hi needs 0 <= lo <= hi: {window!r}")
     base = tetra if tetra is not None else regular_tetrahedron()
     verts = base.vertices * a_scale
     tet = Tetrahedron(vertices=verts)
+    planes = tet.face_planes()
     q = float(charge)
     bb_full, _ = domain_pair_coulomb(tet, tet, tol=1e-9)
     bb = 0.5 * bb_full
@@ -355,12 +367,14 @@ def grand_canonical_point_jellium(
             x0 = sample_in_domain(rng, tet, n).ravel()
             # the tolerances pick the quadrature orders of the tetra potential
             res = minimize(
-                lambda x: _finite_energy(x.reshape(n, 3), q, tet, bb, penalty, 3e-8),
+                lambda x: _finite_energy(
+                    x.reshape(n, 3), q, tet, planes, bb, penalty, 3e-8
+                ),
                 x0, jac=True, method="L-BFGS-B",
                 options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14},
             )
-            pos = _project_into(tet, res.x.reshape(n, 3))
-            e, _ = _finite_energy(pos, q, tet, bb, 0.0, 1e-9)
+            pos = _project_into(planes, res.x.reshape(n, 3))
+            e, _ = _finite_energy(pos, q, tet, planes, bb, 0.0, 1e-9)
             if e < best_e:
                 best_e, best_pos = e, pos
         values[n] = best_e
@@ -383,9 +397,10 @@ def grand_canonical_point_jellium(
     )
 
 
-def _project_into(tet: Tetrahedron, pos: np.ndarray) -> np.ndarray:
-    """Push points just inside the tetra (cyclic projection on violated faces)."""
-    normals, offsets = tet.face_planes()
+def _project_into(planes, pos: np.ndarray) -> np.ndarray:
+    """Push points just inside the tetra with ``face_planes()`` ``planes``
+    (cyclic projection on violated faces)."""
+    normals, offsets = planes
     pos = pos.copy()
     for _ in range(40):
         s = pos @ normals.T - offsets

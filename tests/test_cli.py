@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config merging, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,22 @@ def test_jellium_gc_small_window(tmp_path):
     doc = json.loads((tmp_path / "jellium-gc.json").read_text())
     assert doc["summary"]["best_value"] < 0.0
     assert doc["summary"]["interpolation_bound"] < 0.0
+
+
+def test_jellium_gc_output_is_pinned(tmp_path):
+    # digests recorded before the tetrahedron kernel was restructured: every
+    # value here goes through the quadrature order ladder and L-BFGS, which
+    # turns a one-ulp change in the kernel into a different file
+    argv = ("--a", "2.2246", "--window", "4,5", "--starts", "2", "--seed", "0")
+    assert run("jellium-gc", *argv, "--out", str(tmp_path)) == EXIT_OK
+    digests = {
+        ext: hashlib.sha256((tmp_path / f"jellium-gc.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "json")
+    }
+    assert digests == {
+        "csv": "19e1c968ddf84b342bfaedb5179fdec0d6dabd7d424d7298040af0258e044af4",
+        "json": "077a27681a44ef0b3f5dcb13c81ee901e5da1f033e8a3a2f1f0275a965bc0fe2",
+    }
 
 
 def test_droplet_breakdown(tmp_path):
@@ -266,6 +283,34 @@ def test_threads_below_one_exit_one(tmp_path):
     cfg = tmp_path / "threads.cfg"
     cfg.write_text("threads = 0\n")
     assert run("jellium-opt", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
+    # rejected while parsing; each used to give a meaningless result with
+    # exit 0 (e.g. inf for every count) or a numeric failure with exit 2
+    for argv in (
+        ("jellium-gc", "--starts", "0"),
+        ("jellium-gc", "--a", "0"),
+        ("jellium-gc", "--a", "-1"),
+        ("jellium-gc", "--a", "nan"),
+        ("jellium-gc", "--charge", "0"),
+        ("jellium-gc", "--charge", "-1"),
+        ("jellium-gc", "--window", "7,4"),
+        ("jellium-gc", "--window=-1,2"),
+        ("fgc", "--starts", "0"),
+    ):
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "bad.cfg"
+    for command, line in (
+        ("jellium-gc", "starts = 0"),
+        ("jellium-gc", "a = -1"),
+        ("jellium-gc", "charge = 0"),
+        ("jellium-gc", "window = 7,4"),
+        ("fgc", "starts = 0"),
+    ):
+        cfg.write_text(line + "\n")
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
     assert not any(tmp_path.glob("*.csv"))
 
 

@@ -27,7 +27,13 @@ from liqdrop.coulomb import (
     tetra_field,
     upper_gamma,
 )
-from liqdrop.coulomb.potentials import _FACES, _ORDERS, _RULES, _tetra_face_quad
+from liqdrop.coulomb.potentials import (
+    _FACES,
+    _ORDERS,
+    _RULES,
+    _tetra_face_quad,
+    _tetra_faces,
+)
 from liqdrop.geom import (
     Ball,
     BallUnion,
@@ -445,13 +451,62 @@ def test_tetra_face_quad_bitwise_equal_to_einsum_formula(npts):
     pts[-1] += 5e-15 * normal / np.linalg.norm(normal)
     for order in _ORDERS:
         for want_grad in (False, True):
-            phi, grad = _tetra_face_quad(verts, pts, order, want_grad)
+            phi, grad = _tetra_face_quad(_tetra_faces(verts, pts), order, want_grad)
             phi_ref, grad_ref = _einsum_face_quad(verts, pts, order, want_grad)
             np.testing.assert_array_equal(phi, phi_ref)
             if want_grad:
                 np.testing.assert_array_equal(grad, grad_ref)
             else:
                 assert grad is None
+
+
+def _reference_ladder(vertices, pts, tol, want_grad):
+    """The order ladder of ``_tetra_eval`` over ``_einsum_face_quad``; also
+    returns the order it stopped at."""
+    vertices = np.asarray(vertices, dtype=float).reshape(4, 3)
+    if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
+        vertices = vertices[[0, 2, 1, 3]]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    prev_phi = prev_grad = None
+    for order in _ORDERS:
+        phi, grad = _einsum_face_quad(vertices, pts, order, want_grad)
+        if prev_phi is not None:
+            err = np.max(np.abs(phi - prev_phi))
+            if want_grad:
+                err = max(err, np.max(np.abs(grad - prev_grad)))
+            if err <= tol * max(1.0, np.max(np.abs(phi))):
+                break
+        prev_phi, prev_grad = phi, grad
+    return phi, grad, order
+
+
+def test_tetra_ladder_bitwise_equal_to_reference():
+    rng = np.random.default_rng(7)
+    verts = regular_tetrahedron(1.0).vertices + 0.05 * rng.normal(size=(4, 3))
+    center = verts.mean(axis=0)
+    fa, fb, fc = _FACES[1]
+    normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
+    near_face = rng.dirichlet([1.0, 1.0, 1.0]) @ verts[[fa, fb, fc]]
+    near_face += 5e-15 * normal / np.linalg.norm(normal)
+    point_sets = (
+        center + 0.15 * rng.normal(size=(3, 3)),  # inside
+        center + 1.5 * rng.normal(size=(3, 3)),  # mostly outside
+        center + 10.0 * rng.normal(size=(2, 3)),  # far away
+        near_face[None, :],
+    )
+    exits = set()
+    for pts in point_sets:
+        for tol in (1e-1, 1e-4, 3e-8, 1e-9):
+            phi_ref, _, order = _reference_ladder(verts, pts, tol, False)
+            exits.add(order)
+            assert potential_tetra(verts, pts, tol=tol).tobytes() == phi_ref.tobytes()
+            phi_ref, grad_ref, order = _reference_ladder(verts, pts, tol, True)
+            exits.add(order)
+            phi, grad = tetra_field(verts, pts, tol=tol)
+            assert phi.tobytes() == phi_ref.tobytes()
+            assert grad.tobytes() == grad_ref.tobytes()
+    # early exits at 12, 18 and 26, and at least one full ladder
+    assert exits == {12, 18, 26, 38}
 
 
 def test_potential_domain_dispatch():

@@ -174,6 +174,12 @@ def test_grand_canonical_rejects_large_density():
         grand_canonical_F(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), 0.7)
 
 
+def test_grand_canonical_rejects_no_starts():
+    # with no start the empty configuration would be reported as converged
+    with pytest.raises(ValueError):
+        grand_canonical_F(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), 0.01, starts=0)
+
+
 # ---------------------------------------------------------------------------
 # a-priori mass bound
 # ---------------------------------------------------------------------------

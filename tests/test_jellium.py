@@ -274,6 +274,25 @@ def test_grand_canonical_point_jellium_empty_window():
     assert rep.best_positions.shape == (0, 3)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"a_scale": 0.0},
+        {"a_scale": -1.0},
+        {"a_scale": float("nan")},
+        {"charge": 0.0},
+        {"charge": -1.0},
+        {"starts": 0},
+        {"window": (7, 4)},
+        {"window": (-1, 2)},
+    ],
+)
+def test_grand_canonical_point_jellium_rejects_meaningless_inputs(bad):
+    args = {"a_scale": 2.2246, "charge": 2.5, "window": (4, 5), "starts": 1} | bad
+    with pytest.raises(ValueError):
+        grand_canonical_point_jellium(**args)
+
+
 # ---------------------------------------------------------------------------
 # infinite-size extrapolation
 # ---------------------------------------------------------------------------

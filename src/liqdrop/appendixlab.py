@@ -360,6 +360,52 @@ def _classify_subcells(domain, boundary_tiles, eps: float, k: int):
     return ext[_lexsort_rows(ext)], bnd[_lexsort_rows(bnd)]
 
 
+# the two stages of host ranking in _assemble_hosts: query sizes and the
+# stage-1 certification margin
+_STAGE1_HOSTS = 12
+_STAGE1_MARGIN = 1.0 - 1e-12
+_STAGE2_HOSTS = 48
+
+
+def _rank_hosts(tree, tile_centers, half_sum: float, p, kq: int, margin: float):
+    """Candidate hosts of the points ``p``: the nearest ``kq`` tile centers
+    (``tree`` holds ``tile_centers``), re-ranked by the distance between the
+    closed boxes (half sides summing to ``half_sum``) with lexicographic
+    (= positional) tie-breaks.
+
+    Candidate r is certified, i.e. no non-candidate can be closer, when its
+    box distance plus ``sqrt(3) half_sum`` is at most ``margin`` times the
+    largest center distance of the query.  Returns the ranking, the length
+    of its certified prefix and the smallest box distance per point, in
+    batches of 150,000 points.
+    """
+    n_pool = len(tile_centers)
+    pad = math.sqrt(3.0) * half_sum
+    order = np.empty((len(p), kq), dtype=np.int32)
+    certified = np.empty(len(p), dtype=np.int32)
+    d_first = np.empty(len(p))
+    batch = 150_000
+    for start in range(0, len(p), batch):
+        q = p[start : start + batch]
+        sl = slice(start, start + len(q))
+        d_center, cand = tree.query(q, k=kq)
+        if kq == 1:
+            d_center = d_center[:, None]
+            cand = cand[:, None]
+        gap = np.abs(tile_centers[cand] - q[:, None, :]) - half_sum
+        d_set = np.linalg.norm(np.maximum(gap, 0.0), axis=2)
+        ind = np.lexsort((cand, d_set), axis=1)
+        rows = np.arange(len(q))[:, None]
+        d_sorted = d_set[rows, ind]
+        order[sl] = cand[rows, ind]
+        d_first[sl] = d_sorted[:, 0]
+        if kq == n_pool:
+            certified[sl] = kq
+        else:
+            certified[sl] = (d_sorted + pad <= margin * d_center[:, -1:]).sum(axis=1)
+    return order, certified, d_first
+
+
 def _assemble_hosts(
     pool_tiles: np.ndarray,
     sub_keys: np.ndarray,
@@ -378,6 +424,20 @@ def _assemble_hosts(
     then all of them.  Returns the per-tile subcell counts and member
     lists.  Raises ``ValueError`` when a subcell cannot be placed at all
     (subdivision too coarse).
+
+    The certified candidates come in two stages.  The rule is the same in
+    both: of the k nearest tile centers (largest center distance D_k), a
+    candidate at box distance d is certified when d + pad <= D_k, with pad
+    the largest gap between center distance and box distance.  Such a tile
+    has center distance <= D_k, so the certified list at k is every tile
+    with d + pad <= D_k, in (d, index) order.  Stage 1 ranks the 12 nearest
+    of every subcell, certifying only below (1 - 1e-12) D_12, so that a tile
+    tied with the 12th nearest is never certified while the query left it
+    out.  Since D_12 <= D_48, its certified list is then a prefix of the
+    48-nearest one, and the greedy tries it first.  Only a subcell that
+    every host of that prefix refuses needs the 48 ranking (stage 2); it
+    goes on from where the prefix ended, so the sequence of hosts tried is
+    the same as with the 48 ranking alone.
     """
     n_pool = len(pool_tiles)
     if n_pool == 0:
@@ -416,46 +476,39 @@ def _assemble_hosts(
 
     centers = _subcell_center(sub_keys, eps, k)
     half_sum = eps / 2.0 + eps / (2.0 * k)
-    pad = math.sqrt(3.0) * half_sum
     tree = cKDTree(tile_centers)
 
-    # candidate hosts per subcell: nearest kq tile centers, re-ranked by the
-    # distance between the closed boxes with lexicographic (= positional)
-    # tie-breaks; a prefix of each list is certified complete
-    kq = min(n_pool, 48)
-    cand_order = np.empty((ns, kq), dtype=np.int32)
-    cand_certified = np.empty(ns, dtype=np.int32)
-    d_pref = np.empty(ns)
-    batch = 150_000
-    for start in range(0, ns, batch):
-        p = centers[start : start + batch]
-        d_center, cand = tree.query(p, k=kq)
-        if kq == 1:
-            d_center = d_center[:, None]
-            cand = cand[:, None]
-        gap = np.abs(tile_centers[cand] - p[:, None, :]) - half_sum
-        d_set = np.linalg.norm(np.maximum(gap, 0.0), axis=2)
-        ind = np.lexsort((cand, d_set), axis=1)
-        rows = np.arange(len(p))[:, None]
-        d_sorted = d_set[rows, ind]
-        cand_order[start : start + len(p)] = cand[rows, ind]
-        d_pref[start : start + len(p)] = d_sorted[:, 0]
-        if kq == n_pool:
-            cand_certified[start : start + len(p)] = kq
-        else:
-            # candidate r is certified when no non-candidate can be closer
-            cand_certified[start : start + len(p)] = (
-                d_sorted + pad <= d_center[:, -1:]
-            ).sum(axis=1)
+    def rank(p, kq: int, margin: float):
+        return _rank_hosts(tree, tile_centers, half_sum, p, kq, margin)
+
+    # stage 1 for every subcell; stage 2 up front where stage 1 certified
+    # nothing (its first box distance sets the schedule), else on demand
+    kq = min(n_pool, _STAGE2_HOSTS)
+    first, first_certified, d_pref = rank(
+        centers, min(n_pool, _STAGE1_HOSTS), _STAGE1_MARGIN
+    )
+    full = np.empty((ns, kq), dtype=np.int32)
+    full_certified = np.full(ns, -1, dtype=np.int32)  # -1: not ranked yet
+    late = np.nonzero(first_certified == 0)[0]
+    full[late], full_certified[late], d_pref[late] = rank(centers[late], kq, 1.0)
 
     # nearest-first greedy: subcells in order of increasing distance to
     # their preferred host, ties in lexicographic subcell order; place() runs
-    # on Python floats and ints, not numpy scalars
+    # on Python floats and ints, not numpy scalars.  Stage 2 ranks the next
+    # 4096 subcells of the schedule at once.
     sched = np.lexsort((np.arange(ns), d_pref))
-    pts, certified = centers.tolist(), cand_certified.tolist()
-    for s in sched.tolist():
+    pts, certified = centers.tolist(), first_certified.tolist()
+    for pos, s in enumerate(sched.tolist()):
         pt = pts[s]
-        if any(place(i, s, pt) for i in cand_order[s, : max(1, certified[s])].tolist()):
+        c1 = certified[s]
+        if c1 and any(place(i, s, pt) for i in first[s, :c1].tolist()):
+            continue
+        if full_certified[s] < 0:
+            ahead = sched[pos : pos + 4096]
+            ahead = ahead[full_certified[ahead] < 0]
+            full[ahead], full_certified[ahead], _ = rank(centers[ahead], kq, 1.0)
+        rest = full[s, c1 : max(1, int(full_certified[s]))].tolist()
+        if any(place(i, s, pt) for i in rest):
             continue
         n_tried = 0
         for radius in (6.0 * eps, 12.0 * eps, None):

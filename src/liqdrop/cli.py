@@ -96,6 +96,13 @@ def _at_least_one(text: str) -> int:
     return count
 
 
+def _non_negative(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+    return count
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -167,8 +174,8 @@ def _build_parser():
 
     sp, add = sub("fgc", "grand-canonical droplet energy sweep over densities")
     add("--rho", type=_floats, default=(0.01,), help="comma list of densities")
-    add("--side", type=float, default=6.0, help="container cube side")
-    add("--kmax", type=int, default=2, help="max droplets in the ansatz")
+    add("--side", type=_positive, default=6.0, help="container cube side")
+    add("--kmax", type=_non_negative, default=2, help="max droplets in the ansatz")
     add("--starts", type=_at_least_one, default=2, help="optimizer starts per count")
 
     sp, add = sub("expansion", "dilute-limit upper-bound pipeline and coefficient fit")

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = ["CUBE_SELF_INTEGRAL", "freespace_coulomb_energy", "grid_potential"]
+__all__ = [
+    "CUBE_SELF_INTEGRAL",
+    "freespace_coulomb_energy",
+    "grid_kernel",
+    "grid_potential",
+]
 
 # double integral over [0,1]^3 x [0,1]^3 of 1/|x-y|; frozen from an
 # independent Monte-Carlo run (1e9 pairs) cross-checked against the
@@ -19,7 +24,10 @@ __all__ = ["CUBE_SELF_INTEGRAL", "freespace_coulomb_energy", "grid_potential"]
 CUBE_SELF_INTEGRAL = 1.8823126443897
 
 
-def _kernel_fft(shape: tuple, h: float):
+def grid_kernel(shape: tuple, h: float):
+    """Transform of the cell-cell kernel for fields of ``shape`` at pitch
+    ``h``, with the zero-padded grid shape; fields of one shape and pitch can
+    share it."""
     m = [2 * n for n in shape]
     axes_off = [np.minimum(np.arange(mi), mi - np.arange(mi)) for mi in m]
     ox, oy, oz = np.meshgrid(*axes_off, indexing="ij", sparse=True)
@@ -30,12 +38,15 @@ def _kernel_fft(shape: tuple, h: float):
     return _fft.rfftn(ker), m
 
 
-def grid_potential(values: np.ndarray, h: float) -> np.ndarray:
-    """Potential of the gridded charge f at the cell centers (same shape)."""
+def grid_potential(values: np.ndarray, h: float, kernel=None) -> np.ndarray:
+    """Potential of the gridded charge f at the cell centers (same shape).
+
+    ``kernel`` is ``grid_kernel(values.shape, h)``, built here when omitted.
+    """
     f = np.asarray(values, dtype=float)
     if f.ndim != 3:
         raise ValueError("charge field must be a 3d array")
-    ker_hat, m = _kernel_fft(f.shape, h)
+    ker_hat, m = grid_kernel(f.shape, h) if kernel is None else kernel
     fpad = np.zeros(m)
     fpad[: f.shape[0], : f.shape[1], : f.shape[2]] = f
     conv = _fft.irfftn(_fft.rfftn(fpad) * ker_hat, s=m)

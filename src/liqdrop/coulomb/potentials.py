@@ -71,27 +71,38 @@ def _brick_antiderivative(u1, u2, u3):
     )
 
 
+# the eight box corners in (i, j, k) order, 1 taking the upper bound on that
+# axis, and the sign of each corner's antiderivative term
+_CORNERS = tuple((i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1))
+_CORNER_SIGNS = tuple(1.0 if sum(c) % 2 == 1 else -1.0 for c in _CORNERS)
+
+
 def potential_box(lo, hi, pts) -> np.ndarray:
     """Potential of the box [lo, hi] (componentwise) at ``pts``.
 
     Standard corner expansion of the triple antiderivative of 1/r.  ``lo``
     and ``hi`` broadcast against ``pts``, so a batch of boxes against a batch
     of points is one call.
+
+    The eight corners are stacked in ``(i, j, k)`` order (``_CORNERS``) into
+    ``(8, ...)`` arrays and evaluated in one antiderivative call.  The signed
+    corner terms are then summed one at a time in that order, starting from
+    ``0.0``, so every output keeps the value and the sign of zero of a
+    corner-by-corner loop.  Outputs are written at full ``repr`` precision
+    and L-BFGS amplifies a one-ulp change, so that order is part of the
+    result.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    a = lo - pts
-    b = hi - pts
+    ends = np.broadcast_arrays(lo - pts, hi - pts)
+    u1, u2, u3 = (
+        np.stack([ends[c[ax]][..., ax] for c in _CORNERS]) for ax in range(3)
+    )
+    f = _brick_antiderivative(u1, u2, u3)
     total = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                u1 = b[..., 0] if i else a[..., 0]
-                u2 = b[..., 1] if j else a[..., 1]
-                u3 = b[..., 2] if k else a[..., 2]
-                sign = 1.0 if (i + j + k) % 2 == 1 else -1.0
-                total = total + sign * _brick_antiderivative(u1, u2, u3)
+    for c, sign in enumerate(_CORNER_SIGNS):
+        total = total + sign * f[c]
     return total
 
 
@@ -142,7 +153,13 @@ def _tetra_faces(vertices: np.ndarray, pts: np.ndarray):
         pa = vertices[fa] - pts  # (P, 3)
         pb = vertices[fb] - pts
         pc = vertices[fc] - pts
-        wf = np.einsum("pi,pi->p", pa, np.cross(pb, pc)) / 6.0  # signed volume
+        # pb x pc written out in np.cross's multiply/subtract order
+        b0, b1, b2 = pb.T
+        c0, c1, c2 = pc.T
+        cross = np.stack(
+            [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0], axis=1
+        )
+        wf = np.einsum("pi,pi->p", pa, cross) / 6.0  # signed volume
         # x on (or within roundoff of) this face plane: the face integral can
         # diverge while wf -> 0, with product limit 0; drop it explicitly so
         # roundoff in wf cannot inject 0 * inf garbage
@@ -287,17 +304,12 @@ def potential_domain_gradient(domain, pts, tol: float = 1e-9) -> np.ndarray:
 
 
 def _box_gradient(cube: Cube, pts, step_frac: float = 1e-6):
-    # central differences on the closed form; accurate enough for penalties
+    # central differences on the closed form; accurate enough for penalties.
+    # The six points pts + e_ax, then pts - e_ax, go through one call.
     h = cube.side * step_frac
-    out = np.empty_like(pts)
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = h
-        out[:, ax] = (
-            potential_cube(cube.side, pts + e, cube.center)
-            - potential_cube(cube.side, pts - e, cube.center)
-        ) / (2.0 * h)
-    return out
+    e = (h * np.eye(3))[:, None, :]
+    phi = potential_cube(cube.side, np.concatenate([pts + e, pts - e]), cube.center)
+    return ((phi[:3] - phi[3:]) / (2.0 * h)).T
 
 
 # ---------------------------------------------------------------------------

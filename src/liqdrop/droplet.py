@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from liqdrop.coulomb.grid import grid_potential
+from liqdrop.coulomb.grid import grid_kernel, grid_potential
 from liqdrop.coulomb.potentials import (
     domain_pair_coulomb,
     potential_domain,
@@ -197,12 +197,14 @@ def _voxel_breakdown(omega: VoxelSet, lam, rho, perimeter_method, container_volu
 
     f_om = occ_om.astype(float)
     f_lam = occ_lam.astype(float)
-    pot_om = grid_potential(f_om, h)
+    # both fields share one shape and pitch, hence one kernel transform
+    kernel = grid_kernel(f_om.shape, h)
+    pot_om = grid_potential(f_om, h, kernel)
     dd = 0.5 * h**3 * float(np.sum(f_om * pot_om))
     db = 0.0
     bb = 0.0
     if rho > 0.0:
-        pot_lam = grid_potential(f_lam, h)
+        pot_lam = grid_potential(f_lam, h, kernel)
         db = -rho * h**3 * float(np.sum(f_om * pot_lam))
         bb = 0.5 * rho**2 * h**3 * float(np.sum(f_lam * pot_lam))
     perimeter = omega.perimeter(method=perimeter_method)
@@ -358,6 +360,10 @@ def grand_canonical_F(
         raise ValueError("background density must lie in [0, 1/2]")
     if starts < 1:
         raise ValueError("need at least one optimizer start per count")
+    if kmax < 0:
+        raise ValueError("the largest droplet count must be at least 0")
+    if not lam.volume > 0.0:
+        raise ValueError("the container must have positive volume")
     mu = OPT_ENERGY_PER_VOLUME if mu is None else float(mu)
     bb = 0.0
     if rho > 0.0:

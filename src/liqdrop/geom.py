@@ -289,7 +289,8 @@ def domain_measure(domain) -> tuple:
 
 def sample_in_domain(rng, domain, n: int) -> np.ndarray:
     """n uniform points in a Tetrahedron, Ball or Cube, by rejection from its
-    bounding box in batches of 4 n + 16 draws of ``rng``."""
+    bounding box in batches of 4 n + 16 draws of ``rng``.  Raises
+    ``ValueError`` when that box is empty, which no draw could fill."""
     if isinstance(domain, Tetrahedron):
         lo = domain.vertices.min(axis=0)
         hi = domain.vertices.max(axis=0)
@@ -299,6 +300,8 @@ def sample_in_domain(rng, domain, n: int) -> np.ndarray:
     else:
         c = np.asarray(domain.center)
         lo, hi = c - domain.side / 2.0, c + domain.side / 2.0
+    if not np.all(lo <= hi):
+        raise ValueError(f"cannot sample from a domain with empty bounding box: {domain}")
     out = np.empty((0, 3))
     while len(out) < n:
         cand = rng.random((4 * n + 16, 3)) * (hi - lo) + lo

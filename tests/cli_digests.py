@@ -1,0 +1,67 @@
+"""Print a SHA-256 digest of every output file of a fixed set of CLI runs.
+
+Run it from a source checkout, with that checkout's ``src`` on the path:
+
+    PYTHONPATH=src python tests/cli_digests.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python tests/cli_digests.py > before.txt
+    diff before.txt after.txt
+
+Every subcommand runs in-process at small, fixed-seed settings, each into its
+own directory under a temporary one.  The listing has one line with the exit
+code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
+so an empty ``diff`` means two checkouts write the same bytes.  This is a
+script, not a pytest module; the whole listing takes about ten seconds.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from liqdrop.cli import main
+
+RUNS = (
+    ("zeta", ["zeta", "--s", "0.5,1,2.5,5"]),
+    ("madelung", ["madelung"]),
+    ("jellium-opt", ["jellium-opt", "--n", "8", "--restarts", "2", "--hops", "1",
+                     "--seed", "5"]),
+    ("jellium-gc", ["jellium-gc", "--a", "2.2246", "--window", "4,5", "--starts", "2"]),
+    ("droplet", ["droplet", "--rho", "0.05"]),
+    ("fgc", ["fgc", "--rho", "0.0,0.01,0.02", "--kmax", "2", "--starts", "2"]),
+    ("expansion", ["expansion", "--rho", "1e-3,3e-4,1e-4,3e-5", "--n", "4",
+                   "--restarts", "1", "--hops", "1"]),
+    ("gs-check", ["gs-check", "--samples", "20000", "--pair-samples", "4000",
+                  "--configs", "2"]),
+    ("cheese", ["cheese", "--k", "4"]),
+    ("quadlayer-ball", ["quadlayer", "--rho", "0.5", "--probes", "2"]),
+    ("quadlayer-ball-light", ["quadlayer", "--rho", "0.1", "--probes", "1"]),
+    ("quadlayer-cube", ["quadlayer", "--cube-side", "4", "--eps", "0.25",
+                        "--subdiv", "4", "--rho", "0.3", "--probes", "1"]),
+)
+
+DIGESTED = (".csv", ".json", ".dat")
+
+
+def main_listing() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in RUNS:
+            outdir = os.path.join(tmp, label)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--out", outdir])
+            failed += code != 0
+            print(f"exit {code}  {label}")
+            names = sorted(os.listdir(outdir)) if os.path.isdir(outdir) else []
+            for name in names:
+                if name.endswith(DIGESTED):
+                    with open(os.path.join(outdir, name), "rb") as fp:
+                        digest = hashlib.sha256(fp.read()).hexdigest()
+                    print(f"{digest}  {label}/{name}")
+            sys.stdout.flush()
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_listing())

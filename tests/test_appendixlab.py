@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from liqdrop.appendixlab import (
+    _STAGE1_HOSTS,
+    _STAGE1_MARGIN,
+    _STAGE2_HOSTS,
+    _classify_subcells,
+    _enumerate_layer_tiles,
+    _rank_hosts,
+    _subcell_center,
     far_field_exponent,
     piece_diagnostics,
     piece_potential,
@@ -135,6 +143,79 @@ def test_fallback_placement_is_pinned():
             "d33096406944cafe3798ab57bbb4aa103ad1565d6682d603d40e57e122c17c7b"
         ),
     }
+
+
+@pytest.mark.parametrize(
+    "rho, size, counts, digests",
+    [
+        (
+            0.1, 322934, {"merged": 799, "exterior-cube": 287, "subcell": 321848},
+            {
+                "volumes": "623fb29ee0c62b1b024fa8fc182cc1a127733694879c1495f92c97b2942feb88",
+                "dipoles": "5af831ed9fd3f688be1db611877fe8e4eb2fd7bd65408d8a392e7a2e9d6563c5",
+                "containment_margins": (
+                    "522bfedb8efa5b7a5bcd8ead3493b866920714611d220b6a5c579bc7544801e0"
+                ),
+            },
+        ),
+        (
+            0.3, 323013, {"merged": 1075, "exterior-cube": 90, "subcell": 321848},
+            {
+                "volumes": "644c4511e99612e07806ed2715c3551cc3b7aed5b9bba5f34a3933861ba33960",
+                "dipoles": "b424c8c07d34e7ecc98e316218f0ae97ece775e741fb5d0ef290753bfca77f02",
+                "containment_margins": (
+                    "fe418fe70123e5f184d19cf5a4eeca564ccb07fb1782a3f699632342374b99af"
+                ),
+            },
+        ),
+    ],
+)
+def test_default_ball_layers_are_pinned(rho, size, counts, digests):
+    # the quadlayer default ball at the lighter backgrounds, where most
+    # subcells are placed from the stage-1 hosts alone; the digests pin
+    # which host receives every subcell
+    layer = quadrupole_layer(Ball(radius=2.0, center=(0.0, 0.0, 0.0)), 0.25, 8, rho)
+    assert len(layer) == size
+    assert layer.counts() == counts
+    assert {
+        name: hashlib.sha256(getattr(layer, name)().tobytes()).hexdigest()
+        for name in digests
+    } == digests
+
+
+@pytest.mark.parametrize(
+    "domain, eps, subdiv",
+    [
+        (Ball(radius=2.0, center=(0.0, 0.0, 0.0)), 0.25, 8),  # quadlayer default
+        (Cube(side=3.1, center=(0.2, 0.1, -0.13)), 0.19, 5),
+        (Ball(radius=1.3, center=(0.11, -0.07, 0.05)), 0.16, 6),
+    ],
+)
+def test_stage_one_hosts_are_a_prefix_of_the_full_ranking(domain, eps, subdiv):
+    # every subcell's certified stage-1 list must be the start of its
+    # certified stage-2 list, with the same first box distance, or the
+    # greedy would try hosts in another order.  The ranking depends on the
+    # geometry only, not on the background fraction, so one build covers
+    # every rho.
+    pool, _, boundary = _enumerate_layer_tiles(domain, eps)
+    _, bnd_keys = _classify_subcells(domain, boundary, eps, subdiv)
+    centers = _subcell_center(bnd_keys, eps, subdiv)
+    tile_centers = eps * pool.astype(float)
+    tree = cKDTree(tile_centers)
+    half_sum = eps / 2.0 + eps / (2.0 * subdiv)
+    first, c1, d1 = _rank_hosts(
+        tree, tile_centers, half_sum, centers, _STAGE1_HOSTS, _STAGE1_MARGIN
+    )
+    full, c2, d2 = _rank_hosts(
+        tree, tile_centers, half_sum, centers, _STAGE2_HOSTS, 1.0
+    )
+    assert np.all(c1 <= c2)
+    in_prefix = np.arange(_STAGE1_HOSTS) < c1[:, None]
+    assert np.array_equal(
+        np.where(in_prefix, first, -1), np.where(in_prefix, full[:, :_STAGE1_HOSTS], -1)
+    )
+    assert np.array_equal(d1[c1 > 0], d2[c1 > 0])
+    assert np.mean(c1 > 0) > 0.5  # stage 1 certifies a host for most subcells
 
 
 def test_commensurate_cube_has_no_merged_pieces(cube_layer):

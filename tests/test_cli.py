@@ -314,6 +314,23 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     assert not any(tmp_path.glob("*.csv"))
 
 
+def test_fgc_rejects_empty_container_and_negative_kmax_exit_one(tmp_path):
+    # rejected while parsing: --side -1 used to hang in the start sampler,
+    # --side 0 and --kmax -1 exited 2 from inside the optimizer
+    for argv in (
+        ("fgc", "--side", "-1"),
+        ("fgc", "--side", "0"),
+        ("fgc", "--side", "nan"),
+        ("fgc", "--kmax", "-1"),
+    ):
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "bad.cfg"
+    for line in ("side = -1", "side = 0", "kmax = -1"):
+        cfg.write_text(line + "\n")
+        assert run("fgc", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_numeric_failures_exit_two(tmp_path):
     assert run("cheese", "--k", "20", "--out", str(tmp_path)) == EXIT_NUMERIC
     assert run("droplet", "--rho", "0.7", "--out", str(tmp_path)) == EXIT_NUMERIC

@@ -31,6 +31,8 @@ from liqdrop.coulomb.potentials import (
     _FACES,
     _ORDERS,
     _RULES,
+    _box_gradient,
+    _brick_antiderivative,
     _tetra_face_quad,
     _tetra_faces,
 )
@@ -356,6 +358,79 @@ def test_potential_box_additivity_and_scaling():
         (0.0, 0.0, 0.0), (s * 1.0, s * 1.0, s * 2.0), s * pts
     )
     np.testing.assert_allclose(scaled, s**2 * whole, rtol=1e-12)
+
+
+def _corner_loop_box(lo, hi, pts):
+    # the per-corner reference: one antiderivative call per corner, summed
+    # in (i, j, k) order
+    lo, hi, pts = (np.asarray(v, dtype=float) for v in (lo, hi, pts))
+    a = lo - pts
+    b = hi - pts
+    total = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                u1 = b[..., 0] if i else a[..., 0]
+                u2 = b[..., 1] if j else a[..., 1]
+                u3 = b[..., 2] if k else a[..., 2]
+                sign = 1.0 if (i + j + k) % 2 == 1 else -1.0
+                total = total + sign * _brick_antiderivative(u1, u2, u3)
+    return total
+
+
+def _axis_loop_gradient(cube, pts, step_frac=1e-6):
+    # the per-axis reference: central differences, one axis at a time
+    lo = np.asarray(cube.center) - cube.side / 2.0
+    hi = np.asarray(cube.center) + cube.side / 2.0
+    h = cube.side * step_frac
+    out = np.empty_like(pts)
+    for ax in range(3):
+        e = np.zeros(3)
+        e[ax] = h
+        out[:, ax] = (
+            _corner_loop_box(lo, hi, pts + e) - _corner_loop_box(lo, hi, pts - e)
+        ) / (2.0 * h)
+    return out
+
+
+def test_potential_box_bitwise_equal_to_corner_loop():
+    # the batched corner evaluation must keep every bit, including on
+    # faces, edges and corners where antiderivative terms vanish or meet
+    # the atan guard; numpy's SIMD log/atan loops may treat the stacked
+    # arrays differently from per-corner ones, so this is checked, not assumed
+    rng = np.random.default_rng(11)
+    for trial in range(330):
+        n = 1 + trial % 11
+        side = rng.uniform(0.2, 4.0)
+        center = rng.normal(size=3)
+        lo, hi = center - side / 2.0, center + side / 2.0
+        pts = center + rng.uniform(-1.5, 1.5, (n, 3)) * side
+        if trial % 3 == 1:  # snap coordinates onto face planes
+            snap = rng.random((n, 3)) < 0.6
+            pts = np.where(snap, np.where(rng.random((n, 3)) < 0.5, lo, hi), pts)
+        elif trial % 3 == 2:  # corners, edge midpoints, face centers, center
+            pts = np.where(
+                rng.random((n, 3)) < 0.75,
+                np.where(rng.random((n, 3)) < 0.5, lo, hi),
+                center,
+            )
+        cases = (
+            (lo, hi, pts),  # one box against the points, as piece_potential
+            (lo, hi, pts[0]),  # a single point
+            (  # a batch of boxes against the points
+                np.stack([lo, lo - 0.3, lo + 0.1])[:, None, :],
+                np.stack([hi, hi + 0.2, hi + 0.1])[:, None, :],
+                pts[None, :, :],
+            ),
+        )
+        for box_lo, box_hi, x in cases:
+            got = potential_box(box_lo, box_hi, x)
+            want = _corner_loop_box(box_lo, box_hi, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        cube = Cube(side=side, center=tuple(center))
+        got = _box_gradient(cube, pts)
+        assert got.tobytes() == _axis_loop_gradient(cube, pts).tobytes()
 
 
 def test_cube_self_integral_consistency():

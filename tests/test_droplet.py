@@ -13,7 +13,7 @@ from liqdrop.droplet import (
     liquid_drop_energy,
     mass_bound_check,
 )
-from liqdrop.geom import Ball, BallUnion, Cube, voxelize_domain
+from liqdrop.geom import Ball, BallUnion, Cube, voxelize, voxelize_domain
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,27 @@ def test_voxel_breakdown_approximates_closed_forms():
     assert br.droplet_volume == pytest.approx(q, rel=1e-2)
 
 
+def test_voxel_breakdown_is_pinned():
+    # two balls on a 64^3 grid in a 128^3 padded transform; the droplet and
+    # container fields share one kernel transform, and every term must keep
+    # the value recorded before that sharing
+    union = BallUnion(
+        centers=np.array([[-1.3, 0.1, 0.0], [1.45, -0.05, 0.1]]),
+        radii=np.array([0.9, 1.1]),
+    )
+    h = 0.1
+    rep = liquid_drop_energy(voxelize(union, h), voxelize_domain(Cube(side=6.4), h), 0.05)
+    assert {k: float(v) for k, v in vars(rep).items()} == {
+        "perimeter": 25.317656267093597,
+        "droplet_droplet": 29.422302478148126,
+        "droplet_background": -39.77867141939743,
+        "background_background": 25.26427224218588,
+        "total": 40.225559568030164,
+        "droplet_volume": 8.654000000000002,
+        "neutrality_defect": -4.4532000000000025,
+    }
+
+
 def test_voxel_breakdown_requires_containment_and_alignment():
     vox = voxelize_domain(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), h=0.25)
     small = Cube(side=1.0)
@@ -178,6 +199,16 @@ def test_grand_canonical_rejects_no_starts():
     # with no start the empty configuration would be reported as converged
     with pytest.raises(ValueError):
         grand_canonical_F(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), 0.01, starts=0)
+
+
+def test_grand_canonical_rejects_empty_container_and_negative_kmax():
+    # a container of side <= 0 used to hang in the start sampler (side < 0)
+    # or fail inside L-BFGS (side 0)
+    for lam in (Cube(side=-1.0), Cube(side=0.0), Ball(radius=-1.0)):
+        with pytest.raises(ValueError, match="positive volume"):
+            grand_canonical_F(lam, 0.01, kmax=1, starts=1)
+    with pytest.raises(ValueError, match="at least 0"):
+        grand_canonical_F(Cube(side=6.0), 0.01, kmax=-1)
 
 
 # ---------------------------------------------------------------------------

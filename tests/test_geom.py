@@ -15,6 +15,7 @@ from liqdrop.geom import (
     lattice_vectors,
     make_lattice,
     regular_tetrahedron,
+    sample_in_domain,
     voxelize,
     voxelize_domain,
 )
@@ -226,3 +227,13 @@ def test_voxel_centers_roundtrip():
     pts = v.centers()
     assert len(pts) == 8
     assert c.contains(pts).all()
+
+
+def test_sample_in_domain_rejects_empty_bounding_box():
+    # rejection from an empty box never accepts a draw; it used to loop forever
+    rng = np.random.default_rng(0)
+    for domain in (Cube(side=-1.0), Ball(radius=-0.5, center=(1.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="empty bounding box"):
+            sample_in_domain(rng, domain, 3)
+    # a degenerate but nonempty box still yields its one point
+    assert np.array_equal(sample_in_domain(rng, Cube(side=0.0), 2), np.zeros((2, 3)))

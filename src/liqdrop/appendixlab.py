@@ -421,9 +421,10 @@ def _assemble_hosts(
     over to the next-nearest host whenever the addition would push the
     host's inner cube out of its tile.  When no certified candidate can take
     it, hosts are scanned in growing neighborhoods (6 and 12 tile sizes),
-    then all of them.  Returns the per-tile subcell counts and member
-    lists.  Raises ``ValueError`` when a subcell cannot be placed at all
-    (subdivision too coarse).
+    then all of them, each pass skipping the hosts that already refused it.
+    Returns the per-tile subcell counts and member lists.  Raises
+    ``ValueError`` when a subcell cannot be placed at all (subdivision too
+    coarse).
 
     The certified candidates come in two stages.  The rule is the same in
     both: of the k nearest tile centers (largest center distance D_k), a
@@ -498,6 +499,7 @@ def _assemble_hosts(
     # 4096 subcells of the schedule at once.
     sched = np.lexsort((np.arange(ns), d_pref))
     pts, certified = centers.tolist(), first_certified.tolist()
+    refused_by = np.full(n_pool, -1)  # the last subcell each host refused
     for pos, s in enumerate(sched.tolist()):
         pt = pts[s]
         c1 = certified[s]
@@ -507,22 +509,26 @@ def _assemble_hosts(
             ahead = sched[pos : pos + 4096]
             ahead = ahead[full_certified[ahead] < 0]
             full[ahead], full_certified[ahead], _ = rank(centers[ahead], kq, 1.0)
-        rest = full[s, c1 : max(1, int(full_certified[s]))].tolist()
-        if any(place(i, s, pt) for i in rest):
+        rest = full[s, c1 : max(1, int(full_certified[s]))]
+        if any(place(i, s, pt) for i in rest.tolist()):
             continue
-        n_tried = 0
+        # a host that refused s keeps refusing it (place() changes state
+        # only on success), so each fallback pass skips the refused ones
+        refused_by[first[s, :c1]] = s
+        refused_by[rest] = s
         for radius in (6.0 * eps, 12.0 * eps, None):
             if radius is None:
                 idx = np.arange(n_pool)
             else:
                 idx = np.asarray(sorted(tree.query_ball_point(pt, radius)), dtype=int)
-                if len(idx) == n_tried:
-                    continue
+            idx = idx[refused_by[idx] != s]
+            if len(idx) == 0:
+                continue
             gap = np.abs(tile_centers[idx] - pt) - half_sum
             d_all = np.linalg.norm(np.maximum(gap, 0.0), axis=1)
             if any(place(int(idx[j]), s, pt) for j in np.lexsort((idx, d_all))):
                 break
-            n_tried = len(idx)
+            refused_by[idx] = s
         else:
             key = tuple(int(v) for v in sub_keys[s])
             raise ValueError(

@@ -139,7 +139,7 @@ def _build_parser():
 
         for flag, typ, dv, h in (
             ("--seed", int, 0, "master RNG seed"),
-            ("--tol", float, 1e-8, "generic numeric tolerance"),
+            ("--tol", float, 1e-8, "gradient tolerance (jellium-opt; others echo it)"),
             ("--config", str, None, "key=value file merged under flags (flags win)"),
             ("--out", str, ".", "output directory"),
             ("--prefix", str, None, "output basename (default: subcommand)"),

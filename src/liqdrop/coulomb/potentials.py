@@ -2,11 +2,12 @@
 
 Potentials are of unit density: Phi_D(x) = integral over D of dy/|x-y|.
 Balls and boxes have closed forms; tetrahedra are integrated by an
-apex-decomposition quadrature whose order ladder (8 to 38 Gauss points per
-side) stops when two orders agree to ``tol``.  It is not exact: the ladder
-stops at order 38 without reporting a miss, and near a face, inside or
-outside, the error reaches about 1e-4 in the potential and 1e-2 in the
-gradient (ROADMAP item 2).
+apex-decomposition quadrature at one fixed order, 38 Gauss points per side.
+It is not exact and reports no error.  On the unit-volume regular
+tetrahedron scaled by 2.2246, near a face, inside or outside, it misses the
+same rule at order 400 by up to about 1e-3 in the potential and 1e-1 in the
+gradient at 0.1 from the face (where orders 400 and 800 agree to 2e-13),
+and by 3e-3 and 0.3 at 1e-2 (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ def potential_cube(side: float, pts, center=(0.0, 0.0, 0.0)) -> np.ndarray:
 # that (b-a) x (c-a) points away from the remaining vertex
 _FACES = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
 
-_ORDERS = (8, 12, 18, 26, 38)
-
 
 def _triangle_rule(n: int):
     """Tensor Gauss rule on the unit triangle via the map a=u, b=v(1-u)."""
@@ -135,41 +134,14 @@ def _triangle_rule(n: int):
     return a, b, ww.ravel()
 
 
-_RULES = {n: _triangle_rule(n) for n in _ORDERS}
-# the third barycentric coordinate c = 1 - a - b of every node of each rule
-_THIRD = {n: 1.0 - a - b for n, (a, b, _) in _RULES.items()}
+# the apex rule's one order, 38 Gauss points per side: nodes (a, b), their
+# third barycentric coordinate c = 1 - a - b, and weights
+_A, _B, _W = _triangle_rule(38)
+_C = 1.0 - _A - _B
 
 
-def _tetra_faces(vertices: np.ndarray, pts: np.ndarray):
-    """The order-independent part of the apex rule, once per call.
-
-    For each face of ``_FACES`` returns ``(pa, pb, pc, wf)``: the face
-    vertices relative to the points as ``(3, P, 1)`` views, ready to
-    broadcast against the nodes, and the signed apex-tetra volumes ``W_f``.
-    """
-    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))  # 6 V of the body
-    faces = []
-    for fa, fb, fc in _FACES:
-        pa = vertices[fa] - pts  # (P, 3)
-        pb = vertices[fb] - pts
-        pc = vertices[fc] - pts
-        # pb x pc written out in np.cross's multiply/subtract order
-        b0, b1, b2 = pb.T
-        c0, c1, c2 = pc.T
-        cross = np.stack(
-            [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0], axis=1
-        )
-        wf = np.einsum("pi,pi->p", pa, cross) / 6.0  # signed volume
-        # x on (or within roundoff of) this face plane: the face integral can
-        # diverge while wf -> 0, with product limit 0; drop it explicitly so
-        # roundoff in wf cannot inject 0 * inf garbage
-        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
-        faces.append((pa.T[:, :, None], pb.T[:, :, None], pc.T[:, :, None], wf))
-    return faces
-
-
-def _tetra_face_quad(faces, order: int, want_grad: bool):
-    """One pass of the apex rule at a fixed order over ``_tetra_faces`` data.
+def _tetra_face_quad(vertices, pts, want_grad: bool):
+    """Potential (and gradient) of a homogeneous tetrahedron by the apex rule.
 
     Splitting the body into four signed tetrahedra with apex at the
     evaluation point turns both the potential and its gradient into smooth
@@ -191,66 +163,64 @@ def _tetra_face_quad(faces, order: int, want_grad: bool):
     sum in node order.  Outputs are written at full ``repr`` precision and
     L-BFGS amplifies a one-ulp change, so that order is part of the result.
     """
-    a, b, w = _RULES[order]
-    c = _THIRD[order]
-    npts = faces[0][3].shape[0]
-    phi = np.zeros(npts)
-    grad = np.zeros((npts, 3)) if want_grad else None
-    g = np.empty((3, npts, len(w)))
-    tmp = np.empty_like(g)
-    gn = np.empty((npts, len(w)))
-    for pa, pb, pc, wf in faces:
-        np.multiply(pa, a, out=g)
-        g += np.multiply(pb, b, out=tmp)
-        g += np.multiply(pc, c, out=tmp)
-        np.multiply(g[0], g[0], out=gn)
-        gn += np.multiply(g[1], g[1], out=tmp[0])
-        gn += np.multiply(g[2], g[2], out=tmp[0])
-        np.sqrt(gn, out=gn)
-        np.maximum(gn, 1e-300, out=gn)
-        phi += 3.0 * wf * (np.divide(1.0, gn, out=tmp[0]) @ w)
-        if want_grad:
-            g /= np.power(gn, 3, out=tmp[0])
-            g *= w
-            np.add.accumulate(g, axis=2, out=tmp)
-            grad += 6.0 * wf[:, None] * tmp[:, :, -1].T
-    return phi, grad
-
-
-def _tetra_eval(vertices, pts, tol, want_grad):
     vertices = np.asarray(vertices, dtype=float).reshape(4, 3)
     if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
         # _FACES is outward-oriented for the other handedness; swap two
         # vertices so the potential comes out positive for every input order
         vertices = vertices[[0, 2, 1, 3]]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    faces = _tetra_faces(vertices, pts)
-    prev_phi = prev_grad = None
-    for order in _ORDERS:
-        phi, grad = _tetra_face_quad(faces, order, want_grad)
-        if prev_phi is not None:
-            err = np.max(np.abs(phi - prev_phi))
-            if want_grad:
-                err = max(err, np.max(np.abs(grad - prev_grad)))
-            if err <= tol * max(1.0, np.max(np.abs(phi))):
-                break
-        prev_phi, prev_grad = phi, grad
+    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))  # 6 V of the body
+    npts = len(pts)
+    phi = np.zeros(npts)
+    grad = np.zeros((npts, 3)) if want_grad else None
+    g = np.empty((3, npts, len(_W)))
+    tmp = np.empty_like(g)
+    gn = np.empty((npts, len(_W)))
+    for fa, fb, fc in _FACES:
+        pa = vertices[fa] - pts  # (P, 3)
+        pb = vertices[fb] - pts
+        pc = vertices[fc] - pts
+        # pb x pc written out in np.cross's multiply/subtract order
+        b0, b1, b2 = pb.T
+        c0, c1, c2 = pc.T
+        cross = np.stack(
+            [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0], axis=1
+        )
+        wf = np.einsum("pi,pi->p", pa, cross) / 6.0  # signed volume
+        # x on (or within roundoff of) this face plane: the face integral can
+        # diverge while wf -> 0, with product limit 0; drop it explicitly so
+        # roundoff in wf cannot inject 0 * inf garbage
+        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
+        np.multiply(pa.T[:, :, None], _A, out=g)
+        g += np.multiply(pb.T[:, :, None], _B, out=tmp)
+        g += np.multiply(pc.T[:, :, None], _C, out=tmp)
+        np.multiply(g[0], g[0], out=gn)
+        gn += np.multiply(g[1], g[1], out=tmp[0])
+        gn += np.multiply(g[2], g[2], out=tmp[0])
+        np.sqrt(gn, out=gn)
+        np.maximum(gn, 1e-300, out=gn)
+        phi += 3.0 * wf * (np.divide(1.0, gn, out=tmp[0]) @ _W)
+        if want_grad:
+            g /= np.power(gn, 3, out=tmp[0])
+            g *= _W
+            np.add.accumulate(g, axis=2, out=tmp)
+            grad += 6.0 * wf[:, None] * tmp[:, :, -1].T
     return phi, grad
 
 
-def potential_tetra(tetra: Tetrahedron | np.ndarray, pts, tol: float = 1e-9) -> np.ndarray:
-    """Potential of a homogeneous tetrahedron, adaptive in quadrature order."""
+def potential_tetra(tetra: Tetrahedron | np.ndarray, pts) -> np.ndarray:
+    """Potential of a homogeneous tetrahedron at ``pts`` (apex rule)."""
     verts = tetra.vertices if isinstance(tetra, Tetrahedron) else tetra
     single = np.asarray(pts).ndim == 1
-    phi, _ = _tetra_eval(verts, pts, tol, want_grad=False)
+    phi, _ = _tetra_face_quad(verts, pts, want_grad=False)
     return phi[0] if single else phi
 
 
-def tetra_field(tetra: Tetrahedron | np.ndarray, pts, tol: float = 1e-9):
+def tetra_field(tetra: Tetrahedron | np.ndarray, pts):
     """(potential, gradient) of a homogeneous tetrahedron at ``pts``."""
     verts = tetra.vertices if isinstance(tetra, Tetrahedron) else tetra
     single = np.asarray(pts).ndim == 1
-    phi, grad = _tetra_eval(verts, pts, tol, want_grad=True)
+    phi, grad = _tetra_face_quad(verts, pts, want_grad=True)
     return (phi[0], grad[0]) if single else (phi, grad)
 
 
@@ -259,7 +229,7 @@ def tetra_field(tetra: Tetrahedron | np.ndarray, pts, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def potential_domain(domain, pts, tol: float = 1e-9) -> np.ndarray:
+def potential_domain(domain, pts) -> np.ndarray:
     """Unit-density potential of a supported domain at ``pts``."""
     pts_arr = np.asarray(pts, dtype=float)
     single = pts_arr.ndim == 1
@@ -270,17 +240,17 @@ def potential_domain(domain, pts, tol: float = 1e-9) -> np.ndarray:
     elif isinstance(domain, Cube):
         out = potential_cube(domain.side, p, center=domain.center)
     elif isinstance(domain, Tetrahedron):
-        out = potential_tetra(domain, p, tol=tol)
+        out = potential_tetra(domain, p)
     elif isinstance(domain, ScaledTranslate):
         # Phi_{s D + t}(x) = s^2 Phi_D((x - t)/s)
         inner = (p - np.asarray(domain.shift)) / domain.scale
-        out = domain.scale**2 * potential_domain(domain.base, inner, tol=tol)
+        out = domain.scale**2 * potential_domain(domain.base, inner)
     else:
         raise TypeError(f"no potential rule for {type(domain).__name__}")
     return out[0] if single else out
 
 
-def potential_domain_gradient(domain, pts, tol: float = 1e-9) -> np.ndarray:
+def potential_domain_gradient(domain, pts) -> np.ndarray:
     """Gradient of the unit-density potential (the field, up to sign)."""
     pts_arr = np.asarray(pts, dtype=float)
     single = pts_arr.ndim == 1
@@ -292,12 +262,12 @@ def potential_domain_gradient(domain, pts, tol: float = 1e-9) -> np.ndarray:
         mag = np.where(r < R, -q * r / R**3, -q / r**2)
         out = (mag / r)[:, None] * d
     elif isinstance(domain, Tetrahedron):
-        _, out = tetra_field(domain, p, tol=tol)
+        _, out = tetra_field(domain, p)
     elif isinstance(domain, Cube):
         out = _box_gradient(domain, p)
     elif isinstance(domain, ScaledTranslate):
         inner = (p - np.asarray(domain.shift)) / domain.scale
-        out = domain.scale * potential_domain_gradient(domain.base, inner, tol=tol)
+        out = domain.scale * potential_domain_gradient(domain.base, inner)
     else:
         raise TypeError(f"no potential gradient rule for {type(domain).__name__}")
     return out[0] if single else out
@@ -431,7 +401,7 @@ def domain_pair_coulomb(d1, d2, tol: float = 1e-8):
         return REGULAR_TETRA_SELF_INTEGRAL * scale, 2e-9 * scale
     # irregular tetra self-integrals fall through to the quadrature path
     outer, inner = (d1, d2) if d1.volume <= d2.volume else (d2, d1)
-    f = lambda pts: potential_domain(inner, pts, tol=tol * 1e-1)
+    f = lambda pts: potential_domain(inner, pts)
     prev = None
     val = np.nan
     err = np.inf

@@ -138,7 +138,7 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, tol, container_volume):
         dd += float(np.sum(charges[iu] * charges[ju] / d))
     db = 0.0
     if rho > 0.0 and k:
-        phi = potential_domain(lam, centers, tol=tol)
+        phi = potential_domain(lam, centers)
         # exact coupling for a ball strictly inside the container: the
         # container potential splits into a harmonic part (mean value
         # property over the ball) and a quadratic part with a closed moment
@@ -260,7 +260,7 @@ class GrandCanonicalDropReport:
     converged: bool
 
 
-def _gc_objective_factory(lam, rho, mu, penalty, k, tol):
+def _gc_objective_factory(lam, rho, mu, penalty, k):
     if isinstance(lam, Tetrahedron):
         normals, offsets = lam.face_planes()
     else:
@@ -287,8 +287,8 @@ def _gc_objective_factory(lam, rho, mu, penalty, k, tol):
             np.add.at(gq, ju, q[iu] / dist)
             gr += gq * dq
         if rho > 0.0:
-            phi = potential_domain(lam, c, tol=tol)
-            dphi = potential_domain_gradient(lam, c, tol=tol)
+            phi = potential_domain(lam, c)
+            dphi = potential_domain_gradient(lam, c)
             e -= rho * float(np.sum(q * (phi - (2.0 * np.pi / 5.0) * r**2)))
             gc -= rho * q[:, None] * dphi
             gr -= rho * (dq * (phi - (2.0 * np.pi / 5.0) * r**2)
@@ -380,8 +380,8 @@ def grand_canonical_F(
     penalty_base = 1e4 * max(1.0, mu)
     for k in range(max(1, kmin), kmax + 1):
         rng = np.random.default_rng(seeds[k - 1])
-        obj = _gc_objective_factory(lam, rho, mu, penalty_base * k, k, tol)
-        value = _gc_objective_factory(lam, rho, mu, 0.0, k, tol)
+        obj = _gc_objective_factory(lam, rho, mu, penalty_base * k, k)
+        value = _gc_objective_factory(lam, rho, mu, 0.0, k)
         best_k = np.inf
         best_ck, best_rk = None, None
         for _ in range(starts):

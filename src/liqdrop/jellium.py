@@ -252,7 +252,7 @@ def finite_jellium_energy(
         if np.any(r <= 0.0):
             raise ValueError("coincident points")
         pp = q**2 * float(np.sum(1.0 / r))
-    pb = -q * float(np.sum(potential_domain(domain, pos, tol=tol))) if n else 0.0
+    pb = -q * float(np.sum(potential_domain(domain, pos))) if n else 0.0
     bb, _ = domain_pair_coulomb(domain, domain, tol=tol)
     bb *= 0.5
     return FiniteEnergyReport(
@@ -278,7 +278,7 @@ class GrandCanonicalPointReport:
     background_self: float  # (1/2) int int over the scaled tetra
 
 
-def _finite_energy(pos, q, tet, planes, bb, penalty, tol):
+def _finite_energy(pos, q, tet, planes, bb, penalty):
     """Energy of charges q at ``pos`` on the unit background of ``tet`` (whose
     self term is ``bb`` and whose ``face_planes()`` are ``planes``), plus
     ``penalty`` times the squared face violations; returns (energy, flat
@@ -296,7 +296,7 @@ def _finite_energy(pos, q, tet, planes, bb, penalty, tol):
         np.add.at(g, iu, gp)
         np.add.at(g, ju, -gp)
     if n >= 1:
-        phi, dphi = tetra_field(tet.vertices, pos, tol=tol)
+        phi, dphi = tetra_field(tet.vertices, pos)
         e -= q * float(np.sum(phi))
         g -= q * dphi
         # quadratic penalty per violated face keeps iterates inside
@@ -365,16 +365,13 @@ def grand_canonical_point_jellium(
         best_e, best_pos = np.inf, None
         for _ in range(starts):
             x0 = sample_in_domain(rng, tet, n).ravel()
-            # the tolerances pick the quadrature orders of the tetra potential
             res = minimize(
-                lambda x: _finite_energy(
-                    x.reshape(n, 3), q, tet, planes, bb, penalty, 3e-8
-                ),
+                lambda x: _finite_energy(x.reshape(n, 3), q, tet, planes, bb, penalty),
                 x0, jac=True, method="L-BFGS-B",
                 options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14},
             )
             pos = _project_into(planes, res.x.reshape(n, 3))
-            e, _ = _finite_energy(pos, q, tet, planes, bb, 0.0, 1e-9)
+            e, _ = _finite_energy(pos, q, tet, planes, bb, 0.0)
             if e < best_e:
                 best_e, best_pos = e, pos
         values[n] = best_e

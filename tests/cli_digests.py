@@ -28,6 +28,8 @@ RUNS = (
     ("jellium-opt", ["jellium-opt", "--n", "8", "--restarts", "2", "--hops", "1",
                      "--seed", "5"]),
     ("jellium-gc", ["jellium-gc", "--a", "2.2246", "--window", "4,5", "--starts", "2"]),
+    # the benchmark's simplex workload at seed 0
+    ("simplex", ["jellium-gc", "--a", "2.2246", "--window", "4,7", "--starts", "10"]),
     ("droplet", ["droplet", "--rho", "0.05"]),
     ("fgc", ["fgc", "--rho", "0.0,0.01,0.02", "--kmax", "2", "--starts", "2"]),
     ("expansion", ["expansion", "--rho", "1e-3,3e-4,1e-4,3e-5", "--n", "4",

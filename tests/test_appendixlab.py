@@ -145,6 +145,26 @@ def test_fallback_placement_is_pinned():
     }
 
 
+def test_fallback_heavy_cube_layer_is_pinned():
+    # an off-center cube at a dense background sends 3,099 boundary subcells
+    # through the widening fallback scan, which skips the hosts that already
+    # refused the subcell; the digests pin which host receives every subcell
+    layer = quadrupole_layer(Cube(side=1.6, center=(0.02, 0.01, -0.03)), 0.1, 5, 0.45)
+    assert len(layer) == 92117
+    assert layer.counts() == {"merged": 1984, "exterior-cube": 888, "subcell": 89245}
+    digests = {
+        name: hashlib.sha256(getattr(layer, name)().tobytes()).hexdigest()
+        for name in ("volumes", "dipoles", "containment_margins")
+    }
+    assert digests == {
+        "volumes": "d8914479c30e65ee857a5729da66e5ae9086957c2cd9283ae3bba800c23d6a47",
+        "dipoles": "677c2428a1c903543fe13a5e54de5d1103c8ff3f122bc58515099dfb715bd26d",
+        "containment_margins": (
+            "25e21f452c0904942a569072f98236a3e4513b472d2b72b1e9dcbc9533588137"
+        ),
+    }
+
+
 @pytest.mark.parametrize(
     "rho, size, counts, digests",
     [

@@ -29,12 +29,9 @@ from liqdrop.coulomb import (
 )
 from liqdrop.coulomb.potentials import (
     _FACES,
-    _ORDERS,
-    _RULES,
     _box_gradient,
     _brick_antiderivative,
-    _tetra_face_quad,
-    _tetra_faces,
+    _triangle_rule,
 )
 from liqdrop.geom import (
     Ball,
@@ -492,7 +489,7 @@ def test_tetra_field_matches_finite_differences():
 
 def _einsum_face_quad(vertices, pts, order, want_grad):
     """Reference: the apex rule over one (P, Q, 3) array per face."""
-    a, b, w = _RULES[order]
+    a, b, w = _triangle_rule(order)
     c = 1.0 - a - b
     phi = np.zeros(len(pts))
     grad = np.zeros((len(pts), 3)) if want_grad else None
@@ -513,6 +510,14 @@ def _einsum_face_quad(vertices, pts, order, want_grad):
     return phi, grad
 
 
+def _outward(vertices):
+    # the vertex order for which _FACES is outward-oriented
+    vertices = np.asarray(vertices, dtype=float)
+    if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
+        return vertices[[0, 2, 1, 3]]
+    return vertices
+
+
 @pytest.mark.parametrize("npts", [1, 2, 6, 11])
 def test_tetra_face_quad_bitwise_equal_to_einsum_formula(npts):
     rng = np.random.default_rng(600 + npts)
@@ -524,26 +529,28 @@ def test_tetra_face_quad_bitwise_equal_to_einsum_formula(npts):
     pts[-1] = rng.dirichlet([1.0, 1.0, 1.0]) @ verts[[fa, fb, fc]]
     normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
     pts[-1] += 5e-15 * normal / np.linalg.norm(normal)
-    for order in _ORDERS:
-        for want_grad in (False, True):
-            phi, grad = _tetra_face_quad(_tetra_faces(verts, pts), order, want_grad)
-            phi_ref, grad_ref = _einsum_face_quad(verts, pts, order, want_grad)
-            np.testing.assert_array_equal(phi, phi_ref)
-            if want_grad:
-                np.testing.assert_array_equal(grad, grad_ref)
-            else:
-                assert grad is None
+    # both handednesses: one of the two vertex orders is swapped internally
+    for v in (verts, verts[[0, 2, 1, 3]]):
+        phi_ref, _ = _einsum_face_quad(_outward(v), pts, 38, False)
+        _, grad_ref = _einsum_face_quad(_outward(v), pts, 38, True)
+        np.testing.assert_array_equal(potential_tetra(v, pts), phi_ref)
+        phi, grad = tetra_field(v, pts)
+        np.testing.assert_array_equal(phi, phi_ref)
+        np.testing.assert_array_equal(grad, grad_ref)
+
+
+# the order ladder that the fixed rule replaced: it stopped at the first
+# order that agreed with the one before to tol (relative above 1)
+_LADDER_ORDERS = (8, 12, 18, 26, 38)
 
 
 def _reference_ladder(vertices, pts, tol, want_grad):
-    """The order ladder of ``_tetra_eval`` over ``_einsum_face_quad``; also
-    returns the order it stopped at."""
-    vertices = np.asarray(vertices, dtype=float).reshape(4, 3)
-    if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
-        vertices = vertices[[0, 2, 1, 3]]
+    """The order ladder over ``_einsum_face_quad``; also returns the order
+    it stopped at."""
+    vertices = _outward(vertices)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     prev_phi = prev_grad = None
-    for order in _ORDERS:
+    for order in _LADDER_ORDERS:
         phi, grad = _einsum_face_quad(vertices, pts, order, want_grad)
         if prev_phi is not None:
             err = np.max(np.abs(phi - prev_phi))
@@ -555,32 +562,66 @@ def _reference_ladder(vertices, pts, tol, want_grad):
     return phi, grad, order
 
 
-def test_tetra_ladder_bitwise_equal_to_reference():
+def _simplex_point_sets():
+    # the jellium-gc body of the benchmark: the unit-volume regular
+    # tetrahedron scaled by 2.2246
     rng = np.random.default_rng(7)
-    verts = regular_tetrahedron(1.0).vertices + 0.05 * rng.normal(size=(4, 3))
+    verts = regular_tetrahedron(1.0).vertices * 2.2246
     center = verts.mean(axis=0)
+    out = _outward(verts)
     fa, fb, fc = _FACES[1]
-    normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-    near_face = rng.dirichlet([1.0, 1.0, 1.0]) @ verts[[fa, fb, fc]]
+    normal = np.cross(out[fb] - out[fa], out[fc] - out[fa])
+    near_face = rng.dirichlet([1.0, 1.0, 1.0]) @ out[[fa, fb, fc]]
     near_face += 5e-15 * normal / np.linalg.norm(normal)
     point_sets = (
-        center + 0.15 * rng.normal(size=(3, 3)),  # inside
-        center + 1.5 * rng.normal(size=(3, 3)),  # mostly outside
-        center + 10.0 * rng.normal(size=(2, 3)),  # far away
+        center + 0.3 * rng.normal(size=(3, 3)),  # inside
+        center + 3.0 * rng.normal(size=(3, 3)),  # mostly outside
+        center + 20.0 * rng.normal(size=(2, 3)),  # far away
+        center + 300.0 * rng.normal(size=(2, 3)),  # line-search probes
         near_face[None, :],
     )
-    exits = set()
+    return verts, point_sets
+
+
+def test_tetra_face_quad_bitwise_equal_to_full_ladder():
+    verts, point_sets = _simplex_point_sets()
+    full = 0
     for pts in point_sets:
         for tol in (1e-1, 1e-4, 3e-8, 1e-9):
             phi_ref, _, order = _reference_ladder(verts, pts, tol, False)
-            exits.add(order)
-            assert potential_tetra(verts, pts, tol=tol).tobytes() == phi_ref.tobytes()
+            if order == 38:
+                full += 1
+                assert potential_tetra(verts, pts).tobytes() == phi_ref.tobytes()
             phi_ref, grad_ref, order = _reference_ladder(verts, pts, tol, True)
+            if order == 38:
+                full += 1
+                phi, grad = tetra_field(verts, pts)
+                assert phi.tobytes() == phi_ref.tobytes()
+                assert grad.tobytes() == grad_ref.tobytes()
+    assert full == 8  # value and field calls that ran the whole ladder
+
+
+def test_tetra_face_quad_no_less_accurate_than_early_ladder_exit():
+    # where the ladder stopped before order 38, the fixed rule is at least as
+    # close to the order-120 rule, up to a roundoff floor of 1e-14 (relative
+    # above 1): far from the body both are within a few ulps of it
+    verts, point_sets = _simplex_point_sets()
+    exits = set()
+    for pts in point_sets:
+        phi_hi, grad_hi = _einsum_face_quad(_outward(verts), pts, 120, True)
+        phi, grad = tetra_field(verts, pts)
+        floor = 1e-14 * max(1.0, np.max(np.abs(phi_hi)), np.max(np.abs(grad_hi)))
+        for tol in (1e-1, 1e-4, 3e-8, 1e-9):
+            phi_l, grad_l, order = _reference_ladder(verts, pts, tol, True)
             exits.add(order)
-            phi, grad = tetra_field(verts, pts, tol=tol)
-            assert phi.tobytes() == phi_ref.tobytes()
-            assert grad.tobytes() == grad_ref.tobytes()
-    # early exits at 12, 18 and 26, and at least one full ladder
+            if order == 38:
+                continue
+            assert np.max(np.abs(phi - phi_hi)) <= max(
+                np.max(np.abs(phi_l - phi_hi)), floor
+            )
+            assert np.max(np.abs(grad - grad_hi)) <= max(
+                np.max(np.abs(grad_l - grad_hi)), floor
+            )
     assert exits == {12, 18, 26, 38}
 
 

@@ -13,6 +13,7 @@ parameter alpha.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import wait
 
 import numpy as np
@@ -20,7 +21,22 @@ from scipy.special import erfc
 
 __all__ = ["PeriodicKernel", "madelung_z3"]
 
-_BLOCK = 2**16  # image terms per real-space block
+# Image terms (pairs x shifts).  _BLOCK is the unit chunks() splits by and
+# the largest block.  A serial sum takes blocks of _CACHE_BLOCK: their scratch
+# (6 doubles per term, 0.8 MB) stays in L2 and touches few fresh pages per
+# call.  A pool task takes blocks of _BLOCK, because each block costs about
+# twenty numpy calls and each call hands the interpreter lock between the
+# pool's threads.
+_BLOCK = 2**16
+_CACHE_BLOCK = 2**14
+# fewest shifts per serial block, which bounds the per-block Python overhead
+_MIN_SHIFTS = 32
+
+
+def _block_shifts(npair: int, budget: int) -> int:
+    """Shifts per real-space block over ``npair`` pairs: about ``budget``
+    image terms, at least _MIN_SHIFTS shifts, and at most _BLOCK terms."""
+    return min(max(_MIN_SHIFTS, budget // npair), max(1, _BLOCK // npair))
 
 
 class PeriodicKernel:
@@ -30,11 +46,16 @@ class PeriodicKernel:
     gradient from one real-space and one structure-factor pass;
     ``pair_energy`` and ``pair_gradient`` return one of the two.
 
-    Its real-space sum runs over blocks of about 2^16 image terms, each a
-    ``(shifts, 3, pairs)`` array contiguous along the pair axis, so the
-    temporaries stay small.  The reduction order is fixed: the energy terms
-    fill one pair-major ``(pairs, shifts)`` buffer summed by a single pairwise
-    ``np.sum``, and the gradient is summed sequentially in shift order.
+    Its real-space sum runs over blocks of shifts, each a ``(shifts, 3,
+    pairs)`` array contiguous along the pair axis, and every elementwise pass
+    runs in place in scratch buffers allocated once per call.  A serial sum
+    takes blocks of about 2^14 image terms, but at least 32 shifts, which
+    keeps its scratch small; a pool task takes blocks of about 2^16 terms,
+    the unit ``chunks`` splits by; no block exceeds 2^16 terms
+    (``_block_shifts``).  The block size changes no value, because the
+    reduction order is fixed: the energy terms fill one pair-major
+    ``(pairs, shifts)`` buffer summed by a single pairwise ``np.sum``, and
+    the gradient is summed sequentially in shift order.
     Outputs are written at full ``repr`` precision and L-BFGS amplifies a
     one-ulp change, so that order is part of the result.
 
@@ -48,23 +69,28 @@ class PeriodicKernel:
     Parameters
     ----------
     ell : float
-        Cell side.
+        Cell side, finite and positive.
     alpha : float, optional
-        Splitting parameter (inverse length squared). Default pi / ell^2.
-        Results are alpha-independent up to the truncation tolerance.
+        Splitting parameter (inverse length squared), finite and positive.
+        Default pi / ell^2.  Results are alpha-independent up to the
+        truncation tolerance.
     tol : float
-        Target absolute truncation error of kernel values; real and
-        reciprocal cutoffs are derived from it.
+        Target absolute truncation error of kernel values, in (0, 1); real
+        and reciprocal cutoffs are derived from it.
     """
 
     def __init__(self, ell: float, alpha: float | None = None, tol: float = 1e-13):
-        if ell <= 0.0:
-            raise ValueError("ell must be positive")
-        self.ell = float(ell)
+        ell = float(ell)
+        if not (math.isfinite(ell) and ell > 0.0):
+            raise ValueError(f"ell must be finite and positive, got {ell}")
+        self.ell = ell
         self.alpha = float(alpha) if alpha is not None else np.pi / ell**2
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        self.tol = float(tol)
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        tol = float(tol)
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        self.tol = tol
 
         # real-space cutoff: erfc(sqrt(alpha) r) / r below tol for r >= rcut
         eta = np.sqrt(np.log(1.0 / tol)) + 1.0
@@ -121,8 +147,8 @@ class PeriodicKernel:
 
     def chunks(self, n: int, threads: int) -> int:
         """Pair ranges the real-space sum at ``n`` points is split into on
-        ``threads`` workers: at most one per worker, and each at least one
-        full block of 2^16 image terms."""
+        ``threads`` workers: at most one per worker, and each at least 2^16
+        image terms."""
         pairs = n * (n - 1) // 2
         return max(1, min(threads, pairs * len(self.shifts) // _BLOCK))
 
@@ -148,10 +174,10 @@ class PeriodicKernel:
         acc = np.empty((3, npair))  # -(grad wrt x_i of pair (i, j))
         parts = 1 if executor is None else self.chunks(n, executor._max_workers)
         if parts == 1:
-            self._real_space(dxt, 0, npair, terms, acc)
+            self._real_space(dxt, 0, npair, terms, acc, _CACHE_BLOCK)
         else:
             bounds = [npair * c // parts for c in range(parts + 1)]
-            futures = [executor.submit(self._real_space, dxt, lo, hi, terms, acc)
+            futures = [executor.submit(self._real_space, dxt, lo, hi, terms, acc, _BLOCK)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             wait(futures)  # no task outlives the call, even when one raises
             for f in futures:
@@ -170,32 +196,48 @@ class PeriodicKernel:
         npairs = n * (n - 1) / 2.0
         return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
 
-    def _real_space(self, dxt, lo, hi, terms, acc):
+    def _real_space(self, dxt, lo, hi, terms, acc, budget):
         """Real-space image sum of pairs ``lo:hi``: fills those rows of the
         pair-major ``terms`` with erfc(s r)/r and those columns of ``acc``
-        with the pair forces, summed in shift order."""
+        with the pair forces, summed in shift order.  Its scratch is local to
+        the call, so tasks running it concurrently share no buffer."""
         dxt = dxt[:, lo:hi]
         npair, nshift = hi - lo, len(self.shifts)
         sa = np.sqrt(self.alpha)
         gauss = 2.0 * sa / np.sqrt(np.pi)
-        step = max(1, _BLOCK // npair)  # about 2^16 image terms per block
-        # row 0: running sum of the pair forces; rows 1..: one block
-        blk = np.empty((min(step, nshift) + 1, 3, npair))
+        step = min(_block_shifts(npair, budget), nshift)
+        # scratch of this call: row 0 of blk is the running sum of the pair
+        # forces, rows 1.. one block of displacements; scratch holds per-term
+        # values
+        blk = np.empty((step + 1, 3, npair))
         blk[0] = 0.0
+        scratch = np.empty((3, step, npair))
         for s0 in range(0, nshift, step):
             sh = self.shifts[s0 : s0 + step]
-            rows = blk[: len(sh) + 1]
+            m = len(sh)
+            rows = blk[: m + 1]
+            r, a, b = scratch[:, :m]
             d = np.subtract(dxt, sh[:, :, None], out=rows[1:])  # (shifts, 3, pairs)
             x, y, z = d[:, 0], d[:, 1], d[:, 2]
-            r = np.sqrt((x * x + y * y) + z * z)  # the grouping np.linalg.norm uses
-            if np.any(r < 1e-300):
+            # r = sqrt((x*x + y*y) + z*z), the grouping np.linalg.norm uses
+            np.multiply(x, x, out=r)
+            r += np.multiply(y, y, out=a)
+            r += np.multiply(z, z, out=a)
+            np.sqrt(r, out=r)
+            if r.min() < 1e-300:
                 raise ValueError("coincident points in pair energy")
-            screened = erfc(sa * r)
-            np.divide(screened, r, out=terms[lo:hi, s0 : s0 + step].T)
-            # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r))
-            r2 = r**2
-            mag = screened / r2 + gauss * np.exp(-self.alpha * r2) / r
-            d *= (mag / r)[:, None, :]
+            screened = erfc(np.multiply(r, sa, out=a), out=a)
+            np.divide(screened, r, out=terms[lo:hi, s0 : s0 + m].T)
+            # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r));
+            # mag/r is built in a, with r^2 = r*r (bitwise r**2) in b
+            r2 = np.multiply(r, r, out=b)
+            np.divide(screened, r2, out=a)
+            np.exp(np.multiply(r2, -self.alpha, out=b), out=b)
+            b *= gauss
+            b /= r
+            a += b
+            a /= r
+            d *= a[:, None, :]
             # the running sum leads the block, so the sum stays sequential in shifts
             blk[0] = np.sum(rows, axis=0)
         acc[:, lo:hi] = blk[0]

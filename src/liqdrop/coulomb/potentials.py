@@ -358,9 +358,11 @@ def _same_ball(d1: Ball, d2: Ball) -> bool:
     return np.allclose(d1.center, d2.center) and np.isclose(d1.radius, d2.radius)
 
 
-# self integral of the unit-volume regular tetrahedron, from the escalating
-# quadrature below at tol=1e-8 (error estimate ~1e-9; the tol=1e-7 run
-# agrees to all shown digits)
+# self integral of the unit-volume regular tetrahedron: the order-34 volume
+# quadrature of the order-38 apex-rule potential.  It is about 2.3e-7 below
+# the exact value 1.7719175767900737 (surface identity over the closed-form
+# tetrahedron potential), so the 2e-9 error that domain_pair_coulomb returns
+# with it understates the miss.
 REGULAR_TETRA_SELF_INTEGRAL = 1.7719173459773292
 
 

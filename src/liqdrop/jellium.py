@@ -106,10 +106,10 @@ def minimize_local(
     x0 = np.asarray(positions, dtype=float).reshape(-1).copy()
     n = x0.size // 3
     trace = []
+    iu, ju = np.triu_indices(n, k=1)
 
     def objective(x):
         pos = x.reshape(n, 3)
-        iu, ju = np.triu_indices(n, k=1)
         dx = pos[iu] - pos[ju]
         dx -= kernel.ell * np.round(dx / kernel.ell)
         r = np.linalg.norm(dx, axis=1)

@@ -27,6 +27,7 @@ from liqdrop.coulomb import (
     tetra_field,
     upper_gamma,
 )
+from liqdrop.coulomb.ewald import _BLOCK, _CACHE_BLOCK, _MIN_SHIFTS, _block_shifts
 from liqdrop.coulomb.potentials import (
     _FACES,
     _box_gradient,
@@ -225,15 +226,52 @@ def _broadcast_energy_and_gradient(k, pos, q):
     return q**2 * (real + recip - npairs * k.self_const), q**2 * grad
 
 
-# one pair; one block; several blocks with a partial last one; many blocks
-@pytest.mark.parametrize("n", [2, 3, 16, 54, 200])
-def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n):
+def _block_regime(npair, nshift, budget):
+    """Which bound of the real-space block rule sets the block at ``npair``."""
+    step = _block_shifts(npair, budget)
+    if step >= nshift:
+        return "one block"
+    if step == _BLOCK // npair < _MIN_SHIFTS:
+        return "2^16 cap"
+    if step == _MIN_SHIFTS > budget // npair:
+        return "32-shift floor"
+    assert step == budget // npair and nshift % step != 0
+    return ("2^16" if budget == _BLOCK else "2^14") + " blocks, partial last"
+
+
+# every regime of the block rule: serial sums take 2^14-term blocks and pool
+# tasks (n = 54 on 2 and 3 workers) 2^16-term blocks
+@pytest.mark.parametrize(
+    "n, workers, regime",
+    [
+        pytest.param(2, 1, "one block", id="2"),
+        pytest.param(3, 1, "one block", id="3"),
+        pytest.param(16, 1, "2^14 blocks, partial last", id="16"),
+        pytest.param(27, 1, "2^14 blocks, partial last", id="27"),
+        pytest.param(54, 1, "32-shift floor", id="54"),
+        pytest.param(54, 2, "2^16 blocks, partial last", id="54-on-2-workers"),
+        pytest.param(54, 3, "2^16 blocks, partial last", id="54-on-3-workers"),
+        pytest.param(200, 1, "2^16 cap", id="200"),
+    ],
+)
+def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, workers, regime):
     rng = np.random.default_rng(500 + n)
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
     q = rng.uniform(0.2, 3.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
     k = PeriodicKernel(ell)
-    e, g = k.energy_and_gradient(pts, q)
+    npair = n * (n - 1) // 2
+    assert k.chunks(n, workers) == workers
+    # the pair ranges and block budget energy_and_gradient gives each task
+    budget = _CACHE_BLOCK if workers == 1 else _BLOCK
+    bounds = [npair * c // workers for c in range(workers + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert _block_regime(hi - lo, len(k.shifts), budget) == regime
+    if workers == 1:
+        e, g = k.energy_and_gradient(pts, q)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            e, g = k.energy_and_gradient(pts, q, executor=pool)
     e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
     assert e == e_ref
     np.testing.assert_array_equal(g, g_ref)
@@ -251,6 +289,29 @@ def test_energy_and_gradient_peak_memory_n128():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"ell": 1.0, "tol": 1.0}, "tol"),
+        ({"ell": 1.0, "tol": 0.0}, "tol"),
+        ({"ell": 1.0, "tol": 2.0}, "tol"),
+        ({"ell": 1.0, "tol": -1.0}, "tol"),
+        ({"ell": 1.0, "tol": math.nan}, "tol"),
+        ({"ell": math.nan}, "ell"),
+        ({"ell": math.inf}, "ell"),
+        ({"ell": 0.0}, "ell"),
+        ({"ell": -1.0}, "ell"),
+        ({"ell": 1.0, "alpha": math.nan}, "alpha"),
+        ({"ell": 1.0, "alpha": math.inf}, "alpha"),
+        ({"ell": 1.0, "alpha": 0.0}, "alpha"),
+        ({"ell": 1.0, "alpha": -2.0}, "alpha"),
+    ],
+)
+def test_kernel_rejects_bad_parameters(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        PeriodicKernel(**kwargs)
 
 
 def _random_case(n):

@@ -103,6 +103,13 @@ def _non_negative(text: str) -> int:
     return count
 
 
+def _at_least_two(text: str) -> int:
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {text!r}")
+    return count
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -169,8 +176,8 @@ def _build_parser():
         help="count window lo,hi with 0 <= lo <= hi")
 
     sp, add = sub("droplet", "isolated droplet constants and an energy breakdown")
-    add("--radius", type=float, default=None, help="droplet radius (default: optimal)")
-    add("--rho", type=float, default=0.1, help="background density")
+    add("--radius", type=_positive, default=None, help="droplet radius (default: optimal)")
+    add("--rho", type=_positive, default=0.1, help="background density")
 
     sp, add = sub("fgc", "grand-canonical droplet energy sweep over densities")
     add("--rho", type=_floats, default=(0.01,), help="comma list of densities")
@@ -186,11 +193,12 @@ def _build_parser():
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("gs-check", "Monte Carlo localization identities for rigid tilings")
-    add("--samples", type=int, default=200000, help="rigid-motion samples")
-    add("--pair-samples", type=int, default=20000, help="samples per interaction pair")
-    add("--configs", type=int, default=3, help="random droplet configurations")
-    add("--ell", type=float, default=5.0, help="tiling simplex scale")
-    add("--side", type=float, default=8.0, help="container cube side")
+    add("--samples", type=_at_least_one, default=200000, help="rigid-motion samples")
+    add("--pair-samples", type=_at_least_two, default=20000,
+        help="samples per interaction pair")
+    add("--configs", type=_non_negative, default=3, help="random droplet configurations")
+    add("--ell", type=_positive, default=5.0, help="tiling simplex scale")
+    add("--side", type=_positive, default=8.0, help="container cube side")
     add("--rho", type=float, default=0.05, help="background density")
 
     sp, add = sub("cheese", "exact nested ball-packing schedule")
@@ -314,16 +322,14 @@ def _cmd_jellium_gc(ns):
 
 def _cmd_droplet(ns):
     consts = ball_optimum()
-    radius = consts.best_radius if ns.radius is None else float(ns.radius)
-    if radius <= 0.0:
-        raise ValueError("droplet radius must be positive")
+    radius = consts.best_radius if ns.radius is None else ns.radius
     omega = BallUnion(centers=np.zeros((1, 3)), radii=np.array([radius]))
     vol = 4.0 * math.pi / 3.0 * radius**3
     side = (vol / ns.rho) ** (1.0 / 3.0)
     if side < 2.0 * radius:
         raise ValueError("background density too high for a cubic container")
     lam = Cube(side=side, center=(0.0, 0.0, 0.0))
-    breakdown = liquid_drop_energy(omega, lam, ns.rho, tol=ns.tol)
+    breakdown = liquid_drop_energy(omega, lam, ns.rho)
     rows = [
         ("optimal_ball_radius", consts.best_radius),
         ("optimal_energy_per_volume", consts.best_energy_per_volume),
@@ -354,9 +360,7 @@ def _cmd_fgc(ns):
     lam = Cube(side=ns.side, center=(0.0, 0.0, 0.0))
     rows, per_rho = [], {}
     for rho in ns.rho:
-        rep = grand_canonical_F(
-            lam, rho, kmax=ns.kmax, seed=ns.seed, starts=ns.starts, tol=ns.tol
-        )
+        rep = grand_canonical_F(lam, rho, kmax=ns.kmax, seed=ns.seed, starts=ns.starts)
         rows.append((rho, rep.value, rep.ball_count, int(rep.converged)))
         per_rho[repr(float(rho))] = {
             "value": rep.value,

@@ -251,6 +251,6 @@ class PeriodicKernel:
         return self.energy_and_gradient(positions, q)[1]
 
 
-def madelung_z3(ell: float = 1.0, alpha: float | None = None) -> float:
+def madelung_z3(ell: float = 1.0) -> float:
     """Madelung-type constant of the cubic lattice ell*Z^3: M(ell) = M(1)/ell."""
-    return PeriodicKernel(ell, alpha=alpha).madelung()
+    return PeriodicKernel(ell).madelung()

@@ -7,7 +7,7 @@ It is not exact and reports no error.  On the unit-volume regular
 tetrahedron scaled by 2.2246, near a face, inside or outside, it misses the
 same rule at order 400 by up to about 1e-3 in the potential and 1e-1 in the
 gradient at 0.1 from the face (where orders 400 and 800 agree to 2e-13),
-and by 3e-3 and 0.3 at 1e-2 (ROADMAP item 2).
+and by 3e-3 and 0.3 at 1e-2 (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -58,9 +58,7 @@ class DropletConstants:
 
     The ball family gives exact closed forms; whether balls are optimal among
     all sets is an open conjecture, so ``ball_family_only`` marks that every
-    value here is the ball-restricted answer.  Downstream pipelines take
-    (energy-per-volume, mass, radius) as parameters so other values can be
-    substituted.
+    value here is the ball-restricted answer.
     """
 
     best_radius: float
@@ -124,7 +122,7 @@ class LiquidDropBreakdown:
     neutrality_defect: float  # droplet volume minus rho * container volume
 
 
-def _ball_union_breakdown(omega: BallUnion, lam, rho, tol, container_volume):
+def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
     centers, radii = omega.centers, omega.radii
     k = len(radii)
     charges = 4.0 * np.pi * radii**3 / 3.0
@@ -145,7 +143,7 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, tol, container_volume):
         db = -rho * float(np.sum(charges * (phi - (2.0 * np.pi / 5.0) * radii**2)))
     bb = 0.0
     if rho > 0.0:
-        pair, _ = domain_pair_coulomb(lam, lam, tol=tol)
+        pair, _ = domain_pair_coulomb(lam, lam)
         bb = 0.5 * rho**2 * pair
     volume = omega.volume
     return LiquidDropBreakdown(
@@ -159,7 +157,7 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, tol, container_volume):
     )
 
 
-def _voxel_breakdown(omega: VoxelSet, lam, rho, perimeter_method, container_volume):
+def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
     h = omega.h
     if isinstance(lam, VoxelSet):
         if abs(lam.h - h) > 1e-12 * h:
@@ -207,7 +205,7 @@ def _voxel_breakdown(omega: VoxelSet, lam, rho, perimeter_method, container_volu
         pot_lam = grid_potential(f_lam, h, kernel)
         db = -rho * h**3 * float(np.sum(f_om * pot_lam))
         bb = 0.5 * rho**2 * h**3 * float(np.sum(f_lam * pot_lam))
-    perimeter = omega.perimeter(method=perimeter_method)
+    perimeter = omega.perimeter(method="crofton13")
     volume = omega.measure
     return LiquidDropBreakdown(
         perimeter=perimeter,
@@ -224,8 +222,6 @@ def liquid_drop_energy(
     omega,
     lam,
     rho: float,
-    tol: float = 1e-8,
-    perimeter_method: str = "crofton13",
 ) -> LiquidDropBreakdown:
     """Energy breakdown of droplet set ``omega`` in container ``lam`` at
     background density ``rho``.
@@ -238,9 +234,9 @@ def liquid_drop_energy(
         raise ValueError("background density must lie in [0, 1]")
     container_volume = lam.measure if isinstance(lam, VoxelSet) else lam.volume
     if isinstance(omega, BallUnion):
-        return _ball_union_breakdown(omega, lam, rho, tol, container_volume)
+        return _ball_union_breakdown(omega, lam, rho, container_volume)
     if isinstance(omega, VoxelSet):
-        return _voxel_breakdown(omega, lam, rho, perimeter_method, container_volume)
+        return _voxel_breakdown(omega, lam, rho, container_volume)
     raise TypeError("droplet set must be a BallUnion or a VoxelSet")
 
 
@@ -260,7 +256,8 @@ class GrandCanonicalDropReport:
     converged: bool
 
 
-def _gc_objective_factory(lam, rho, mu, penalty, k):
+def _gc_objective_factory(lam, rho, penalty, k):
+    mu = OPT_ENERGY_PER_VOLUME
     if isinstance(lam, Tetrahedron):
         normals, offsets = lam.face_planes()
     else:
@@ -345,9 +342,6 @@ def grand_canonical_F(
     kmax: int = 3,
     seed: int = 0,
     starts: int = 3,
-    mu: float | None = None,
-    tol: float = 1e-8,
-    kmin: int = 0,
 ) -> GrandCanonicalDropReport:
     """Upper bound on the grand-canonical droplet energy: the droplet energy
     minus (energy-per-volume constant) * |droplet|, minimized over unions of
@@ -364,24 +358,20 @@ def grand_canonical_F(
         raise ValueError("the largest droplet count must be at least 0")
     if not lam.volume > 0.0:
         raise ValueError("the container must have positive volume")
-    mu = OPT_ENERGY_PER_VOLUME if mu is None else float(mu)
     bb = 0.0
     if rho > 0.0:
-        pair, _ = domain_pair_coulomb(lam, lam, tol=max(tol, 1e-9))
+        pair, _ = domain_pair_coulomb(lam, lam)
         bb = 0.5 * rho**2 * pair
-    values = {}
-    best = (np.inf, 0, np.zeros((0, 3)), np.zeros(0))
-    if kmin <= 0:
-        values[0] = bb
-        best = (bb, 0, np.zeros((0, 3)), np.zeros(0))
+    values = {0: bb}
+    best = (bb, 0, np.zeros((0, 3)), np.zeros(0))
     converged = True
     radius_hi = min(3.0 * OPT_RADIUS, 0.45 * lam.diameter)
     seeds = np.random.SeedSequence(seed).spawn(kmax)
-    penalty_base = 1e4 * max(1.0, mu)
-    for k in range(max(1, kmin), kmax + 1):
+    penalty_base = 1e4 * max(1.0, OPT_ENERGY_PER_VOLUME)
+    for k in range(1, kmax + 1):
         rng = np.random.default_rng(seeds[k - 1])
-        obj = _gc_objective_factory(lam, rho, mu, penalty_base * k, k)
-        value = _gc_objective_factory(lam, rho, mu, 0.0, k)
+        obj = _gc_objective_factory(lam, rho, penalty_base * k, k)
+        value = _gc_objective_factory(lam, rho, 0.0, k)
         best_k = np.inf
         best_ck, best_rk = None, None
         for _ in range(starts):
@@ -454,14 +444,14 @@ class MassBoundReport:
     note: str
 
 
-def mass_bound_check(omega, lam, rho: float, tol: float = 1e-8) -> MassBoundReport:
+def mass_bound_check(omega, lam, rho: float) -> MassBoundReport:
     """Check the a-priori mass bound for low-energy droplet sets.
 
     Hypothesis: the droplet's energy does not exceed (energy-per-volume
     constant) * |droplet|.  Conclusion checked: |droplet| <= 8 + 16 pi rho
     diam(container)^3.  When the hypothesis fails the bound is not claimed.
     """
-    breakdown = liquid_drop_energy(omega, lam, rho, tol=tol)
+    breakdown = liquid_drop_energy(omega, lam, rho)
     volume = breakdown.droplet_volume
     mu_budget = OPT_ENERGY_PER_VOLUME * volume
     hypothesis = breakdown.total <= mu_budget + 1e-9 * max(1.0, abs(mu_budget))

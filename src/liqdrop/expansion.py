@@ -97,7 +97,6 @@ def build_trial_points(
     seed: int = 0,
     restarts: int = 6,
     hops: int = 2,
-    margin_factor: float = 0.4,
     threads: int = 1,
 ) -> TrialPoints:
     """Construct the two point families used by the upper-bound pipeline.
@@ -108,7 +107,7 @@ def build_trial_points(
     invariant, so this is free).
 
     Y: points of a cubic grid inside the cell, kept at least
-    margin_factor * cell / n^(1/3) away from the cube boundary and from each
+    0.4 * cell / n^(1/3) away from the cube boundary and from each
     other; the factor shrinks automatically (with a warning) when n is too
     large for the requested margin.
     """
@@ -118,7 +117,7 @@ def build_trial_points(
     x = unit_pos * (cell / unit_side)
 
     spacing_unit = cell / n ** (1.0 / 3.0)
-    factor = margin_factor
+    factor = 0.4
     warning = None
     while True:
         margin = factor * spacing_unit
@@ -339,6 +338,23 @@ def _triangle_points(rng, a, b, c):
 _FACE_IDX = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
+def _random_windows(rng, ell, count, lo, hi):
+    """``count`` random rigid motions of the window, the unit-volume regular
+    tetrahedron scaled by ``ell``: a uniform rotation, then a translation
+    drawn uniformly from the box of those whose rotated bounding box meets
+    [lo, hi].  Returns the moved vertices (count, 4, 3) and each motion's
+    weight, the volume of its translation box over ell^3."""
+    verts0 = regular_tetrahedron().vertices * ell
+    verts = np.einsum("bij,vj->bvi", _random_rotations(rng, count), verts0)
+    vlo = verts.min(axis=1)
+    vhi = verts.max(axis=1)
+    tlo = lo - vhi
+    thi = hi - vlo
+    t = tlo + rng.random((count, 3)) * (thi - tlo)
+    weight = np.prod(thi - tlo, axis=1) / ell**3
+    return verts + t[:, None, :], weight
+
+
 @dataclass(frozen=True)
 class PerimeterIdentityReport:
     analytic: float
@@ -353,24 +369,29 @@ def gs_perimeter_identity_check(
     ell: float,
     samples: int = 10**6,
     seed: int = 0,
-    tetra: Tetrahedron | None = None,
-    surface_samples: int = 4,
-    batch: int = 50_000,
 ) -> PerimeterIdentityReport:
     """Monte-Carlo check of the tetrahedral-window perimeter identity.
 
     The perimeter of a ball union equals the Haar average over rigid motions
-    of the perimeter of the intersection with a moving tetrahedron of side
-    scale ``ell``, normalized so each point is covered once, minus the
-    window's own surface contribution (tetra surface area) * |omega| / ell.
-    Both boundary pieces (droplet surface inside the window, window surface
-    inside the droplets) are sampled; the report carries the MC standard
-    error of the mean.
+    of the perimeter of the intersection with a moving window, the
+    unit-volume regular tetrahedron scaled by ``ell``, normalized so each
+    point is covered once, minus the window's own surface contribution
+    (tetra surface area) * |omega| / ell.  Both boundary pieces (droplet
+    surface inside the window, window surface inside the droplets) are
+    sampled at 4 points each per motion; the report carries the MC standard
+    error of the mean.  Motions are drawn in batches of 50,000, and the batch
+    size fixes the drawn stream, hence the result for a given seed.
+
+    Raises ValueError unless ``ell`` is positive and finite and ``samples``
+    is at least 1.
     """
-    base = tetra if tetra is not None else regular_tetrahedron()
+    if not 0.0 < ell < np.inf:
+        raise ValueError("window scale ell must be positive and finite")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if len(omega.radii) == 0:
         return PerimeterIdentityReport(0.0, 0.0, 0.0, 0.0, samples)
-    verts0 = base.vertices * ell
+    verts0 = regular_tetrahedron().vertices * ell
     area_tetra = 0.0
     for i, j, k in _FACE_IDX:
         area_tetra += 0.5 * np.linalg.norm(
@@ -386,18 +407,10 @@ def gs_perimeter_identity_check(
     total = 0.0
     total_sq = 0.0
     done = 0
-    m = surface_samples
+    m = 4  # surface points per motion on each boundary piece
     while done < samples:
-        b = min(batch, samples - done)
-        rots = _random_rotations(rng, b)
-        verts = np.einsum("bij,vj->bvi", rots, verts0)  # (b, 4, 3)
-        vlo = verts.min(axis=1)
-        vhi = verts.max(axis=1)
-        tlo = lo_om - vhi
-        thi = hi_om - vlo
-        t = tlo + rng.random((b, 3)) * (thi - tlo)
-        weight = np.prod(thi - tlo, axis=1) / ell**3
-        verts = verts + t[:, None, :]
+        b = min(50_000, samples - done)
+        verts, weight = _random_windows(rng, ell, b, lo_om, hi_om)
         # inward-oriented face planes of each moved tetrahedron
         normals = np.empty((b, 4, 3))
         offsets = np.empty((b, 4))
@@ -468,7 +481,6 @@ def gs_coulomb_inequality_check(
     ell: float,
     samples_per_pair: int = 40_000,
     seed: int = 0,
-    tetra: Tetrahedron | None = None,
 ) -> CoulombLocalizationReport:
     """Sampling check that window localization only lowers Coulomb energy.
 
@@ -478,9 +490,15 @@ def gs_coulomb_inequality_check(
     points of a pair fall in the same moving window) and sampled jointly
     with the pair points.  Superadditivity of the Coulomb energy under this
     averaging gives LHS >= RHS; the check passes when LHS >= RHS - 3 sigma.
+    The window is the unit-volume regular tetrahedron scaled by ``ell``.
+
+    Raises ValueError unless ``ell`` is positive and finite and
+    ``samples_per_pair`` is at least 2.
     """
-    base = tetra if tetra is not None else regular_tetrahedron()
-    verts0 = base.vertices * ell
+    if not 0.0 < ell < np.inf:
+        raise ValueError("window scale ell must be positive and finite")
+    if samples_per_pair < 2:
+        raise ValueError("need at least two samples per pair for a standard error")
     k = len(omega.radii)
     if k == 0 and rho == 0.0:
         return CoulombLocalizationReport(0.0, 0.0, 0.0, 0.0, True)
@@ -520,15 +538,7 @@ def gs_coulomb_inequality_check(
             y = draw(cj, count)
             r = np.linalg.norm(x - y, axis=1)
             good = r > 1e-12
-            rots = _random_rotations(rng_master, count)
-            verts = np.einsum("bij,vj->bvi", rots, verts0)
-            vlo = verts.min(axis=1)
-            vhi = verts.max(axis=1)
-            tlo = x - vhi
-            thi = x - vlo
-            t = tlo + rng_master.random((count, 3)) * (thi - tlo)
-            wbox = np.prod(thi - tlo, axis=1) / ell**3
-            verts = verts + t[:, None, :]
+            verts, wbox = _random_windows(rng_master, ell, count, x, x)
             inside = np.ones(count, dtype=bool)
             for f, (p, qq, s) in enumerate(_FACE_IDX):
                 nvec = np.cross(verts[:, qq] - verts[:, p], verts[:, s] - verts[:, p])
@@ -576,7 +586,6 @@ def lower_simplex_rhs(
     depth: int = 4,
     seed: int = 0,
     starts: int = 2,
-    kmin: int = 0,
 ) -> LowerSimplexReport:
     """The simplex-cell bracket appearing in the matching lower bound:
     (grand-canonical value on the tetra cell of side scale A rho^(-1/3))
@@ -595,8 +604,7 @@ def lower_simplex_rhs(
                                   "empty optimum at zero density")
     ell = a_scale * rho ** (-1.0 / 3.0)
     tet = Tetrahedron(vertices=regular_tetrahedron().vertices * ell)
-    report = grand_canonical_F(tet, rho, kmax=depth, seed=seed, starts=starts,
-                               kmin=kmin)
+    report = grand_canonical_F(tet, rho, kmax=depth, seed=seed, starts=starts)
     value = report.value / (rho ** (1.0 / 3.0) * a_scale**3)
     return LowerSimplexReport(
         value=value,

@@ -23,7 +23,6 @@ __all__ = [
     "Tetrahedron",
     "ScaledTranslate",
     "regular_tetrahedron",
-    "domain_measure",
     "sample_in_domain",
     "BallUnion",
     "VoxelSet",
@@ -65,9 +64,6 @@ class Lattice:
     @property
     def covolume(self) -> float:
         return abs(np.linalg.det(self.basis))
-
-    def gram(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
     def dual(self) -> "Lattice":
         """Reciprocal lattice without the 2*pi factor: ``b_i . d_j = delta_ij``."""
@@ -282,11 +278,6 @@ def regular_tetrahedron(volume: float = 1.0, center=(0.0, 0.0, 0.0)) -> Tetrahed
     return Tetrahedron(vertices=verts)
 
 
-def domain_measure(domain) -> tuple:
-    """(volume, diameter) of a domain, both closed-form."""
-    return (domain.volume, domain.diameter)
-
-
 def sample_in_domain(rng, domain, n: int) -> np.ndarray:
     """n uniform points in a Tetrahedron, Ball or Cube, by rejection from its
     bounding box in batches of 4 n + 16 draws of ``rng``.  Raises
@@ -437,11 +428,12 @@ class VoxelSet:
         return 2.0 * acc / len(_CROFTON_DIRS)
 
 
-def voxelize(balls: BallUnion, h: float, pad_cells: int = 2) -> VoxelSet:
-    """Voxelize a ball union by cell-center membership."""
+def voxelize(balls: BallUnion, h: float) -> VoxelSet:
+    """Voxelize a ball union by cell-center membership, on a grid padded by
+    at least 2 empty cells on each side."""
     lo, hi = balls.bounding_box()
-    origin = np.floor(lo / h).astype(int) * h - pad_cells * h
-    n = np.ceil((hi - origin) / h).astype(int) + pad_cells
+    origin = np.floor(lo / h).astype(int) * h - 2 * h
+    n = np.ceil((hi - origin) / h).astype(int) + 2
     ii = [origin[k] + (np.arange(n[k]) + 0.5) * h for k in range(3)]
     x, y, z = np.meshgrid(*ii, indexing="ij")
     pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)

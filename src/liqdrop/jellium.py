@@ -27,7 +27,6 @@ __all__ = [
     "PeriodicEnergyReport",
     "FiniteEnergyReport",
     "periodic_energy",
-    "periodic_gradient",
     "finite_jellium_energy",
     "minimize_local",
     "basin_hop",
@@ -76,10 +75,6 @@ def periodic_energy(
     return PeriodicEnergyReport(
         pair=pair, madelung_self=mad, total=total, per_particle=total / max(n, 1)
     )
-
-
-def periodic_gradient(positions, kernel: PeriodicKernel, q: float = 1.0) -> np.ndarray:
-    return kernel.pair_gradient(positions, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +137,13 @@ class BasinHopResult:
 
 
 def _one_restart(args, executor=None):
-    idx, seed, n, kernel, q, hops, hop_scale, gtol, start = args
+    idx, seed, n, kernel, q, hops, gtol, start = args
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 3)) * kernel.ell if start is None else np.array(start)
     pos, _ = minimize_local(pos, kernel, q=q, gtol=gtol, executor=executor)
     best = kernel.pair_energy(pos, q=q)
     for _ in range(hops):
-        trial = pos + rng.normal(scale=hop_scale * kernel.ell, size=pos.shape)
+        trial = pos + rng.normal(scale=0.12 * kernel.ell, size=pos.shape)
         trial, _ = minimize_local(trial, kernel, q=q, gtol=gtol, executor=executor)
         e = kernel.pair_energy(trial, q=q)
         if e < best:
@@ -162,7 +157,6 @@ def basin_hop(
     q: float = 1.0,
     restarts: int = 20,
     hops: int = 4,
-    hop_scale: float = 0.12,
     seed: int = 0,
     threads: int = 1,
     gtol: float = 1e-8,
@@ -186,10 +180,9 @@ def basin_hop(
     extras = [np.asarray(p, dtype=float).reshape(n, 3) for p in (initial_configs or [])]
     total = restarts + len(extras)
     seeds = np.random.SeedSequence(seed).spawn(total)
-    jobs = [(i, seeds[i], n, kernel, q, hops, hop_scale, gtol, None)
-            for i in range(restarts)]
-    jobs += [(restarts + j, seeds[restarts + j], n, kernel, q, hops, hop_scale,
-              gtol, extras[j]) for j in range(len(extras))]
+    jobs = [(i, seeds[i], n, kernel, q, hops, gtol, None) for i in range(restarts)]
+    jobs += [(restarts + j, seeds[restarts + j], n, kernel, q, hops, gtol, extras[j])
+             for j in range(len(extras))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         if kernel.chunks(n, threads) > 1:
             results = [_one_restart(j, pool) for j in jobs]
@@ -238,9 +231,7 @@ class FiniteEnergyReport:
     total: float
 
 
-def finite_jellium_energy(
-    positions, domain, q: float = 1.0, tol: float = 1e-8
-) -> FiniteEnergyReport:
+def finite_jellium_energy(positions, domain, q: float = 1.0) -> FiniteEnergyReport:
     """Energy of charges q at ``positions`` against background 1 on ``domain``:
     sum_{i<j} q^2/r_ij - q sum_i Phi_D(x_i) + (1/2) int int_D 1/|x-y|."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -253,7 +244,7 @@ def finite_jellium_energy(
             raise ValueError("coincident points")
         pp = q**2 * float(np.sum(1.0 / r))
     pb = -q * float(np.sum(potential_domain(domain, pos))) if n else 0.0
-    bb, _ = domain_pair_coulomb(domain, domain, tol=tol)
+    bb, _ = domain_pair_coulomb(domain, domain)
     bb *= 0.5
     return FiniteEnergyReport(
         point_point=pp, point_background=pb, background_background=bb, total=pp + pb + bb
@@ -311,7 +302,6 @@ def _finite_energy(pos, q, tet, planes, bb, penalty):
 def grand_canonical_point_jellium(
     a_scale: float,
     charge: float = 2.5,
-    tetra: Tetrahedron | None = None,
     seed: int = 0,
     window: tuple | None = None,
     starts: int = 3,
@@ -334,7 +324,7 @@ def grand_canonical_point_jellium(
         raise ValueError("need at least one optimizer start per count")
     if window is not None and not 0 <= window[0] <= window[1]:
         raise ValueError(f"count window lo,hi needs 0 <= lo <= hi: {window!r}")
-    base = tetra if tetra is not None else regular_tetrahedron()
+    base = regular_tetrahedron()
     verts = base.vertices * a_scale
     tet = Tetrahedron(vertices=verts)
     planes = tet.face_planes()

@@ -10,7 +10,8 @@ Every subcommand runs in-process at small, fixed-seed settings, each into its
 own directory under a temporary one.  The listing has one line with the exit
 code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
 so an empty ``diff`` means two checkouts write the same bytes.  This is a
-script, not a pytest module; the whole listing takes about ten seconds.
+script, not a pytest module; the whole listing takes about fifteen seconds on a
+2-core box.
 """
 
 import contextlib
@@ -47,6 +48,16 @@ RUNS = (
     ("quadlayer-ball-light", ["quadlayer", "--rho", "0.1", "--probes", "1"]),
     ("quadlayer-cube", ["quadlayer", "--cube-side", "4", "--eps", "0.25",
                         "--subdiv", "4", "--rho", "0.3", "--probes", "1"]),
+    # the benchmark's checks workload at seed 0: its CLI commands that no run
+    # above repeats (its zeta and madelung commands are the ones above)
+    ("checks-gs-check", ["gs-check", "--samples", "1000000", "--configs", "6",
+                         "--seed", "0"]),
+    ("checks-quadlayer@0.1", ["quadlayer", "--rho", "0.1", "--seed", "0"]),
+    ("checks-quadlayer@0.3", ["quadlayer", "--rho", "0.3", "--seed", "0"]),
+    ("checks-quadlayer@0.5", ["quadlayer", "--rho", "0.5", "--seed", "0"]),
+    ("checks-fgc", ["fgc", "--rho", "0.0,0.01,0.02", "--seed", "0"]),
+    ("checks-droplet", ["droplet", "--seed", "0"]),
+    ("checks-cheese", ["cheese", "--k", "12", "--seed", "0"]),
 )
 
 DIGESTED = (".csv", ".json", ".dat")

@@ -288,7 +288,9 @@ def test_threads_below_one_exit_one(tmp_path):
 
 def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # rejected while parsing; each used to give a meaningless result with
-    # exit 0 (e.g. inf for every count) or a numeric failure with exit 2
+    # exit 0 (e.g. inf for every count, NaN for droplet --radius nan, a
+    # passed coulomb check for gs-check --ell -1), a numeric failure with
+    # exit 2, or a traceback (droplet --rho -0.1)
     for argv in (
         ("jellium-gc", "--starts", "0"),
         ("jellium-gc", "--a", "0"),
@@ -299,6 +301,18 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-gc", "--window", "7,4"),
         ("jellium-gc", "--window=-1,2"),
         ("fgc", "--starts", "0"),
+        ("droplet", "--rho", "-0.1"),
+        ("droplet", "--rho", "0"),
+        ("droplet", "--rho", "inf"),
+        ("droplet", "--radius", "nan"),
+        ("droplet", "--radius", "0"),
+        ("gs-check", "--ell", "-1"),
+        ("gs-check", "--ell", "inf"),
+        ("gs-check", "--side", "0"),
+        ("gs-check", "--side", "nan"),
+        ("gs-check", "--samples", "0"),
+        ("gs-check", "--pair-samples", "1"),
+        ("gs-check", "--configs", "-1"),
     ):
         assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
     cfg = tmp_path / "bad.cfg"
@@ -308,6 +322,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-gc", "charge = 0"),
         ("jellium-gc", "window = 7,4"),
         ("fgc", "starts = 0"),
+        ("droplet", "rho = -0.1"),
+        ("droplet", "radius = nan"),
+        ("gs-check", "ell = -1"),
+        ("gs-check", "samples = 0"),
+        ("gs-check", "pair-samples = 1"),
     ):
         cfg.write_text(line + "\n")
         assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS

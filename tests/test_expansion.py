@@ -194,6 +194,34 @@ def test_coulomb_inequality_small_sample():
     assert rep.sigma > 0.0
 
 
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        ("perimeter", {"ell": -1.0}),
+        ("perimeter", {"ell": 0.0}),
+        ("perimeter", {"ell": np.nan}),
+        ("perimeter", {"samples": 0}),
+        ("coulomb", {"ell": -1.0}),
+        ("coulomb", {"ell": 0.0}),
+        ("coulomb", {"ell": np.inf}),
+        ("coulomb", {"samples_per_pair": 1}),
+    ],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v,
+)
+def test_window_checks_reject_meaningless_inputs(check, kwargs):
+    # ell -1 reflected the window into negative weights, samples 0 divided by
+    # zero, and one sample per pair gave a nan standard error
+    omega = BallUnion(centers=np.zeros((1, 3)), radii=np.array([1.0]))
+    with pytest.raises(ValueError):
+        if check == "perimeter":
+            gs_perimeter_identity_check(omega, **{"ell": 3.0, "samples": 100, **kwargs})
+        else:
+            gs_coulomb_inequality_check(
+                omega, Cube(side=8.0), rho=0.05,
+                **{"ell": 5.0, "samples_per_pair": 100, **kwargs},
+            )
+
+
 # ---------------------------------------------------------------------------
 # lower-bound bracket and cell decay
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from liqdrop.geom import (
     Cube,
     Lattice,
     ScaledTranslate,
-    domain_measure,
     lattice_vectors,
     make_lattice,
     regular_tetrahedron,
@@ -102,7 +101,6 @@ def test_cube_measures_and_membership():
     c = Cube(side=2.0, center=(1.0, 0.0, 0.0))
     assert c.volume == pytest.approx(8.0)
     assert c.diameter == pytest.approx(2.0 * math.sqrt(3.0))
-    assert domain_measure(c) == (c.volume, c.diameter)
     assert c.contains([(1.0, 0.0, 0.0)])[0]
     assert c.contains([(2.0, 1.0, 1.0)])[0]  # corner, closed set
     assert not c.contains([(2.1, 0.0, 0.0)])[0]

@@ -117,6 +117,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1]: {text!r}")
+    return value
+
+
 def _lattice_kind(text: str) -> str:
     kind = str(text).strip().lower()
     if kind not in ("sc", "bcc", "fcc"):
@@ -159,11 +166,11 @@ def _build_parser():
     add("--s", type=_floats, default=(1.0,), help="comma list of exponents")
 
     sp, add = sub("madelung", "periodic point-charge self energy for the cubic lattice")
-    add("--ell", type=float, default=1.0, help="cell side")
+    add("--ell", type=_positive, default=1.0, help="cell side")
 
     sp, add = sub("jellium-opt", "basin-hopped periodic point-charge minimization")
-    add("--n", type=int, default=8, help="points per cell")
-    add("--density", type=float, default=1.0, help="points per unit volume")
+    add("--n", type=_at_least_one, default=8, help="points per cell")
+    add("--density", type=_positive, default=1.0, help="points per unit volume")
     add("--restarts", type=int, default=4, help="independent random restarts")
     add("--hops", type=int, default=2, help="perturbation hops per restart")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
@@ -199,19 +206,20 @@ def _build_parser():
     add("--configs", type=_non_negative, default=3, help="random droplet configurations")
     add("--ell", type=_positive, default=5.0, help="tiling simplex scale")
     add("--side", type=_positive, default=8.0, help="container cube side")
-    add("--rho", type=float, default=0.05, help="background density")
+    add("--rho", type=_unit_interval, default=0.05, help="background density")
 
     sp, add = sub("cheese", "exact nested ball-packing schedule")
-    add("--k", type=int, default=3, help="packing depth")
+    add("--k", type=_at_least_one, default=3, help="packing depth")
     add("--growth", type=int, default=26, help="radius growth factor")
 
     sp, add = sub("quadlayer", "charge- and dipole-free boundary screening layer")
     add("--radius", type=float, default=2.0, help="ball domain radius")
     add("--cube-side", type=float, default=None, help="use a cube domain instead")
-    add("--eps", type=float, default=0.25, help="tile size")
+    add("--eps", type=_positive, default=0.25, help="tile size")
     add("--subdiv", type=int, default=8, help="boundary tile subdivision")
     add("--rho", type=float, default=0.3, help="background fraction")
-    add("--probes", type=int, default=3, help="pieces probed for far-field decay")
+    add("--probes", type=_non_negative, default=3,
+        help="pieces probed for far-field decay")
 
     return parser, typemap, subs.choices
 
@@ -261,8 +269,6 @@ def _cmd_madelung(ns):
 
 
 def _cmd_jellium_opt(ns):
-    if ns.n < 1 or ns.density <= 0.0:
-        raise ValueError("need n >= 1 and a positive density")
     ell = (ns.n / ns.density) ** (1.0 / 3.0)
     kernel = PeriodicKernel(ell)
     res = basin_hop(
@@ -528,7 +534,7 @@ def _cmd_quadlayer(ns):
             )
         )
     probes = []
-    merged_idx = np.nonzero(kinds == "merged")[0][: max(0, ns.probes)]
+    merged_idx = np.nonzero(kinds == "merged")[0][: ns.probes]
     for i in merged_idx:
         piece = layer[int(i)]
         probes.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from liqdrop.geom import Ball, Cube, ScaledTranslate, Tetrahedron
+from liqdrop.geom import Ball, Cube, Tetrahedron
 
 __all__ = [
     "potential_ball",
@@ -241,10 +241,6 @@ def potential_domain(domain, pts) -> np.ndarray:
         out = potential_cube(domain.side, p, center=domain.center)
     elif isinstance(domain, Tetrahedron):
         out = potential_tetra(domain, p)
-    elif isinstance(domain, ScaledTranslate):
-        # Phi_{s D + t}(x) = s^2 Phi_D((x - t)/s)
-        inner = (p - np.asarray(domain.shift)) / domain.scale
-        out = domain.scale**2 * potential_domain(domain.base, inner)
     else:
         raise TypeError(f"no potential rule for {type(domain).__name__}")
     return out[0] if single else out
@@ -265,18 +261,16 @@ def potential_domain_gradient(domain, pts) -> np.ndarray:
         _, out = tetra_field(domain, p)
     elif isinstance(domain, Cube):
         out = _box_gradient(domain, p)
-    elif isinstance(domain, ScaledTranslate):
-        inner = (p - np.asarray(domain.shift)) / domain.scale
-        out = domain.scale * potential_domain_gradient(domain.base, inner)
     else:
         raise TypeError(f"no potential gradient rule for {type(domain).__name__}")
     return out[0] if single else out
 
 
-def _box_gradient(cube: Cube, pts, step_frac: float = 1e-6):
-    # central differences on the closed form; accurate enough for penalties.
-    # The six points pts + e_ax, then pts - e_ax, go through one call.
-    h = cube.side * step_frac
+def _box_gradient(cube: Cube, pts):
+    # central differences on the closed form, step 1e-6 of the side; accurate
+    # enough for penalties.  The six points pts + e_ax, then pts - e_ax, go
+    # through one call.
+    h = cube.side * 1e-6
     e = (h * np.eye(3))[:, None, :]
     phi = potential_cube(cube.side, np.concatenate([pts + e, pts - e]), cube.center)
     return ((phi[:3] - phi[3:]) / (2.0 * h)).T
@@ -348,9 +342,6 @@ def _quad_over_domain(domain, f, order: int) -> float:
         return _quad_over_ball(domain, f, order)
     if isinstance(domain, Tetrahedron):
         return _quad_over_tetra(domain, f, order)
-    if isinstance(domain, ScaledTranslate):
-        g = lambda p: f(p * domain.scale + np.asarray(domain.shift))
-        return domain.scale**3 * _quad_over_domain(domain.base, g, order)
     raise TypeError(f"no volume quadrature for {type(domain).__name__}")
 
 

@@ -26,7 +26,15 @@ from liqdrop.coulomb.potentials import (
     potential_domain,
     potential_domain_gradient,
 )
-from liqdrop.geom import Ball, BallUnion, Cube, Tetrahedron, VoxelSet, sample_in_domain
+from liqdrop.geom import (
+    Ball,
+    BallUnion,
+    Cube,
+    Tetrahedron,
+    VoxelSet,
+    sample_in_domain,
+    voxelize_domain,
+)
 
 __all__ = [
     "DropletConstants",
@@ -159,37 +167,27 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
 
 def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
     h = omega.h
-    if isinstance(lam, VoxelSet):
-        if abs(lam.h - h) > 1e-12 * h:
-            raise ValueError("droplet and container voxel grids disagree")
-        shift = (np.asarray(omega.origin) - np.asarray(lam.origin)) / h
-        idx = np.round(shift).astype(int)
-        if np.max(np.abs(shift - idx)) > 1e-9:
-            raise ValueError("voxel grids are not aligned")
-        occ_lam = lam.occ
-        occ_om = np.zeros_like(occ_lam)
-        sl = tuple(slice(i, i + s) for i, s in zip(idx, omega.occ.shape))
-        if any(i < 0 or i + s > L for i, s, L in zip(idx, omega.occ.shape, occ_lam.shape)):
-            raise ValueError("droplet set is not contained in the container")
-        occ_om[sl] = omega.occ
-    elif isinstance(lam, Cube):
+    if isinstance(lam, Cube):
+        # voxelize_domain rounds a fractional cell count up, so the side is
+        # checked first: only then is the cube its voxel set exactly
         n = lam.side / h
         if abs(n - round(n)) > 1e-9:
             raise ValueError("container side must be a multiple of the voxel pitch")
-        n = int(round(n))
-        lam_origin = np.asarray(lam.center) - lam.side / 2.0
-        shift = (np.asarray(omega.origin) - lam_origin) / h
-        idx = np.round(shift).astype(int)
-        if np.max(np.abs(shift - idx)) > 1e-9:
-            raise ValueError("voxel grid is not aligned with the container")
-        occ_lam = np.ones((n, n, n), dtype=bool)
-        occ_om = np.zeros_like(occ_lam)
-        if any(i < 0 or i + s > n for i, s in zip(idx, omega.occ.shape)):
-            raise ValueError("droplet set is not contained in the container")
-        sl = tuple(slice(i, i + s) for i, s in zip(idx, omega.occ.shape))
-        occ_om[sl] = omega.occ
-    else:
+        lam = voxelize_domain(lam, h)
+    elif not isinstance(lam, VoxelSet):
         raise TypeError("voxel droplets need a cube or voxel-set container")
+    if abs(lam.h - h) > 1e-12 * h:
+        raise ValueError("droplet and container voxel grids disagree")
+    shift = (np.asarray(omega.origin) - np.asarray(lam.origin)) / h
+    idx = np.round(shift).astype(int)
+    if np.max(np.abs(shift - idx)) > 1e-9:
+        raise ValueError("voxel grids are not aligned")
+    occ_lam = lam.occ
+    occ_om = np.zeros_like(occ_lam)
+    sl = tuple(slice(i, i + s) for i, s in zip(idx, omega.occ.shape))
+    if any(i < 0 or i + s > L for i, s, L in zip(idx, omega.occ.shape, occ_lam.shape)):
+        raise ValueError("droplet set is not contained in the container")
+    occ_om[sl] = omega.occ
     if np.any(occ_om & ~occ_lam):
         raise ValueError("droplet set is not contained in the container")
 
@@ -205,7 +203,7 @@ def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
         pot_lam = grid_potential(f_lam, h, kernel)
         db = -rho * h**3 * float(np.sum(f_om * pot_lam))
         bb = 0.5 * rho**2 * h**3 * float(np.sum(f_lam * pot_lam))
-    perimeter = omega.perimeter(method="crofton13")
+    perimeter = omega.perimeter()
     volume = omega.measure
     return LiquidDropBreakdown(
         perimeter=perimeter,

@@ -40,9 +40,7 @@ from liqdrop.geom import BallUnion, Cube, Tetrahedron, regular_tetrahedron
 from liqdrop.jellium import basin_hop, crystal_positions
 
 __all__ = [
-    "TrialPoints",
     "ExpansionReport",
-    "build_trial_points",
     "upper_bound_e",
     "expansion_sweep",
     "extract_coefficients",
@@ -54,107 +52,6 @@ __all__ = [
     "LowerSimplexReport",
     "cell_pair_interaction",
 ]
-
-
-# ---------------------------------------------------------------------------
-# trial states
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrialPoints:
-    optimized: np.ndarray  # X: periodic-energy minimizer, sum = 0
-    lattice: np.ndarray  # Y: boundary-safe grid points, sum = 0
-    cell: float
-    margin: float  # achieved distance of Y to the cube boundary
-    separation: float  # achieved min pairwise distance within Y
-    warning: str | None
-
-
-def _unit_cell_minimizer(n, seed, restarts, hops, threads=1):
-    """Basin-hop the periodic point energy in a unit-density cell (side
-    n^(1/3)); seeded crystal starts are added when n matches a cubic crystal
-    count.  Returns positions in the centered cell with zero mean."""
-    side = n ** (1.0 / 3.0)
-    kernel = PeriodicKernel(side)
-    extras = []
-    for kind, per_cell in (("sc", 1), ("bcc", 2), ("fcc", 4)):
-        k = round((n / per_cell) ** (1.0 / 3.0))
-        if k >= 1 and per_cell * k**3 == n:
-            extras.append(crystal_positions(kind, k, side))
-    result = basin_hop(
-        n, kernel, restarts=restarts, hops=hops, seed=seed, threads=threads,
-        initial_configs=extras,
-    )
-    pos = result.best_positions.copy()
-    pos -= pos.mean(axis=0)  # zero total displacement in the centered cell
-    return pos, side, result
-
-
-def build_trial_points(
-    n: int,
-    cell: float,
-    seed: int = 0,
-    restarts: int = 6,
-    hops: int = 2,
-    threads: int = 1,
-) -> TrialPoints:
-    """Construct the two point families used by the upper-bound pipeline.
-
-    X: global minimizer of the periodic point energy (basin hopping with
-    crystal-seeded extra restarts), rescaled to the requested cell and
-    recentered so the positions sum to zero (the energy is translation
-    invariant, so this is free).
-
-    Y: points of a cubic grid inside the cell, kept at least
-    0.4 * cell / n^(1/3) away from the cube boundary and from each
-    other; the factor shrinks automatically (with a warning) when n is too
-    large for the requested margin.
-    """
-    if n < 1:
-        raise ValueError("need at least one point")
-    unit_pos, unit_side, _ = _unit_cell_minimizer(n, seed, restarts, hops, threads)
-    x = unit_pos * (cell / unit_side)
-
-    spacing_unit = cell / n ** (1.0 / 3.0)
-    factor = 0.4
-    warning = None
-    while True:
-        margin = factor * spacing_unit
-        k = int(np.ceil(n ** (1.0 / 3.0)))
-        while k**3 < n:
-            k += 1
-        usable = cell - 2.0 * margin
-        pitch = usable / max(k - 1, 1)
-        if pitch >= factor * spacing_unit or factor < 1e-3:
-            break
-        factor *= 0.8
-        warning = (
-            "lattice margin shrunk to keep the requested point count feasible"
-        )
-    axis = -usable / 2.0 + pitch * np.arange(k) if k > 1 else np.zeros(1)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    grid = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    order = np.lexsort(
-        (grid[:, 2], grid[:, 1], grid[:, 0], np.linalg.norm(grid, axis=1))
-    )
-    y = grid[order[:n]]
-    y = y - y.mean(axis=0)
-    # recentering may push points toward one face; report the achieved margin
-    achieved_margin = float(cell / 2.0 - np.abs(y).max()) if n else 0.0
-    if n >= 2:
-        iu, ju = np.triu_indices(n, 1)
-        sep = float(np.linalg.norm(y[iu] - y[ju], axis=1).min())
-    else:
-        sep = np.inf
-    return TrialPoints(
-        optimized=x,
-        lattice=y,
-        cell=cell,
-        margin=achieved_margin,
-        separation=sep,
-        warning=warning,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +103,16 @@ def _assemble_report(rho, n, cell, pair, madelung_over_cell, convention):
 
 def upper_bound_e(
     rho: float,
-    n: int = 54,
-    seed: int = 0,
+    n: int,
+    points: np.ndarray,
     convention: str = "per-particle",
-    points: np.ndarray | None = None,
-    restarts: int = 6,
-    hops: int = 2,
-    threads: int = 1,
 ) -> ExpansionReport:
     """Upper bound on the energy per unit volume at background density rho,
-    from N optimized points per periodic cell of side (mass N / rho)^(1/3).
+    from the given N points per periodic cell of side (mass N / rho)^(1/3).
+
+    ``points`` is required and must have shape (n, 3); the minimizer that
+    programs use comes from expansion_sweep, which rescales one unit-cell
+    optimization to every density.
 
     The self-image term has two conventions: "per-particle" applies the
     periodic self-energy once per point (default; validated against the
@@ -226,10 +123,9 @@ def upper_bound_e(
         raise ValueError("density must lie in (0, 1e-2]")
     if n < 2:
         raise ValueError("need at least two points per cell")
+    if np.shape(points) != (n, 3):
+        raise ValueError(f"points must have shape ({n}, 3), got {np.shape(points)}")
     cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
-    if points is None:
-        points = build_trial_points(n, cell, seed=seed, restarts=restarts,
-                                    hops=hops, threads=threads).optimized
     kernel = PeriodicKernel(cell)
     pair = kernel.pair_energy(points, q=1.0)
     return _assemble_report(rho, n, cell, pair, kernel.madelung(), convention)
@@ -245,16 +141,28 @@ def expansion_sweep(
 ):
     """Reports for a density grid, under both self-image conventions.
 
-    The periodic minimizer is computed once in the unit-density cell and
-    rescaled exactly to every density (the kernel obeys
-    green(cell * u; cell) = green(u; 1) / cell, so the scaled configuration
-    stays optimal and its energies scale by 1/cell); this makes the sweep
-    O(one optimization) instead of O(grid size).
+    The periodic minimizer is computed once in the unit-density cell (side
+    n^(1/3)) by basin hopping, with seeded crystal starts added when n
+    matches a cubic crystal count, and rescaled exactly to every density
+    (the kernel obeys green(cell * u; cell) = green(u; 1) / cell, so the
+    scaled configuration stays optimal and its energies scale by 1/cell);
+    this makes the sweep O(one optimization) instead of O(grid size).
     Returns (reports_per_particle, reports_single).
     """
     rhos = [float(r) for r in rhos]
-    unit_pos, unit_side, _ = _unit_cell_minimizer(n, seed, restarts, hops, threads)
+    unit_side = n ** (1.0 / 3.0)
     unit_kernel = PeriodicKernel(unit_side)
+    extras = []
+    for kind, per_cell in (("sc", 1), ("bcc", 2), ("fcc", 4)):
+        k = round((n / per_cell) ** (1.0 / 3.0))
+        if k >= 1 and per_cell * k**3 == n:
+            extras.append(crystal_positions(kind, k, unit_side))
+    result = basin_hop(
+        n, unit_kernel, restarts=restarts, hops=hops, seed=seed, threads=threads,
+        initial_configs=extras,
+    )
+    unit_pos = result.best_positions.copy()
+    unit_pos -= unit_pos.mean(axis=0)  # zero total displacement in the centered cell
     unit_pair = unit_kernel.pair_energy(unit_pos, q=1.0)
     unit_madelung = unit_kernel.madelung()
     per_particle, single = [], []
@@ -270,12 +178,12 @@ def expansion_sweep(
     return per_particle, single
 
 
-def extract_coefficients(rhos, values, quadratic: str = "known"):
-    """Least-squares fit of upper-bound values to c1 rho + c2 rho^(4/3).
+def extract_coefficients(rhos, values):
+    """Least-squares fit of upper-bound values to c1 rho + c2 rho^(4/3),
+    after subtracting the analytic droplet-size correction
+    2 pi R*^2 rho^2 from each value.
 
-    values may be ExpansionReports or plain numbers.  quadratic: "known"
-    subtracts the analytic droplet-size correction before fitting (default),
-    "fit" adds a rho^2 column, "ignore" fits the two-term model as-is.
+    values may be ExpansionReports or plain numbers.
     Returns (c1, c2, max abs fit residual).
     """
     rhos = np.asarray([float(r) for r in rhos])
@@ -288,15 +196,8 @@ def extract_coefficients(rhos, values, quadratic: str = "known"):
         raise ValueError("need at least 4 densities for a stable fit")
     if rhos.max() / rhos.min() < 10.0:
         raise ValueError("density grid must span at least a factor of 10")
-    y = vals.copy()
-    cols = [rhos, rhos ** (4.0 / 3.0)]
-    if quadratic == "known":
-        y = y - 2.0 * np.pi * OPT_RADIUS**2 * rhos**2
-    elif quadratic == "fit":
-        cols.append(rhos**2)
-    elif quadratic != "ignore":
-        raise ValueError("quadratic must be 'known', 'fit', or 'ignore'")
-    X = np.stack(cols, axis=1)
+    y = vals - 2.0 * np.pi * OPT_RADIUS**2 * rhos**2
+    X = np.stack([rhos, rhos ** (4.0 / 3.0)], axis=1)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     return float(coef[0]), float(coef[1]), float(np.abs(resid).max())

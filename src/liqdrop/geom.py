@@ -21,7 +21,6 @@ __all__ = [
     "Cube",
     "Ball",
     "Tetrahedron",
-    "ScaledTranslate",
     "regular_tetrahedron",
     "sample_in_domain",
     "BallUnion",
@@ -74,11 +73,6 @@ class Lattice:
             kind=_DUAL_KIND.get(self.kind, f"dual-{self.kind}"),
         )
 
-    def rescaled(self, density: float) -> "Lattice":
-        """Same lattice type at a different point density."""
-        scale = (self.density / density) ** (1.0 / 3.0)
-        return Lattice(basis=self.basis * scale, density=density, kind=self.kind)
-
 
 def make_lattice(kind: str, density: float = 1.0) -> Lattice:
     """Construct sc/bcc/fcc lattices at a prescribed point density.
@@ -107,8 +101,9 @@ def make_lattice(kind: str, density: float = 1.0) -> Lattice:
     return Lattice(basis=basis, density=density, kind=kind)
 
 
-def lattice_vectors(lattice: Lattice, rmax: float, include_zero: bool = False):
-    """All lattice vectors with euclidean norm <= rmax, as an (M, 3) array.
+def lattice_vectors(lattice: Lattice, rmax: float):
+    """All nonzero lattice vectors with euclidean norm <= rmax, as an (M, 3)
+    array.
 
     Integer ranges follow from the dual basis: the coefficient of a vector v
     along primitive direction i is ``v . d_i``, bounded by ``rmax * |d_i|``.
@@ -120,9 +115,7 @@ def lattice_vectors(lattice: Lattice, rmax: float, include_zero: bool = False):
     grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
     vecs = grid @ b
     norms = np.linalg.norm(vecs, axis=1)
-    keep = norms <= rmax * (1.0 + 1e-12)
-    if not include_zero:
-        keep &= norms > 0.0
+    keep = (norms <= rmax * (1.0 + 1e-12)) & (norms > 0.0)
     return vecs[keep]
 
 
@@ -232,36 +225,6 @@ class Tetrahedron:
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class ScaledTranslate:
-    """Domain ``scale * base + shift`` without materializing new geometry."""
-
-    base: object
-    scale: float
-    shift: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def volume(self) -> float:
-        return self.scale**3 * self.base.volume
-
-    @property
-    def diameter(self) -> float:
-        return self.scale * self.base.diameter
-
-    def _pull(self, pts):
-        return (np.atleast_2d(pts) - np.asarray(self.shift)) / self.scale
-
-    def contains(self, pts) -> np.ndarray:
-        return self.base.contains(self._pull(pts))
-
-    def inner_distance(self, pts) -> np.ndarray:
-        return self.scale * self.base.inner_distance(self._pull(pts))
 
 
 def regular_tetrahedron(volume: float = 1.0, center=(0.0, 0.0, 0.0)) -> Tetrahedron:
@@ -390,32 +353,13 @@ class VoxelSet:
         idx = np.argwhere(self.occ)
         return self.origin + (idx + 0.5) * self.h
 
-    def complement_within(self, other: "VoxelSet") -> "VoxelSet":
-        """Cells of ``other`` not in self; grids must match exactly."""
-        if other.h != self.h or other.occ.shape != self.occ.shape or not np.allclose(other.origin, self.origin):
-            raise ValueError("voxel grids do not match")
-        return VoxelSet(h=self.h, origin=self.origin, occ=other.occ & ~self.occ)
-
-    def perimeter(self, method: str = "crofton13") -> float:
-        """Surface area estimate.
-
-        ``crofton13`` averages line-intercept counts over the 13 lattice
-        directions; it is unbiased for isotropic shapes (spheres) and
-        carries a known few-percent anisotropy bias for polyhedra.
-        ``faces`` counts exposed voxel faces; exact for the voxel boundary
-        itself, 50% high for smooth shapes, and the right choice when the
-        set really is a union of axis-aligned boxes.
+    def perimeter(self) -> float:
+        """Surface area estimate: line-intercept counts averaged over the 13
+        lattice directions (Crofton).  It is unbiased for isotropic shapes
+        (spheres) and carries a known few-percent anisotropy bias for
+        polyhedra.
         """
         occ = np.pad(self.occ, 1, constant_values=False)
-        if method == "faces":
-            total = 0
-            for ax in range(3):
-                a = occ
-                b = np.roll(occ, -1, axis=ax)
-                total += int(np.count_nonzero(a != b))
-            return total * self.h**2
-        if method != "crofton13":
-            raise ValueError(f"unknown perimeter method {method!r}")
         acc = 0.0
         for v in _CROFTON_DIRS:
             shifted = occ
@@ -441,36 +385,30 @@ def voxelize(balls: BallUnion, h: float) -> VoxelSet:
     return VoxelSet(h=h, origin=origin, occ=occ)
 
 
-def voxelize_domain(domain, h: float, origin=None, shape=None) -> VoxelSet:
-    """Voxelize a cube/ball/tetra domain, optionally on a caller-fixed grid.
+def voxelize_domain(domain, h: float) -> VoxelSet:
+    """Voxelize a cube/ball/tetra domain by cell-center membership.
 
-    For an axis-aligned ``Cube`` whose side is an integer multiple of ``h``
-    the default grid is aligned to the cube faces, making the voxel set an
-    exact representation.
+    For an axis-aligned ``Cube`` the grid starts at the cube's lower corner;
+    when the side is an integer multiple of ``h`` the voxel set represents
+    the cube exactly, otherwise the cell count is rounded up.  Balls and
+    tetrahedra get a centered grid of ceil(diameter / h) + 2 cells per axis.
     """
-    if origin is None:
-        if isinstance(domain, Cube):
-            c = np.asarray(domain.center)
-            origin = c - domain.side / 2.0
-            n = int(round(domain.side / h))
-            if not np.isclose(n * h, domain.side, rtol=0, atol=1e-9 * h):
-                n = int(np.ceil(domain.side / h - 1e-12))
-            shape = (n, n, n)
+    if isinstance(domain, Cube):
+        c = np.asarray(domain.center)
+        origin = c - domain.side / 2.0
+        n = int(round(domain.side / h))
+        if not np.isclose(n * h, domain.side, rtol=0, atol=1e-9 * h):
+            n = int(np.ceil(domain.side / h - 1e-12))
+    else:
+        if isinstance(domain, Tetrahedron):
+            c = domain.centroid()
         else:
-            dia = domain.diameter
-            if isinstance(domain, Ball):
-                c = np.asarray(domain.center)
-            elif isinstance(domain, Tetrahedron):
-                c = domain.centroid()
-            else:
-                c = np.zeros(3)
-            n = int(np.ceil(dia / h)) + 2
-            origin = c - n * h / 2.0
-            shape = (n, n, n)
+            c = np.asarray(domain.center)
+        n = int(np.ceil(domain.diameter / h)) + 2
+        origin = c - n * h / 2.0
     origin = np.asarray(origin, dtype=float)
-    n = np.asarray(shape, dtype=int)
-    ii = [origin[k] + (np.arange(n[k]) + 0.5) * h for k in range(3)]
+    ii = [origin[k] + (np.arange(n) + 0.5) * h for k in range(3)]
     x, y, z = np.meshgrid(*ii, indexing="ij")
     pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
-    occ = domain.contains(pts).reshape(tuple(n))
+    occ = domain.contains(pts).reshape((n, n, n))
     return VoxelSet(h=h, origin=origin, occ=occ)

@@ -62,15 +62,15 @@ class PeriodicEnergyReport:
 
 
 def periodic_energy(
-    positions, kernel: PeriodicKernel, q: float = 1.0, include_madelung: bool = True
+    positions, kernel: PeriodicKernel, q: float = 1.0
 ) -> PeriodicEnergyReport:
-    """Total torus energy: pair sum of the zero-mean kernel plus, by default,
-    the self-image term n q^2 M / 2 that completes each charge's interaction
+    """Total torus energy: pair sum of the zero-mean kernel plus the
+    self-image term n q^2 M / 2 that completes each charge's interaction
     with its own periodic copies."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = len(pos)
     pair = kernel.pair_energy(pos, q=q)
-    mad = n * q**2 * kernel.madelung() / 2.0 if include_madelung else 0.0
+    mad = n * q**2 * kernel.madelung() / 2.0
     total = pair + mad
     return PeriodicEnergyReport(
         pair=pair, madelung_self=mad, total=total, per_particle=total / max(n, 1)
@@ -87,7 +87,6 @@ def minimize_local(
     kernel: PeriodicKernel,
     q: float = 1.0,
     gtol: float = 1e-8,
-    maxiter: int = 500,
     executor=None,
 ):
     """L-BFGS descent of the periodic pair energy.
@@ -121,7 +120,7 @@ def minimize_local(
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-14},
+        options={"maxiter": 500, "gtol": gtol, "ftol": 1e-14},
     )
     pos = res.x.reshape(n, 3)
     pos -= kernel.ell * np.floor(pos / kernel.ell)  # canonical cell reps

@@ -1,8 +1,9 @@
 """JSON and CSV serialization for geometry, configurations, and reports.
 
-JSON encoding is type-tagged so that geometric objects and point
-configurations round-trip exactly; report dataclasses serialize one way
-(for summaries) without a decode path.  CSV output uses RFC-4180 quoting.
+JSON encoding is type-tagged so that the types ``encode`` accepts --
+``Lattice``, ``Cube``, ``Ball``, ``Tetrahedron``, ``BallUnion``, ``VoxelSet``
+and ``PointConfiguration`` -- round-trip exactly through ``decode``; report
+dataclasses serialize one way (for summaries) without a decode path.  CSV output uses RFC-4180 quoting.
 All emitters are deterministic: keys are sorted and no timestamps or
 environment-dependent values are written.
 """
@@ -21,7 +22,6 @@ from liqdrop.geom import (
     BallUnion,
     Cube,
     Lattice,
-    ScaledTranslate,
     Tetrahedron,
     VoxelSet,
 )
@@ -63,7 +63,6 @@ def to_jsonable(obj):
             Cube,
             Ball,
             Tetrahedron,
-            ScaledTranslate,
             BallUnion,
             VoxelSet,
             PointConfiguration,
@@ -108,13 +107,6 @@ def encode(obj) -> dict:
             "type": "Tetrahedron",
             "vertices": np.asarray(obj.vertices, dtype=float).tolist(),
         }
-    if isinstance(obj, ScaledTranslate):
-        return {
-            "type": "ScaledTranslate",
-            "base": encode(obj.base),
-            "scale": float(obj.scale),
-            "shift": np.asarray(obj.shift, dtype=float).tolist(),
-        }
     if isinstance(obj, BallUnion):
         return {
             "type": "BallUnion",
@@ -158,12 +150,6 @@ def decode(data: dict):
         return Ball(radius=float(data["radius"]), center=tuple(data["center"]))
     if t == "Tetrahedron":
         return Tetrahedron(vertices=np.asarray(data["vertices"], dtype=float))
-    if t == "ScaledTranslate":
-        return ScaledTranslate(
-            base=decode(data["base"]),
-            scale=float(data["scale"]),
-            shift=tuple(data["shift"]),
-        )
     if t == "BallUnion":
         return BallUnion(
             centers=np.asarray(data["centers"], dtype=float),

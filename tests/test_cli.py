@@ -289,8 +289,10 @@ def test_threads_below_one_exit_one(tmp_path):
 def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # rejected while parsing; each used to give a meaningless result with
     # exit 0 (e.g. inf for every count, NaN for droplet --radius nan, a
-    # passed coulomb check for gs-check --ell -1), a numeric failure with
-    # exit 2, or a traceback (droplet --rho -0.1)
+    # passed coulomb check for gs-check --ell -1, no far-field probe for
+    # quadlayer --probes -1), a numeric failure with exit 2 (madelung --ell,
+    # quadlayer --eps, jellium-opt --n and --density, cheese --k, gs-check
+    # --rho), or a traceback (droplet --rho -0.1)
     for argv in (
         ("jellium-gc", "--starts", "0"),
         ("jellium-gc", "--a", "0"),
@@ -313,6 +315,15 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("gs-check", "--samples", "0"),
         ("gs-check", "--pair-samples", "1"),
         ("gs-check", "--configs", "-1"),
+        ("gs-check", "--rho", "-1"),
+        ("gs-check", "--rho", "nan"),
+        ("madelung", "--ell", "-1"),
+        ("madelung", "--ell", "0"),
+        ("quadlayer", "--eps", "0"),
+        ("quadlayer", "--probes", "-1"),
+        ("jellium-opt", "--n", "0"),
+        ("jellium-opt", "--density", "-1"),
+        ("cheese", "--k", "-1"),
     ):
         assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
     cfg = tmp_path / "bad.cfg"
@@ -327,6 +338,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("gs-check", "ell = -1"),
         ("gs-check", "samples = 0"),
         ("gs-check", "pair-samples = 1"),
+        ("gs-check", "rho = -1"),
+        ("madelung", "ell = 0"),
+        ("quadlayer", "probes = -1"),
+        ("jellium-opt", "n = 0"),
+        ("cheese", "k = -1"),
     ):
         cfg.write_text(line + "\n")
         assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS

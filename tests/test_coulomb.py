@@ -370,9 +370,9 @@ def test_minimize_local_bitwise_equal_with_pool():
     k = PeriodicKernel(side)
     rng = np.random.default_rng(54)
     start = crystal_positions("bcc", 3, side) + rng.normal(scale=0.1, size=(n, 3))
-    pos0, trace0 = minimize_local(start, k, maxiter=5)
+    pos0, trace0 = minimize_local(start, k)
     with ThreadPoolExecutor(2) as pool:
-        pos1, trace1 = minimize_local(start, k, maxiter=5, executor=pool)
+        pos1, trace1 = minimize_local(start, k, executor=pool)
     assert len(trace0) >= 5
     assert pos1.tobytes() == pos0.tobytes()
     assert trace1.tobytes() == trace0.tobytes()
@@ -436,11 +436,11 @@ def _corner_loop_box(lo, hi, pts):
     return total
 
 
-def _axis_loop_gradient(cube, pts, step_frac=1e-6):
+def _axis_loop_gradient(cube, pts):
     # the per-axis reference: central differences, one axis at a time
     lo = np.asarray(cube.center) - cube.side / 2.0
     hi = np.asarray(cube.center) + cube.side / 2.0
-    h = cube.side * step_frac
+    h = cube.side * 1e-6
     out = np.empty_like(pts)
     for ax in range(3):
         e = np.zeros(3)

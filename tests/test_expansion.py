@@ -5,7 +5,6 @@ import pytest
 
 from liqdrop.droplet import OPT_ENERGY_PER_VOLUME, OPT_MASS, OPT_RADIUS
 from liqdrop.expansion import (
-    build_trial_points,
     cell_pair_interaction,
     expansion_sweep,
     extract_coefficients,
@@ -22,37 +21,6 @@ from liqdrop.jellium import crystal_positions
 # the single-count convention differs at finite point count
 RESIDUAL_PER_PARTICLE = -2.6602957899652124
 RESIDUAL_SINGLE_N16 = -1.6880721776306877
-
-
-# ---------------------------------------------------------------------------
-# trial point construction
-# ---------------------------------------------------------------------------
-
-
-def test_build_trial_points_structure():
-    tp = build_trial_points(16, cell=10.0, seed=1, restarts=2, hops=1)
-    assert tp.optimized.shape == (16, 3)
-    assert tp.lattice.shape == (16, 3)
-    # both families are recentered
-    np.testing.assert_allclose(tp.optimized.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(tp.lattice.mean(axis=0), 0.0, atol=1e-12)
-    # the grid points stay away from the cube boundary and from each other
-    assert tp.margin > 0.0
-    assert np.abs(tp.lattice).max() <= 5.0 - tp.margin + 1e-12
-    assert tp.separation > 0.0
-    assert tp.warning is None
-
-
-def test_build_trial_points_deterministic():
-    a = build_trial_points(8, cell=4.0, seed=7, restarts=2, hops=1)
-    b = build_trial_points(8, cell=4.0, seed=7, restarts=2, hops=1)
-    assert a.optimized.tobytes() == b.optimized.tobytes()
-    assert a.lattice.tobytes() == b.lattice.tobytes()
-
-
-def test_build_trial_points_rejects_empty():
-    with pytest.raises(ValueError):
-        build_trial_points(0, cell=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +61,24 @@ def test_upper_bound_crystal_residual_single_convention():
 
 
 def test_upper_bound_validates_inputs():
+    pts = crystal_positions("bcc", 2, 1.0)
     with pytest.raises(ValueError):
-        upper_bound_e(0.5)  # too dense for the dilute pipeline
+        upper_bound_e(0.5, n=16, points=pts)  # too dense for the dilute pipeline
     with pytest.raises(ValueError):
-        upper_bound_e(1e-3, n=1)
+        upper_bound_e(1e-3, n=1, points=pts[:1])
     with pytest.raises(ValueError):
         crystal_report(1e-3, "sideways")
+
+
+def test_upper_bound_rejects_points_that_do_not_match_n():
+    # the cell side follows from n, so points of another count gave a bound
+    # for the wrong cell: the 16-point bcc crystal passed with n=54 returned
+    # a residual of -0.654 in place of -2.660, without an error
+    cell = (OPT_MASS * 16 / 1e-3) ** (1.0 / 3.0)
+    pts = crystal_positions("bcc", 2, cell)
+    for n, points in ((54, pts), (15, pts), (16, pts[:, :2]), (16, pts.ravel())):
+        with pytest.raises(ValueError, match="shape"):
+            upper_bound_e(1e-3, n=n, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +113,11 @@ def test_extract_coefficients_recovers_synthetic_data():
     rhos = np.array([1e-3, 3e-4, 1e-4, 3e-5])
     c1, c2 = OPT_ENERGY_PER_VOLUME, -2.66
     vals = c1 * rhos + c2 * rhos ** (4.0 / 3.0) + 2.0 * np.pi * OPT_RADIUS**2 * rhos**2
-    got1, got2, resid = extract_coefficients(rhos, vals, quadratic="known")
+    # the known droplet-size correction is subtracted before the fit
+    got1, got2, resid = extract_coefficients(rhos, vals)
     assert got1 == pytest.approx(c1, rel=1e-12)
     assert got2 == pytest.approx(c2, rel=1e-10)
     assert resid < 1e-16
-    # "fit" mode identifies the quadratic column on its own
-    got1f, got2f, _ = extract_coefficients(rhos, vals, quadratic="fit")
-    assert got1f == pytest.approx(c1, rel=1e-9)
-    assert got2f == pytest.approx(c2, rel=1e-6)
-    # "ignore" mode biases the fit when a quadratic term is present
-    vals_pure = c1 * rhos + c2 * rhos ** (4.0 / 3.0)
-    got1i, got2i, residi = extract_coefficients(rhos, vals_pure, quadratic="ignore")
-    assert got1i == pytest.approx(c1, rel=1e-12)
-    assert got2i == pytest.approx(c2, rel=1e-10)
-    assert residi < 1e-16
 
 
 def test_extract_coefficients_guards():
@@ -158,10 +129,6 @@ def test_extract_coefficients_guards():
         )  # span under one decade
     with pytest.raises(ValueError):
         extract_coefficients([1e-3, 3e-4, 1e-4, 3e-5], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        extract_coefficients(
-            [1e-3, 3e-4, 1e-4, 3e-5], [1.0, 2.0, 3.0, 4.0], quadratic="maybe"
-        )
 
 
 # ---------------------------------------------------------------------------

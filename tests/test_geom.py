@@ -10,7 +10,6 @@ from liqdrop.geom import (
     BallUnion,
     Cube,
     Lattice,
-    ScaledTranslate,
     lattice_vectors,
     make_lattice,
     regular_tetrahedron,
@@ -58,18 +57,6 @@ def test_dual_lattice_pairing_and_kinds():
         assert dual.density == pytest.approx(lat.covolume, rel=1e-13)
 
 
-def test_rescaled_preserves_shape():
-    lat = make_lattice("fcc", 1.0)
-    fine = lat.rescaled(3.7)
-    assert fine.kind == "fcc"
-    assert fine.density == pytest.approx(3.7)
-    assert fine.covolume * 3.7 == pytest.approx(1.0, rel=1e-13)
-    # direction cosines unchanged
-    a = lat.basis / np.linalg.norm(lat.basis, axis=1, keepdims=True)
-    b = fine.basis / np.linalg.norm(fine.basis, axis=1, keepdims=True)
-    np.testing.assert_allclose(a, b, atol=1e-14)
-
-
 def test_lattice_vectors_sc_shell_count():
     lat = make_lattice("sc", 1.0)
     vecs = lattice_vectors(lat, 2.0)
@@ -78,8 +65,6 @@ def test_lattice_vectors_sc_shell_count():
     norms = np.linalg.norm(vecs, axis=1)
     assert norms.max() <= 2.0 + 1e-12
     assert norms.min() > 0.0
-    with_zero = lattice_vectors(lat, 2.0, include_zero=True)
-    assert len(with_zero) == 33
 
 
 def test_lattice_vectors_respects_basis():
@@ -136,18 +121,6 @@ def test_tetrahedron_diameter_is_longest_edge():
     assert t.diameter == pytest.approx(e, rel=1e-12)
 
 
-def test_scaled_translate_consistency():
-    base = Ball(radius=1.0, center=(0.0, 0.0, 0.0))
-    st = ScaledTranslate(base=base, scale=2.0, shift=(1.0, 0.0, 0.0))
-    assert st.volume == pytest.approx(8.0 * base.volume)
-    assert st.diameter == pytest.approx(4.0)
-    assert st.contains([(2.9, 0.0, 0.0)])[0]
-    assert not st.contains([(3.1, 0.0, 0.0)])[0]
-    assert st.inner_distance([(1.0, 0.0, 0.0)])[0] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        ScaledTranslate(base=base, scale=0.0)
-
-
 # ---------------------------------------------------------------------------
 # ball unions
 # ---------------------------------------------------------------------------
@@ -189,39 +162,15 @@ def test_voxelize_ball_volume_and_perimeter():
     ball_vol = 4.0 * math.pi / 3.0
     assert v.measure == pytest.approx(ball_vol, rel=5e-3)
     # line-intercept estimator is unbiased for spheres
-    assert v.perimeter("crofton13") == pytest.approx(4.0 * math.pi, rel=2e-2)
-    with pytest.raises(ValueError):
-        v.perimeter("nope")
-
-
-def test_voxel_faces_perimeter_exact_for_aligned_cube():
-    c = Cube(side=1.0, center=(0.5, 0.5, 0.5))
-    v = voxelize_domain(c, h=0.125)
-    assert v.measure == pytest.approx(1.0, abs=1e-12)
-    assert v.perimeter("faces") == pytest.approx(6.0, abs=1e-12)
-
-
-def test_voxel_complement_within():
-    outer = voxelize_domain(Cube(side=1.0, center=(0.5, 0.5, 0.5)), h=0.25)
-    inner = voxelize_domain(
-        Ball(radius=0.3, center=(0.5, 0.5, 0.5)),
-        h=0.25,
-        origin=outer.origin,
-        shape=outer.occ.shape,
-    )
-    comp = inner.complement_within(outer)
-    assert comp.measure == pytest.approx(outer.measure - inner.measure)
-    assert not (comp.occ & inner.occ).any()
-    mismatched = voxelize_domain(
-        Cube(side=1.0, center=(0.5, 0.5, 0.5)), h=0.5
-    )
-    with pytest.raises(ValueError):
-        mismatched.complement_within(outer)
+    assert v.perimeter() == pytest.approx(4.0 * math.pi, rel=2e-2)
 
 
 def test_voxel_centers_roundtrip():
     c = Cube(side=1.0, center=(0.5, 0.5, 0.5))
     v = voxelize_domain(c, h=0.5)
+    # a side that is a multiple of h gives the cube exactly
+    assert v.measure == 1.0
+    np.testing.assert_array_equal(v.origin, (0.0, 0.0, 0.0))
     pts = v.centers()
     assert len(pts) == 8
     assert c.contains(pts).all()

@@ -75,9 +75,6 @@ def test_periodic_energy_report_consistency():
     rep = periodic_energy(pts, kern, q=1.5)
     assert rep.total == pytest.approx(rep.pair + rep.madelung_self, rel=1e-14)
     assert rep.per_particle == pytest.approx(rep.total / 3.0, rel=1e-14)
-    bare = periodic_energy(pts, kern, q=1.5, include_madelung=False)
-    assert bare.madelung_self == 0.0
-    assert bare.total == pytest.approx(rep.pair, rel=1e-14)
     # self-image term: n q^2 M / 2 with the kernel's own constant
     assert rep.madelung_self == pytest.approx(
         3 * 1.5**2 * kern.madelung() / 2.0, rel=1e-13

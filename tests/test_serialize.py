@@ -11,7 +11,6 @@ from liqdrop.geom import (
     Ball,
     BallUnion,
     Cube,
-    ScaledTranslate,
     Tetrahedron,
     VoxelSet,
     make_lattice,
@@ -53,11 +52,6 @@ def test_domain_roundtrips():
         Cube(side=2.5, center=(0.5, -1.0, 0.0)),
         Ball(radius=1.2, center=(0.0, 0.1, -0.2)),
         regular_tetrahedron(2.0),
-        ScaledTranslate(
-            base=Ball(radius=1.0, center=(0.0, 0.0, 0.0)),
-            scale=2.0,
-            shift=(1.0, 0.0, -1.0),
-        ),
     ):
         back = _roundtrip(obj)
         assert type(back) is type(obj)

@@ -76,6 +76,8 @@ def _floats(text: str):
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("empty number list")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"not a list of finite numbers: {text!r}")
     return vals
 
 
@@ -121,6 +123,13 @@ def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be a number in [0, 1]: {text!r}")
+    return value
+
+
+def _background_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 0.5:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1/2]: {text!r}")
     return value
 
 
@@ -171,8 +180,8 @@ def _build_parser():
     sp, add = sub("jellium-opt", "basin-hopped periodic point-charge minimization")
     add("--n", type=_at_least_one, default=8, help="points per cell")
     add("--density", type=_positive, default=1.0, help="points per unit volume")
-    add("--restarts", type=int, default=4, help="independent random restarts")
-    add("--hops", type=int, default=2, help="perturbation hops per restart")
+    add("--restarts", type=_non_negative, default=4, help="independent random restarts")
+    add("--hops", type=_non_negative, default=2, help="perturbation hops per restart")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("jellium-gc", "grand-canonical point-charge energy in a scaled simplex")
@@ -195,8 +204,8 @@ def _build_parser():
     sp, add = sub("expansion", "dilute-limit upper-bound pipeline and coefficient fit")
     add("--rho", type=_floats, default=(1e-3, 3e-4, 1e-4, 3e-5), help="density grid")
     add("--n", type=int, default=16, help="points per periodic cell")
-    add("--restarts", type=int, default=4, help="optimizer restarts")
-    add("--hops", type=int, default=2, help="perturbation hops per restart")
+    add("--restarts", type=_non_negative, default=4, help="optimizer restarts")
+    add("--hops", type=_non_negative, default=2, help="perturbation hops per restart")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("gs-check", "Monte Carlo localization identities for rigid tilings")
@@ -213,11 +222,11 @@ def _build_parser():
     add("--growth", type=int, default=26, help="radius growth factor")
 
     sp, add = sub("quadlayer", "charge- and dipole-free boundary screening layer")
-    add("--radius", type=float, default=2.0, help="ball domain radius")
-    add("--cube-side", type=float, default=None, help="use a cube domain instead")
+    add("--radius", type=_positive, default=2.0, help="ball domain radius")
+    add("--cube-side", type=_positive, default=None, help="use a cube domain instead")
     add("--eps", type=_positive, default=0.25, help="tile size")
-    add("--subdiv", type=int, default=8, help="boundary tile subdivision")
-    add("--rho", type=float, default=0.3, help="background fraction")
+    add("--subdiv", type=_at_least_two, default=8, help="boundary tile subdivision")
+    add("--rho", type=_background_fraction, default=0.3, help="background fraction")
     add("--probes", type=_non_negative, default=3,
         help="pieces probed for far-field decay")
 

@@ -206,54 +206,113 @@ def extract_coefficients(rhos, values):
 # ---------------------------------------------------------------------------
 # rigid-motion sampling utilities
 # ---------------------------------------------------------------------------
+#
+# The window checks work on component-major arrays: a batch of points is
+# (3, ..., batch) and a batch of moved windows is (4 vertices, 3, batch), so
+# each step is an elementwise pass over contiguous rows.  Random draws keep
+# their row-major shapes and order and are transposed once (_transposed).
+# The three helpers group their terms as numpy's calls on (batch, 3) arrays
+# do: np.cross computes [a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0], a
+# 3-term einsum contraction computes (x0*y0 + x2*y2) + x1*y1, and
+# np.linalg.norm over a length-3 axis computes sqrt((x*x + y*y) + z*z).  So
+# the digits of a seeded check do not depend on the layout; the tests hold
+# the kernel bit for bit to a row-major einsum reference.
+
+
+def _transposed(a):
+    """A draw made in its row-major shape, laid out component-major."""
+    return np.ascontiguousarray(a.T)
+
+
+def _cross(a, b):
+    return np.stack((a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
+
+
+def _dot(a, b):
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _norm(a):
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
 
 
 def _random_rotations(rng, count):
-    """Uniform rotation matrices via normalized quaternions."""
+    """Uniform rotation matrices via normalized quaternions, as a
+    (3, 3, count) array."""
     q = rng.normal(size=(count, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((count, 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
+    w, x, y, z = _transposed(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def _triangle_points(rng, a, b, c):
-    """Uniform points on triangles with vertex arrays a, b, c."""
-    u = rng.random(len(a))
-    v = rng.random(len(a))
+    """Uniform points on the triangles with vertex arrays a, b, c of shape
+    (3, m, count); the two uniform draws run over count, then m."""
+    m, count = a.shape[1:]
+    u = _transposed(rng.random(count * m).reshape(count, m))
+    v = _transposed(rng.random(count * m).reshape(count, m))
     flip = u + v > 1.0
     u = np.where(flip, 1.0 - u, u)
     v = np.where(flip, 1.0 - v, v)
-    return a + u[:, None] * (b - a) + v[:, None] * (c - a)
+    return a + u * (b - a) + v * (c - a)
 
 
-_FACE_IDX = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# the corners i < j < k of each face, then the opposite vertex
+_FACES = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0))
 
 
 def _random_windows(rng, ell, count, lo, hi):
     """``count`` random rigid motions of the window, the unit-volume regular
     tetrahedron scaled by ``ell``: a uniform rotation, then a translation
     drawn uniformly from the box of those whose rotated bounding box meets
-    [lo, hi].  Returns the moved vertices (count, 4, 3) and each motion's
-    weight, the volume of its translation box over ell^3."""
+    [lo, hi], where lo and hi are (3, 1) or (3, count).  Returns the moved
+    vertices (4, 3, count) and each motion's weight, the volume of its
+    translation box over ell^3."""
     verts0 = regular_tetrahedron().vertices * ell
-    verts = np.einsum("bij,vj->bvi", _random_rotations(rng, count), verts0)
-    vlo = verts.min(axis=1)
-    vhi = verts.max(axis=1)
-    tlo = lo - vhi
-    thi = hi - vlo
-    t = tlo + rng.random((count, 3)) * (thi - tlo)
-    weight = np.prod(thi - tlo, axis=1) / ell**3
-    return verts + t[:, None, :], weight
+    # verts[v, i] = sum over j of rot[i, j] * verts0[v, j], grouped by _dot
+    columns = _random_rotations(rng, count).transpose(1, 0, 2)[:, None]
+    verts = _dot(columns, verts0.T[:, :, None, None])
+    tlo = lo - verts.max(axis=0)
+    step = hi - verts.min(axis=0) - tlo
+    verts += tlo + _transposed(rng.random((count, 3))) * step
+    weight = step[0] * step[1] * step[2] / ell**3
+    return verts, weight
+
+
+def _face_planes(verts):
+    """Unit normals (4, 3, count) and offsets (4, count) of the faces of the
+    moved windows, in the order of _FACES, oriented so that n . x >= offset
+    inside the window."""
+    normals = np.empty(verts.shape)
+    offsets = np.empty((4, verts.shape[2]))
+    for f, (i, j, k, opp) in enumerate(_FACES):
+        nvec = _cross(verts[j] - verts[i], verts[k] - verts[i])
+        nvec /= _norm(nvec)
+        off = _dot(nvec, verts[i])
+        s = np.sign(_dot(nvec, verts[opp]) - off)
+        normals[f] = nvec * s
+        offsets[f] = off * s
+    return normals, offsets
+
+
+def _both_inside(verts, x, y):
+    """Whether the points x and y, both (3, count), lie in their moved window:
+    each on the side of every face plane that holds the opposite vertex,
+    boundary included."""
+    inside = np.ones(verts.shape[2], dtype=bool)
+    for i, j, k, opp in _FACES:
+        nvec = _cross(verts[j] - verts[i], verts[k] - verts[i])
+        side_opp = _dot(nvec, verts[opp] - verts[i])
+        side_x = _dot(nvec, x - verts[i])
+        side_y = _dot(nvec, y - verts[i])
+        inside &= (side_x * side_opp >= 0) & (side_y * side_opp >= 0)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -281,7 +340,10 @@ def gs_perimeter_identity_check(
     surface inside the window, window surface inside the droplets) are
     sampled at 4 points each per motion; the report carries the MC standard
     error of the mean.  Motions are drawn in batches of 50,000, and the batch
-    size fixes the drawn stream, hence the result for a given seed.
+    size fixes the drawn stream, hence the result for a given seed.  Each
+    batch is held component-major, and its dot products, cross products and
+    norms keep the grouping of numpy's row-major calls (see the helpers
+    above), so the layout does not change a digit.
 
     Raises ValueError unless ``ell`` is positive and finite and ``samples``
     is at least 1.
@@ -294,7 +356,7 @@ def gs_perimeter_identity_check(
         return PerimeterIdentityReport(0.0, 0.0, 0.0, 0.0, samples)
     verts0 = regular_tetrahedron().vertices * ell
     area_tetra = 0.0
-    for i, j, k in _FACE_IDX:
+    for i, j, k, _ in _FACES:
         area_tetra += 0.5 * np.linalg.norm(
             np.cross(verts0[j] - verts0[i], verts0[k] - verts0[i])
         )
@@ -311,44 +373,32 @@ def gs_perimeter_identity_check(
     m = 4  # surface points per motion on each boundary piece
     while done < samples:
         b = min(50_000, samples - done)
-        verts, weight = _random_windows(rng, ell, b, lo_om, hi_om)
-        # inward-oriented face planes of each moved tetrahedron
-        normals = np.empty((b, 4, 3))
-        offsets = np.empty((b, 4))
-        for f, (i, j, k) in enumerate(_FACE_IDX):
-            nvec = np.cross(verts[:, j] - verts[:, i], verts[:, k] - verts[:, i])
-            nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
-            off = np.einsum("bi,bi->b", nvec, verts[:, i])
-            opp = ({0, 1, 2, 3} - {i, j, k}).pop()
-            s = np.sign(np.einsum("bi,bi->b", nvec, verts[:, opp]) - off)
-            nvec *= s[:, None]
-            off *= s
-            normals[:, f] = nvec
-            offsets[:, f] = off
+        verts, weight = _random_windows(rng, ell, b, lo_om[:, None], hi_om[:, None])
 
         # droplet surface inside the window
-        ball_pick = rng.choice(len(radii), size=(b, m), p=areas / total_ball_area)
-        dirs = rng.normal(size=(b, m, 3))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        pts = centers[ball_pick] + radii[ball_pick][..., None] * dirs
-        inside_tet = np.all(
-            np.einsum("bfi,bmi->bmf", normals, pts) >= offsets[:, None, :] - 1e-12,
-            axis=2,
-        )
-        sphere_part = total_ball_area * inside_tet.mean(axis=1)
+        ball_pick = _transposed(rng.choice(len(radii), size=(b, m),
+                                           p=areas / total_ball_area))
+        dirs = _transposed(rng.normal(size=(b, m, 3)))
+        pts = centers.T[:, ball_pick] + radii[ball_pick] * (dirs / _norm(dirs))
+        inside_tet = np.ones((m, b), dtype=bool)
+        for nvec, off in zip(*_face_planes(verts)):
+            inside_tet &= _dot(nvec[:, None], pts) >= off - 1e-12
+        sphere_part = total_ball_area * inside_tet.mean(axis=0)
 
         # window surface inside the droplets (4 equal-area faces)
-        face_pick = rng.integers(0, 4, size=(b, m))
-        fidx = np.asarray(_FACE_IDX)[face_pick]  # (b, m, 3)
-        arange_b = np.arange(b)[:, None]
-        a_v = verts[arange_b, fidx[:, :, 0]]
-        b_v = verts[arange_b, fidx[:, :, 1]]
-        c_v = verts[arange_b, fidx[:, :, 2]]
-        fpts = _triangle_points(rng, a_v.reshape(-1, 3), b_v.reshape(-1, 3),
-                                c_v.reshape(-1, 3)).reshape(b, m, 3)
-        d = np.linalg.norm(fpts[:, :, None, :] - centers[None, None, :, :], axis=3)
-        inside_om = np.any(d <= radii[None, None, :], axis=2)
-        face_part = (area_tetra) * inside_om.mean(axis=1)
+        face_pick = _transposed(rng.integers(0, 4, size=(b, m)))
+        # corners (a, b, c) of the picked face f, as listed in _FACES: a is
+        # vertex 1 on face 3, b is vertex 2 on faces 2 and 3, c is vertex 2
+        # on face 0, and each is the other candidate vertex elsewhere
+        v0, v1, v2, v3 = verts[:, :, None]
+        fpts = _triangle_points(rng,
+                                np.where(face_pick == 3, v1, v0),
+                                np.where(face_pick >= 2, v2, v1),
+                                np.where(face_pick == 0, v2, v3))
+        inside_om = np.zeros((m, b), dtype=bool)
+        for center, radius in zip(centers, radii):
+            inside_om |= _norm(fpts - center[:, None, None]) <= radius
+        face_part = area_tetra * inside_om.mean(axis=0)
 
         vals = weight * (sphere_part + face_part)
         total += float(vals.sum())
@@ -392,6 +442,9 @@ def gs_coulomb_inequality_check(
     with the pair points.  Superadditivity of the Coulomb energy under this
     averaging gives LHS >= RHS; the check passes when LHS >= RHS - 3 sigma.
     The window is the unit-volume regular tetrahedron scaled by ``ell``.
+    Points and windows are held component-major, and their dot products,
+    cross products and norms keep the grouping of numpy's row-major calls
+    (see the helpers above), so the layout does not change a digit.
 
     Raises ValueError unless ``ell`` is positive and finite and
     ``samples_per_pair`` is at least 2.
@@ -422,11 +475,10 @@ def gs_coulomb_inequality_check(
     def draw(comp, count):
         kind, c, size, vol, w = comp
         if kind == "ball":
-            u = rng_master.normal(size=(count, 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            u = _transposed(rng_master.normal(size=(count, 3)))
             radius = size * rng_master.random(count) ** (1.0 / 3.0)
-            return c + u * radius[:, None]
-        return c + (rng_master.random((count, 3)) - 0.5) * size
+            return c[:, None] + u / _norm(u) * radius
+        return c[:, None] + (_transposed(rng_master.random((count, 3))) - 0.5) * size
 
     rhs = 0.0
     var_total = 0.0
@@ -437,17 +489,10 @@ def gs_coulomb_inequality_check(
             count = samples_per_pair
             x = draw(ci, count)
             y = draw(cj, count)
-            r = np.linalg.norm(x - y, axis=1)
+            r = _norm(x - y)
             good = r > 1e-12
             verts, wbox = _random_windows(rng_master, ell, count, x, x)
-            inside = np.ones(count, dtype=bool)
-            for f, (p, qq, s) in enumerate(_FACE_IDX):
-                nvec = np.cross(verts[:, qq] - verts[:, p], verts[:, s] - verts[:, p])
-                opp = ({0, 1, 2, 3} - {p, qq, s}).pop()
-                side_opp = np.einsum("bi,bi->b", nvec, verts[:, opp] - verts[:, p])
-                side_x = np.einsum("bi,bi->b", nvec, x - verts[:, p])
-                side_y = np.einsum("bi,bi->b", nvec, y - verts[:, p])
-                inside &= (side_x * side_opp >= 0) & (side_y * side_opp >= 0)
+            inside = _both_inside(verts, x, y)
             kernel_vals = np.where(good, wbox * inside / np.maximum(r, 1e-12), 0.0)
             pref = ci[3] * cj[3] * ci[4] * cj[4]
             if i == j:

@@ -9,9 +9,11 @@ Run it from a source checkout, with that checkout's ``src`` on the path:
 Every subcommand runs in-process at small, fixed-seed settings, each into its
 own directory under a temporary one.  The listing has one line with the exit
 code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
-so an empty ``diff`` means two checkouts write the same bytes.  This is a
-script, not a pytest module; the whole listing takes about fifteen seconds on a
-2-core box.
+so an empty ``diff`` means two checkouts write the same bytes.  A last line
+digests the ``repr`` of every field of the ``checks`` workload's voxel
+liquid-drop breakdown at seed 0, a library call with no CLI command.  This is
+a script, not a pytest module; the whole listing takes about half a minute on
+a 2-core box.
 """
 
 import contextlib
@@ -21,7 +23,11 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from liqdrop.cli import main
+from liqdrop.droplet import liquid_drop_energy
+from liqdrop.geom import BallUnion, Cube, voxelize, voxelize_domain
 
 RUNS = (
     ("zeta", ["zeta", "--s", "0.5,1,2.5,5"]),
@@ -63,6 +69,20 @@ RUNS = (
 DIGESTED = (".csv", ".json", ".dat")
 
 
+def voxel_digest() -> str:
+    """Digest of the benchmark's voxel-energy breakdown at seed 0: two seeded
+    balls in Cube(side=6.4) on the FFT grid, h = 0.05, rho = 0.05."""
+    rng = np.random.default_rng(0)
+    radii = rng.uniform(0.8, 1.2, 2)
+    centers = np.array([[-1.4, 0.0, 0.0], [1.4, 0.0, 0.0]])
+    centers += rng.uniform(-0.2, 0.2, centers.shape)
+    h = 0.05
+    rep = liquid_drop_energy(voxelize(BallUnion(centers=centers, radii=radii), h),
+                             voxelize_domain(Cube(side=6.4), h), 0.05)
+    text = repr(sorted(vars(rep).items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main_listing() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +99,7 @@ def main_listing() -> int:
                         digest = hashlib.sha256(fp.read()).hexdigest()
                     print(f"{digest}  {label}/{name}")
             sys.stdout.flush()
+    print(f"{voxel_digest()}  checks-voxel-energy/breakdown")
     return 1 if failed else 0
 
 

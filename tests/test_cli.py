@@ -291,8 +291,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # exit 0 (e.g. inf for every count, NaN for droplet --radius nan, a
     # passed coulomb check for gs-check --ell -1, no far-field probe for
     # quadlayer --probes -1), a numeric failure with exit 2 (madelung --ell,
-    # quadlayer --eps, jellium-opt --n and --density, cheese --k, gs-check
-    # --rho), or a traceback (droplet --rho -0.1)
+    # quadlayer --eps, --radius, --cube-side, --subdiv and --rho,
+    # jellium-opt --n, --density and --restarts, cheese --k, gs-check --rho,
+    # fgc and expansion --rho nan or inf), or a traceback (droplet --rho
+    # -0.1, expansion --restarts -1, zeta --s inf); zeta --s nan wrote nan
+    # values with exit 0, and jellium-opt --hops -1 ran as --hops 0
     for argv in (
         ("jellium-gc", "--starts", "0"),
         ("jellium-gc", "--a", "0"),
@@ -324,6 +327,22 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "--n", "0"),
         ("jellium-opt", "--density", "-1"),
         ("cheese", "--k", "-1"),
+        ("jellium-opt", "--restarts", "-1"),
+        ("jellium-opt", "--hops", "-1"),
+        ("expansion", "--n", "2", "--restarts", "-1"),
+        ("expansion", "--n", "2", "--hops", "-1"),
+        ("zeta", "--s", "nan"),
+        ("zeta", "--s", "1,inf"),
+        ("fgc", "--rho", "0.01,nan"),
+        ("expansion", "--rho", "inf,1e-4,1e-5,1e-6"),
+        ("quadlayer", "--radius", "-1"),
+        ("quadlayer", "--cube-side", "0"),
+        ("quadlayer", "--subdiv", "0"),
+        ("quadlayer", "--subdiv", "1"),
+        ("quadlayer", "--rho", "-1"),
+        ("quadlayer", "--rho", "0"),
+        ("quadlayer", "--rho", "0.7"),
+        ("quadlayer", "--rho", "nan"),
     ):
         assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
     cfg = tmp_path / "bad.cfg"
@@ -343,6 +362,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("quadlayer", "probes = -1"),
         ("jellium-opt", "n = 0"),
         ("cheese", "k = -1"),
+        ("jellium-opt", "hops = -1"),
+        ("expansion", "restarts = -1"),
+        ("zeta", "s = nan"),
+        ("quadlayer", "subdiv = 0"),
+        ("quadlayer", "rho = 0.6"),
     ):
         cfg.write_text(line + "\n")
         assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
@@ -369,9 +393,10 @@ def test_fgc_rejects_empty_container_and_negative_kmax_exit_one(tmp_path):
 def test_numeric_failures_exit_two(tmp_path):
     assert run("cheese", "--k", "20", "--out", str(tmp_path)) == EXIT_NUMERIC
     assert run("droplet", "--rho", "0.7", "--out", str(tmp_path)) == EXIT_NUMERIC
+    # no host tile can absorb the boundary subcells at this subdivision
     assert (
-        run("quadlayer", "--rho", "0.7", "--eps", "0.125", "--radius", "1",
-            "--out", str(tmp_path))
+        run("quadlayer", "--rho", "0.5", "--eps", "0.125", "--radius", "1",
+            "--subdiv", "2", "--out", str(tmp_path))
         == EXIT_NUMERIC
     )
 

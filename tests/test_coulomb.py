@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 from scipy.special import erfc, gamma as _gamma, gammaincc
 
 from liqdrop.coulomb import (
@@ -28,6 +29,7 @@ from liqdrop.coulomb import (
     upper_gamma,
 )
 from liqdrop.coulomb.ewald import _BLOCK, _CACHE_BLOCK, _MIN_SHIFTS, _block_shifts
+from liqdrop.coulomb.grid import grid_kernel, grid_potential
 from liqdrop.coulomb.potentials import (
     _FACES,
     _box_gradient,
@@ -499,6 +501,15 @@ def test_cube_self_integral_consistency():
     assert val == pytest.approx(CUBE_SELF_INTEGRAL, abs=max(err, 1e-10))
 
 
+def test_cube_self_integral_matches_closed_form():
+    closed = 2.0 * (
+        (1.0 + math.sqrt(2.0) - 2.0 * math.sqrt(3.0)) / 5.0
+        - math.pi / 3.0
+        + math.log((1.0 + math.sqrt(2.0)) * (2.0 + math.sqrt(3.0)))
+    )
+    assert abs(CUBE_SELF_INTEGRAL - closed) <= 1e-13
+
+
 def test_tetra_potential_frozen_value_and_far_field():
     t = regular_tetrahedron(1.0)
     assert potential_tetra(t, [(0.1, -0.05, 0.2)])[0] == pytest.approx(
@@ -710,6 +721,23 @@ def test_ball_pair_coulomb_closed_form():
     b2 = Ball(radius=0.7, center=(3.0, 0.0, 0.0))
     val, err = domain_pair_coulomb(b1, b2)
     assert val == pytest.approx(b1.volume * b2.volume / 3.0, abs=max(err, 1e-10))
+
+
+# (2731, 1, 1) pads to 21848 cells, a count whose reciprocal rounded from
+# long double differs from 1.0 / 21848 in the last bit
+@pytest.mark.parametrize("shape", [(5, 7, 9), (16, 12, 20), (2731, 1, 1)])
+def test_grid_potential_equals_full_padded_transforms(shape):
+    # reference: transform the whole zero-padded grid, then crop
+    f = np.random.default_rng(3).random(shape)
+    h = 0.1
+    kernel = grid_kernel(shape, h)
+    ker_hat, m = kernel
+    fpad = np.zeros(m)
+    fpad[: shape[0], : shape[1], : shape[2]] = f
+    conv = scipy_fft.irfftn(scipy_fft.rfftn(fpad) * ker_hat, s=m)
+    ref = h**3 * conv[: shape[0], : shape[1], : shape[2]]
+    assert grid_potential(f, h, kernel).tobytes() == ref.tobytes()
+    assert grid_potential(f, h).tobytes() == ref.tobytes()
 
 
 def test_freespace_grid_energy_matches_ball_self_energy():

@@ -5,6 +5,11 @@ import pytest
 
 from liqdrop.droplet import OPT_ENERGY_PER_VOLUME, OPT_MASS, OPT_RADIUS
 from liqdrop.expansion import (
+    _both_inside,
+    _dot,
+    _face_planes,
+    _norm,
+    _random_windows,
     cell_pair_interaction,
     expansion_sweep,
     extract_coefficients,
@@ -13,7 +18,7 @@ from liqdrop.expansion import (
     lower_simplex_rhs,
     upper_bound_e,
 )
-from liqdrop.geom import Ball, BallUnion, Cube
+from liqdrop.geom import Ball, BallUnion, Cube, regular_tetrahedron
 from liqdrop.jellium import crystal_positions
 
 # residual coefficient of the bcc crystal bracket (independently derived):
@@ -159,6 +164,143 @@ def test_coulomb_inequality_small_sample():
     assert rep.passed
     assert rep.margin_in_sigmas >= -3.0
     assert rep.sigma > 0.0
+
+
+# exact results of seeded checks: a changed digit means a changed draw or a
+# changed floating-point grouping in the window kernel
+THREE_BALLS = BallUnion(
+    centers=np.array([[-1.4, 0.1, 0.0], [1.3, -0.2, 0.1], [0.1, 1.5, -0.2]]),
+    radii=np.array([0.5, 0.6, 0.45]),
+)
+ONE_BALL = BallUnion(centers=np.zeros((1, 3)), radii=np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "omega, mc_value, sigma",
+    [
+        (ONE_BALL, 12.089063585729132, 0.2766431135820428),
+        (THREE_BALLS, 10.105563583645782, 0.20399148930938032),
+    ],
+    ids=["one-ball", "three-balls"],
+)
+def test_perimeter_identity_is_pinned(omega, mc_value, sigma):
+    # 60,000 samples: one full batch of 50,000 and a partial one
+    rep = gs_perimeter_identity_check(omega, ell=4.0, samples=60_000, seed=3)
+    assert (rep.mc_value, rep.sigma) == (mc_value, sigma)
+
+
+@pytest.mark.parametrize(
+    "omega, lhs, rhs, sigma",
+    [
+        (ONE_BALL, 11.141485834023797, 6.349878157044498, 1.0507371548250481),
+        (THREE_BALLS, 12.725929384494908, 3.263180600009969, 0.6299683373699004),
+    ],
+    ids=["one-ball", "three-balls"],
+)
+def test_coulomb_inequality_is_pinned(omega, lhs, rhs, sigma):
+    rep = gs_coulomb_inequality_check(
+        omega, Cube(side=6.0), rho=0.05, ell=4.0, samples_per_pair=3000, seed=11
+    )
+    assert (rep.lhs, rep.rhs, rep.sigma) == (lhs, rhs, sigma)
+
+
+# row-major references of the window kernel, written with einsum, np.cross
+# and np.linalg.norm over (count, 4, 3) arrays
+def _reference_windows(rng, ell, count, lo, hi):
+    q = rng.normal(size=(count, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    rot = np.empty((count, 3, 3))
+    rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    rot[:, 0, 1] = 2 * (x * y - w * z)
+    rot[:, 0, 2] = 2 * (x * z + w * y)
+    rot[:, 1, 0] = 2 * (x * y + w * z)
+    rot[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    rot[:, 1, 2] = 2 * (y * z - w * x)
+    rot[:, 2, 0] = 2 * (x * z - w * y)
+    rot[:, 2, 1] = 2 * (y * z + w * x)
+    rot[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    verts = np.einsum("bij,vj->bvi", rot, regular_tetrahedron().vertices * ell)
+    tlo = lo - verts.max(axis=1)
+    thi = hi - verts.min(axis=1)
+    t = tlo + rng.random((count, 3)) * (thi - tlo)
+    return verts + t[:, None, :], np.prod(thi - tlo, axis=1) / ell**3
+
+
+_REFERENCE_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
+def _reference_planes(verts):
+    normals = np.empty((len(verts), 4, 3))
+    offsets = np.empty((len(verts), 4))
+    for f, (i, j, k) in enumerate(_REFERENCE_FACES):
+        nvec = np.cross(verts[:, j] - verts[:, i], verts[:, k] - verts[:, i])
+        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
+        off = np.einsum("bi,bi->b", nvec, verts[:, i])
+        opp = ({0, 1, 2, 3} - {i, j, k}).pop()
+        s = np.sign(np.einsum("bi,bi->b", nvec, verts[:, opp]) - off)
+        normals[:, f] = nvec * s[:, None]
+        offsets[:, f] = off * s
+    return normals, offsets
+
+
+def _reference_both_inside(verts, x, y):
+    inside = np.ones(len(verts), dtype=bool)
+    for i, j, k in _REFERENCE_FACES:
+        nvec = np.cross(verts[:, j] - verts[:, i], verts[:, k] - verts[:, i])
+        opp = ({0, 1, 2, 3} - {i, j, k}).pop()
+        side_opp = np.einsum("bi,bi->b", nvec, verts[:, opp] - verts[:, i])
+        side_x = np.einsum("bi,bi->b", nvec, x - verts[:, i])
+        side_y = np.einsum("bi,bi->b", nvec, y - verts[:, i])
+        inside &= (side_x * side_opp >= 0) & (side_y * side_opp >= 0)
+    return inside
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_window_kernel_equals_row_major_reference(seed):
+    count, ell = 20_000, 4.0
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, 3)
+    hi = lo + rng.uniform(0.5, 2.0, 3)
+    ref_verts, ref_weight = _reference_windows(
+        np.random.default_rng(seed), ell, count, lo, hi)
+    verts, weight = _random_windows(
+        np.random.default_rng(seed), ell, count, lo[:, None], hi[:, None])
+    assert verts.tobytes() == np.ascontiguousarray(ref_verts.transpose(1, 2, 0)).tobytes()
+    assert weight.tobytes() == ref_weight.tobytes()
+
+    ref_normals, ref_offsets = _reference_planes(ref_verts)
+    normals, offsets = _face_planes(verts)
+    assert normals.tobytes() == np.ascontiguousarray(
+        ref_normals.transpose(1, 2, 0)).tobytes()
+    assert offsets.tobytes() == np.ascontiguousarray(ref_offsets.T).tobytes()
+
+    # four surface points per window, as the perimeter check tests them
+    pts = (lo + hi) / 2.0 + rng.normal(size=(count, 4, 3)) * ell
+    ref_mask = np.all(
+        np.einsum("bfi,bmi->bmf", ref_normals, pts) >= ref_offsets[:, None, :] - 1e-12,
+        axis=2,
+    )
+    mask = np.ones((4, count), dtype=bool)
+    for nvec, off in zip(normals, offsets):
+        mask &= _dot(nvec[:, None], pts.T) >= off - 1e-12
+    assert 0 < mask.sum() < mask.size
+    assert np.array_equal(mask, ref_mask.T)
+    ref_dist = np.linalg.norm(pts[:, :, None, :] - lo[None, None, None, :], axis=3)
+    assert _norm(pts.T - lo[:, None, None]).tobytes() == np.ascontiguousarray(
+        ref_dist[:, :, 0].T).tobytes()
+
+    # per-sample translation boxes and point pairs, as in the Coulomb check
+    x = rng.normal(size=(count, 3))
+    y = x + rng.normal(size=(count, 3)) * ell / 2.0
+    ref_verts, ref_weight = _reference_windows(
+        np.random.default_rng(seed + 1), ell, count, x, x)
+    verts, weight = _random_windows(np.random.default_rng(seed + 1), ell, count, x.T, x.T)
+    assert verts.tobytes() == np.ascontiguousarray(ref_verts.transpose(1, 2, 0)).tobytes()
+    assert weight.tobytes() == ref_weight.tobytes()
+    inside = _both_inside(verts, x.T, y.T)
+    assert 0 < inside.sum() < count
+    assert np.array_equal(inside, _reference_both_inside(ref_verts, x, y))
 
 
 @pytest.mark.parametrize(

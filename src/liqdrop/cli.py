@@ -203,7 +203,7 @@ def _build_parser():
 
     sp, add = sub("expansion", "dilute-limit upper-bound pipeline and coefficient fit")
     add("--rho", type=_floats, default=(1e-3, 3e-4, 1e-4, 3e-5), help="density grid")
-    add("--n", type=int, default=16, help="points per periodic cell")
+    add("--n", type=_at_least_one, default=16, help="points per periodic cell")
     add("--restarts", type=_non_negative, default=4, help="optimizer restarts")
     add("--hops", type=_non_negative, default=2, help="perturbation hops per restart")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
@@ -219,7 +219,7 @@ def _build_parser():
 
     sp, add = sub("cheese", "exact nested ball-packing schedule")
     add("--k", type=_at_least_one, default=3, help="packing depth")
-    add("--growth", type=int, default=26, help="radius growth factor")
+    add("--growth", type=_at_least_two, default=26, help="radius growth factor")
 
     sp, add = sub("quadlayer", "charge- and dipole-free boundary screening layer")
     add("--radius", type=_positive, default=2.0, help="ball domain radius")

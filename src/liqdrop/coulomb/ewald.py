@@ -64,7 +64,13 @@ class PeriodicKernel:
     the energy buffer and its own columns of the gradient accumulator, and
     runs the same per-pair operations in the same shift order; the energy is
     still one ``np.sum`` over the whole buffer.  The result is therefore
-    bitwise equal to the serial call for any number of workers.
+    bitwise equal to the serial call for any number of workers.  The tasks
+    overlap in their ``erfc`` passes too: with scipy 1.17.1,
+    ``scipy.special.erfc`` releases the interpreter lock, as numpy's own
+    ufuncs do.  Measured on a 2-core box, a Python loop on the main thread
+    kept running through one ``erfc`` call over 2e7 elements, and ten
+    passes over 2^16 elements took 0.22 s serially and 0.11 s split over two
+    threads.
 
     Parameters
     ----------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from liqdrop.coulomb.grid import grid_kernel, grid_potential
+from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
     domain_pair_coulomb,
     potential_domain,
@@ -191,18 +191,16 @@ def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
     if np.any(occ_om & ~occ_lam):
         raise ValueError("droplet set is not contained in the container")
 
-    f_om = occ_om.astype(float)
-    f_lam = occ_lam.astype(float)
-    # both fields share one shape and pitch, hence one kernel transform
-    kernel = grid_kernel(f_om.shape, h)
-    pot_om = grid_potential(f_om, h, kernel)
-    dd = 0.5 * h**3 * float(np.sum(f_om * pot_om))
+    # the droplet field and, at rho > 0, the container's go through one
+    # call, which builds the kernel once
+    f = np.stack([occ_om, occ_lam] if rho > 0.0 else [occ_om]).astype(float)
+    pot = grid_potential(f, h)
+    dd = 0.5 * h**3 * float(np.sum(f[0] * pot[0]))
     db = 0.0
     bb = 0.0
     if rho > 0.0:
-        pot_lam = grid_potential(f_lam, h, kernel)
-        db = -rho * h**3 * float(np.sum(f_om * pot_lam))
-        bb = 0.5 * rho**2 * h**3 * float(np.sum(f_lam * pot_lam))
+        db = -rho * h**3 * float(np.sum(f[0] * pot[1]))
+        bb = 0.5 * rho**2 * h**3 * float(np.sum(f[1] * pot[1]))
     perimeter = omega.perimeter()
     volume = omega.measure
     return LiquidDropBreakdown(

@@ -408,7 +408,13 @@ def voxelize_domain(domain, h: float) -> VoxelSet:
         origin = c - n * h / 2.0
     origin = np.asarray(origin, dtype=float)
     ii = [origin[k] + (np.arange(n) + 0.5) * h for k in range(3)]
-    x, y, z = np.meshgrid(*ii, indexing="ij")
-    pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
-    occ = domain.contains(pts).reshape((n, n, n))
+    if isinstance(domain, Cube):
+        # Cube.contains tests |x_k - c_k| - side/2 <= 1e-12 on each axis, so
+        # the occupancy is the outer AND of one mask per axis
+        inside = [np.abs(ii[k] - c[k]) - domain.side / 2.0 <= 1e-12 for k in range(3)]
+        occ = inside[0][:, None, None] & inside[1][:, None] & inside[2]
+    else:
+        x, y, z = np.meshgrid(*ii, indexing="ij")
+        pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
+        occ = domain.contains(pts).reshape((n, n, n))
     return VoxelSet(h=h, origin=origin, occ=occ)

@@ -9,11 +9,12 @@ Run it from a source checkout, with that checkout's ``src`` on the path:
 Every subcommand runs in-process at small, fixed-seed settings, each into its
 own directory under a temporary one.  The listing has one line with the exit
 code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
-so an empty ``diff`` means two checkouts write the same bytes.  A last line
-digests the ``repr`` of every field of the ``checks`` workload's voxel
-liquid-drop breakdown at seed 0, a library call with no CLI command.  This is
-a script, not a pytest module; the whole listing takes about half a minute on
-a 2-core box.
+so an empty ``diff`` means two checkouts write the same bytes.  Two last
+lines digest the ``repr`` of every field of the ``checks`` workload's voxel
+liquid-drop breakdown at seed 0, a library call with no CLI command, and of
+the same breakdown at rho = 0, which transforms the droplet field alone.
+This is a script, not a pytest module; the whole listing takes about half a
+minute on a 2-core box.
 """
 
 import contextlib
@@ -69,16 +70,16 @@ RUNS = (
 DIGESTED = (".csv", ".json", ".dat")
 
 
-def voxel_digest() -> str:
+def voxel_digest(rho: float) -> str:
     """Digest of the benchmark's voxel-energy breakdown at seed 0: two seeded
-    balls in Cube(side=6.4) on the FFT grid, h = 0.05, rho = 0.05."""
+    balls in Cube(side=6.4) on the FFT grid, h = 0.05, at density ``rho``."""
     rng = np.random.default_rng(0)
     radii = rng.uniform(0.8, 1.2, 2)
     centers = np.array([[-1.4, 0.0, 0.0], [1.4, 0.0, 0.0]])
     centers += rng.uniform(-0.2, 0.2, centers.shape)
     h = 0.05
     rep = liquid_drop_energy(voxelize(BallUnion(centers=centers, radii=radii), h),
-                             voxelize_domain(Cube(side=6.4), h), 0.05)
+                             voxelize_domain(Cube(side=6.4), h), rho)
     text = repr(sorted(vars(rep).items()))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -99,7 +100,8 @@ def main_listing() -> int:
                         digest = hashlib.sha256(fp.read()).hexdigest()
                     print(f"{digest}  {label}/{name}")
             sys.stdout.flush()
-    print(f"{voxel_digest()}  checks-voxel-energy/breakdown")
+    print(f"{voxel_digest(0.05)}  checks-voxel-energy/breakdown")
+    print(f"{voxel_digest(0.0)}  voxel-energy@rho=0/breakdown")
     return 1 if failed else 0
 
 

@@ -292,10 +292,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # passed coulomb check for gs-check --ell -1, no far-field probe for
     # quadlayer --probes -1), a numeric failure with exit 2 (madelung --ell,
     # quadlayer --eps, --radius, --cube-side, --subdiv and --rho,
-    # jellium-opt --n, --density and --restarts, cheese --k, gs-check --rho,
-    # fgc and expansion --rho nan or inf), or a traceback (droplet --rho
-    # -0.1, expansion --restarts -1, zeta --s inf); zeta --s nan wrote nan
-    # values with exit 0, and jellium-opt --hops -1 ran as --hops 0
+    # jellium-opt --n, --density and --restarts, cheese --k and --growth,
+    # gs-check --rho, fgc and expansion --rho nan or inf, expansion --n 0),
+    # or a traceback (droplet --rho -0.1, expansion --restarts -1 and --n -3,
+    # zeta --s inf); zeta --s nan wrote nan values with exit 0, and
+    # jellium-opt --hops -1 ran as --hops 0
     for argv in (
         ("jellium-gc", "--starts", "0"),
         ("jellium-gc", "--a", "0"),
@@ -331,6 +332,11 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "--hops", "-1"),
         ("expansion", "--n", "2", "--restarts", "-1"),
         ("expansion", "--n", "2", "--hops", "-1"),
+        ("expansion", "--n", "-3", "--restarts", "0", "--hops", "0"),
+        ("expansion", "--n", "0"),
+        ("cheese", "--growth", "1"),
+        ("cheese", "--growth", "0"),
+        ("cheese", "--growth", "-2"),
         ("zeta", "--s", "nan"),
         ("zeta", "--s", "1,inf"),
         ("fgc", "--rho", "0.01,nan"),
@@ -371,6 +377,12 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         cfg.write_text(line + "\n")
         assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
     assert not any(tmp_path.glob("*.csv"))
+    # the smallest counts that mean something still run
+    for argv in (
+        ("expansion", "--n", "1", "--restarts", "0", "--hops", "0"),
+        ("cheese", "--growth", "2"),
+    ):
+        assert run(*argv, "--out", str(tmp_path / argv[0])) == EXIT_OK
 
 
 def test_fgc_rejects_empty_container_and_negative_kmax_exit_one(tmp_path):

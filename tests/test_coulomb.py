@@ -29,7 +29,7 @@ from liqdrop.coulomb import (
     upper_gamma,
 )
 from liqdrop.coulomb.ewald import _BLOCK, _CACHE_BLOCK, _MIN_SHIFTS, _block_shifts
-from liqdrop.coulomb.grid import grid_kernel, grid_potential
+from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
     _FACES,
     _box_gradient,
@@ -723,21 +723,51 @@ def test_ball_pair_coulomb_closed_form():
     assert val == pytest.approx(b1.volume * b2.volume / 3.0, abs=max(err, 1e-10))
 
 
-# (2731, 1, 1) pads to 21848 cells, a count whose reciprocal rounded from
-# long double differs from 1.0 / 21848 in the last bit
-@pytest.mark.parametrize("shape", [(5, 7, 9), (16, 12, 20), (2731, 1, 1)])
-def test_grid_potential_equals_full_padded_transforms(shape):
-    # reference: transform the whole zero-padded grid, then crop
-    f = np.random.default_rng(3).random(shape)
-    h = 0.1
-    kernel = grid_kernel(shape, h)
-    ker_hat, m = kernel
+def _padded_potential(f, h):
+    """The convolution as it was first written: the whole 2*shape kernel and
+    the zero-padded field through rfftn, the product through irfftn, then
+    crop."""
+    m = [2 * n for n in f.shape]
+    axes_off = [np.minimum(np.arange(mi), mi - np.arange(mi)) for mi in m]
+    ox, oy, oz = np.meshgrid(*axes_off, indexing="ij", sparse=True)
+    r2 = (ox.astype(float)) ** 2 + (oy.astype(float)) ** 2 + (oz.astype(float)) ** 2
+    with np.errstate(divide="ignore"):
+        ker = 1.0 / (h * np.sqrt(r2))
+    ker[0, 0, 0] = CUBE_SELF_INTEGRAL / h
     fpad = np.zeros(m)
-    fpad[: shape[0], : shape[1], : shape[2]] = f
-    conv = scipy_fft.irfftn(scipy_fft.rfftn(fpad) * ker_hat, s=m)
-    ref = h**3 * conv[: shape[0], : shape[1], : shape[2]]
-    assert grid_potential(f, h, kernel).tobytes() == ref.tobytes()
+    fpad[: f.shape[0], : f.shape[1], : f.shape[2]] = f
+    conv = scipy_fft.irfftn(scipy_fft.rfftn(fpad) * scipy_fft.rfftn(ker), s=m)
+    return h**3 * conv[: f.shape[0], : f.shape[1], : f.shape[2]]
+
+
+# (2731, 1, 1) pads to 21848 cells, a count whose reciprocal rounded from
+# long double differs from 1.0 / 21848 in the last bit; the 41 axis-2
+# frequency planes of (33, 17, 40) make five slabs of 8 and one of 1
+@pytest.mark.parametrize(
+    "shape",
+    [(5, 7, 9), (16, 12, 20), (2731, 1, 1), (1, 1, 1), (3, 1, 2), (33, 17, 40)],
+)
+def test_grid_potential_equals_full_padded_transforms(shape):
+    f = np.random.default_rng(3).random((2, *shape))
+    h = 0.1
+    ref = np.stack([_padded_potential(x, h) for x in f])
+    assert grid_potential(f[0], h).tobytes() == ref[0].tobytes()
+    # a stack of two fields gives each field's own potential
     assert grid_potential(f, h).tobytes() == ref.tobytes()
+
+
+def test_grid_potential_peak_memory():
+    # no array of the 128^3 padded grid is built: the whole padded kernel
+    # and its transform, shared by two one-field calls, peaked at 48 MiB;
+    # this call peaks at about 20 MiB
+    f = np.random.default_rng(0).random((2, 64, 64, 64))
+    tracemalloc.start()
+    try:
+        grid_potential(f, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_freespace_grid_energy_matches_ball_self_energy():

@@ -176,6 +176,29 @@ def test_voxel_centers_roundtrip():
     assert c.contains(pts).all()
 
 
+@pytest.mark.parametrize(
+    "cube, h, cells, inside",
+    [
+        (Cube(side=6.4), 0.05, 128, 128),
+        # off-centre, with integer center coordinates
+        (Cube(side=2.0, center=(1, 2, 3)), 0.1, 20, 20),
+        # sides that are not a multiple of h: the cell count rounds up, and
+        # the last layer's centers lie outside
+        (Cube(side=1.37, center=(0.31, -0.7, 2.05)), 0.12, 12, 11),
+        (Cube(side=6.4), 0.3, 22, 21),
+    ],
+)
+def test_voxelize_cube_equals_membership_of_cell_centers(cube, h, cells, inside):
+    v = voxelize_domain(cube, h)
+    ii = [v.origin[k] + (np.arange(cells) + 0.5) * h for k in range(3)]
+    x, y, z = np.meshgrid(*ii, indexing="ij")
+    pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
+    ref = cube.contains(pts).reshape((cells,) * 3)
+    assert v.occ.shape == ref.shape
+    assert v.occ.tobytes() == ref.tobytes()
+    assert v.occ.sum() == inside**3
+
+
 def test_sample_in_domain_rejects_empty_bounding_box():
     # rejection from an empty box never accepts a draw; it used to loop forever
     rng = np.random.default_rng(0)

@@ -1,13 +1,29 @@
 """Newtonian potentials of homogeneous bodies and body-pair Coulomb integrals.
 
 Potentials are of unit density: Phi_D(x) = integral over D of dy/|x-y|.
-Balls and boxes have closed forms; tetrahedra are integrated by an
-apex-decomposition quadrature at one fixed order, 38 Gauss points per side.
-It is not exact and reports no error.  On the unit-volume regular
-tetrahedron scaled by 2.2246, near a face, inside or outside, it misses the
-same rule at order 400 by up to about 1e-3 in the potential and 1e-1 in the
-gradient at 0.1 from the face (where orders 400 and 800 agree to 2e-13),
-and by 3e-3 and 0.3 at 1e-2 (ROADMAP item 1).
+Balls, boxes and tetrahedra have closed forms.
+
+Tetrahedron (Werner & Scheeres, Celest. Mech. Dyn. Astron. 65:313, 1997).
+For face f with outward unit normal n_f, h_f = n_f.(v_f - x) is the distance
+from x to its plane (positive inside), and
+
+    I_f = int_f dS/|y - x| = sum_e (m_fe . r_e) L_e - h_f omega_f,
+
+summed over the face's three edges e with outward in-plane unit normal m_fe,
+r_e = (a vertex of e) - x, L_e = log((|r_a| + |r_b| + l_e)/(|r_a| + |r_b| -
+l_e)) and omega_f the signed solid angle of the face seen from x (Van
+Oosterom & Strackee).  Then Phi = (1/2) sum_f h_f I_f and grad Phi =
+-sum_f n_f I_f.  Both are finite and continuous everywhere.  On an edge's
+segment L_e diverges while its coefficients m_fe . r_e vanish, with product
+limit 0; the term is dropped there, and near the edge L_e comes from a
+cancellation-free form.  On a face plane h_f = 0, and so is h_f omega_f.
+Far from the body the face terms cancel, and the relative error grows like
+1e-16 (r/l)^2: about 1e-11 at r = 1000 from the unit regular tetrahedron.
+
+The self-integral of a tetrahedron uses the surface identity U = (2/5)
+sum_f h_f int_f Phi dS, with h_f measured from the centroid, over a fixed
+Gauss rule on each face; it returns the difference to the next face order
+as its error, about 2e-14 on the unit regular tetrahedron.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ __all__ = [
     "potential_cube",
     "potential_tetra",
     "tetra_field",
+    "TetraBody",
     "potential_domain",
     "potential_domain_gradient",
     "domain_pair_coulomb",
@@ -114,114 +131,140 @@ def potential_cube(side: float, pts, center=(0.0, 0.0, 0.0)) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tetrahedra: apex-decomposition quadrature
+# tetrahedra: closed form
 # ---------------------------------------------------------------------------
 
-# outward-oriented faces of a tetra with vertices 0..3: (a, b, c) listed so
-# that (b-a) x (c-a) points away from the remaining vertex
+# outward-oriented faces of a tetra with vertices 0..3 whose det(v1-v0, v2-v0,
+# v3-v0) is negative: (a, b, c) listed so that (b-a) x (c-a) points away from
+# the remaining vertex
 _FACES = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+_FACE_VERTICES = np.array(_FACES).T  # (3, 4)
+# the six edges as vertex pairs: 01, 02, 03, 12, 13, 23
+_EDGE_ENDS = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+# edge k of face f runs from vertex _FACES[f][k] to the next one; the edge
+# opposite vertex k of face f is _OPPOSITE[k, f]
+_FACE_EDGES = np.array([[4, 5, 3], [1, 5, 2], [2, 4, 0], [0, 3, 1]])
+_OPPOSITE = np.roll(_FACE_EDGES, -1, axis=1).T
+# for each edge, two rows of TetraBody.planes from one face that holds it:
+# the edge's in-plane normal there, then that face's normal
+_EDGE_PLANES = np.array([[12, 7, 9, 6, 4, 5], [2, 1, 1, 0, 0, 0]])
 
 
-def _triangle_rule(n: int):
-    """Tensor Gauss rule on the unit triangle via the map a=u, b=v(1-u)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu, wu) * (1.0 - uu)
-    a = uu.ravel()
-    b = (vv * (1.0 - uu)).ravel()
-    return a, b, ww.ravel()
+class TetraBody:
+    """A homogeneous tetrahedron set up for ``tetra_field``.
 
-
-# the apex rule's one order, 38 Gauss points per side: nodes (a, b), their
-# third barycentric coordinate c = 1 - a - b, and weights
-_A, _B, _W = _triangle_rule(38)
-_C = 1.0 - _A - _B
-
-
-def _tetra_face_quad(vertices, pts, want_grad: bool):
-    """Potential (and gradient) of a homogeneous tetrahedron by the apex rule.
-
-    Splitting the body into four signed tetrahedra with apex at the
-    evaluation point turns both the potential and its gradient into smooth
-    integrals over the unit triangle:
-
-        Phi(x)  = sum_f 3 W_f  int da db / |g|
-        dPhi(x) = sum_f 6 W_f  int da db  g / |g|^3
-
-    with g(a,b) the point of the (scaled) opposite face relative to x and
-    W_f the signed apex-tetra volume.  No term is singular unless x sits on
-    a face plane of its own decomposition, which cannot happen strictly
-    inside and is measure zero outside.
-
-    Each face fills one ``(3, P, Q)`` array ``g``, contiguous in the
-    quadrature node, in place: ``pa a``, then ``+ pb b``, then ``+ pc c``.
-    The norm is ``sqrt((g0^2 + g1^2) + g2^2)`` as in ``np.linalg.norm``.  The
-    node sums keep one fixed order: one gemv per face for the potential, and
-    for the gradient ``np.add.accumulate`` along the node axis, a sequential
-    sum in node order.  Outputs are written at full ``repr`` precision and
-    L-BFGS amplifies a one-ulp change, so that order is part of the result.
+    Holds, once per body, the vertices in outward order, the 16 planes
+    ``planes @ x = offsets`` (rows 0-3 the outward unit face normals, rows
+    4-15 the outward in-plane unit normals of each face's three edges, in
+    ``_FACE_EDGES`` order), twice the face areas and the edge lengths.
     """
-    vertices = np.asarray(vertices, dtype=float).reshape(4, 3)
-    if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
-        # _FACES is outward-oriented for the other handedness; swap two
-        # vertices so the potential comes out positive for every input order
-        vertices = vertices[[0, 2, 1, 3]]
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))  # 6 V of the body
-    npts = len(pts)
-    phi = np.zeros(npts)
-    grad = np.zeros((npts, 3)) if want_grad else None
-    g = np.empty((3, npts, len(_W)))
-    tmp = np.empty_like(g)
-    gn = np.empty((npts, len(_W)))
-    for fa, fb, fc in _FACES:
-        pa = vertices[fa] - pts  # (P, 3)
-        pb = vertices[fb] - pts
-        pc = vertices[fc] - pts
-        # pb x pc written out in np.cross's multiply/subtract order
-        b0, b1, b2 = pb.T
-        c0, c1, c2 = pc.T
-        cross = np.stack(
-            [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0], axis=1
-        )
-        wf = np.einsum("pi,pi->p", pa, cross) / 6.0  # signed volume
-        # x on (or within roundoff of) this face plane: the face integral can
-        # diverge while wf -> 0, with product limit 0; drop it explicitly so
-        # roundoff in wf cannot inject 0 * inf garbage
-        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
-        np.multiply(pa.T[:, :, None], _A, out=g)
-        g += np.multiply(pb.T[:, :, None], _B, out=tmp)
-        g += np.multiply(pc.T[:, :, None], _C, out=tmp)
-        np.multiply(g[0], g[0], out=gn)
-        gn += np.multiply(g[1], g[1], out=tmp[0])
-        gn += np.multiply(g[2], g[2], out=tmp[0])
-        np.sqrt(gn, out=gn)
-        np.maximum(gn, 1e-300, out=gn)
-        phi += 3.0 * wf * (np.divide(1.0, gn, out=tmp[0]) @ _W)
-        if want_grad:
-            g /= np.power(gn, 3, out=tmp[0])
-            g *= _W
-            np.add.accumulate(g, axis=2, out=tmp)
-            grad += 6.0 * wf[:, None] * tmp[:, :, -1].T
-    return phi, grad
+
+    def __init__(self, tetra: Tetrahedron | np.ndarray):
+        v = tetra.vertices if isinstance(tetra, Tetrahedron) else tetra
+        v = np.asarray(v, dtype=float).reshape(4, 3)
+        if np.linalg.det(v[1:] - v[0]) > 0.0:
+            v = v[[0, 2, 1, 3]]  # _FACES is outward for the other handedness
+        tails = v[_FACE_VERTICES]  # (3, 4, 3): vertex k of face f
+        edges = np.roll(tails, -1, axis=0) - tails  # edge k of face f
+        cross = np.cross(edges[0], -edges[2])
+        self.area2 = np.linalg.norm(cross, axis=1)[:, None]
+        self.normals = cross / self.area2
+        unit = edges / np.linalg.norm(edges, axis=2, keepdims=True)
+        edge_normals = np.cross(unit, self.normals).transpose(1, 0, 2).reshape(12, 3)
+        anchors = np.concatenate([tails[0], tails.transpose(1, 0, 2).reshape(12, 3)])
+        self.vertices = v
+        self.planes = np.concatenate([self.normals, edge_normals])
+        self.offsets = np.einsum("ri,ri->r", self.planes, anchors)[:, None]
+        lengths = np.linalg.norm(v[_EDGE_ENDS[1]] - v[_EDGE_ENDS[0]], axis=1)
+        self.edge_len = lengths[:, None]
 
 
-def potential_tetra(tetra: Tetrahedron | np.ndarray, pts) -> np.ndarray:
-    """Potential of a homogeneous tetrahedron at ``pts`` (apex rule)."""
-    verts = tetra.vertices if isinstance(tetra, Tetrahedron) else tetra
-    single = np.asarray(pts).ndim == 1
-    phi, _ = _tetra_face_quad(verts, pts, want_grad=False)
+def _tetra_terms(body: TetraBody, x: np.ndarray):
+    """Potential (P,) at the points ``x`` (P, 3) and the face integrals
+    I_f = int_f dS/|y - x| (4, P)."""
+    r = body.vertices[:, None, :] - x  # (4, P, 3)
+    rho2 = np.einsum("vpi,vpi->vp", r, r)
+    rho = np.sqrt(rho2)
+    dist = body.offsets - body.planes @ x.T  # (16, P): h_f, then m.(v - x)
+    h = dist[:4]
+    ends2 = rho2[_EDGE_ENDS]
+    dots = 0.5 * (ends2[0] + ends2[1] - body.edge_len**2)  # r_a . r_b per edge
+    ends = rho[_EDGE_ENDS]
+    rr = ends[0] * ends[1]
+    # (|r_a| + |r_b|)^2 - l^2 = 2 (rr + dots); where dots < 0 that cancels, so
+    # use rr + dots = l^2 d^2 / (rr - dots), d^2 the squared distance to the
+    # edge line from its in-plane and normal offsets
+    d2 = np.einsum("kep,kep->ep", dist[_EDGE_PLANES], dist[_EDGE_PLANES])
+    half = np.divide(body.edge_len**2 * d2, rr - dots, out=rr + dots, where=dots < 0)
+    # L_e = log((s + l)/(s - l)) = log1p(l (s + l)/half), s = |r_a| + |r_b|,
+    # exact also far away, where L_e -> 0; on the edge itself half = 0 and
+    # the coefficients m.(v - x) vanish too, so the term is dropped
+    ratio = body.edge_len * (ends[0] + ends[1] + body.edge_len)
+    log_e = np.log1p(np.divide(ratio, half, out=np.zeros_like(half), where=half > 0.0))
+    # Van Oosterom-Strackee solid angle; its numerator r_a . (r_b x r_c) is
+    # twice the face area times h_f, so h_f omega_f = 0 on the face plane
+    corner = rho[_FACE_VERTICES]  # (3, 4, P)
+    den = corner[0] * corner[1] * corner[2]
+    den += np.einsum("kfp,kfp->fp", corner, dots[_OPPOSITE])
+    omega = 2.0 * np.arctan2(body.area2 * h, den)
+    edge_sum = np.einsum("fkp,fkp->fp", dist[4:].reshape(4, 3, -1), log_e[_FACE_EDGES])
+    face = edge_sum - h * omega
+    return 0.5 * np.einsum("fp,fp->p", h, face), face
+
+
+def _prepared(tetra, pts):
+    body = tetra if isinstance(tetra, TetraBody) else TetraBody(tetra)
+    x = np.atleast_2d(np.asarray(pts, dtype=float))
+    return body, x, np.asarray(pts).ndim == 1
+
+
+def potential_tetra(tetra: Tetrahedron | TetraBody | np.ndarray, pts) -> np.ndarray:
+    """Potential of a homogeneous tetrahedron at ``pts`` (closed form)."""
+    body, x, single = _prepared(tetra, pts)
+    phi, _ = _tetra_terms(body, x)
     return phi[0] if single else phi
 
 
-def tetra_field(tetra: Tetrahedron | np.ndarray, pts):
+def tetra_field(tetra: Tetrahedron | TetraBody | np.ndarray, pts):
     """(potential, gradient) of a homogeneous tetrahedron at ``pts``."""
-    verts = tetra.vertices if isinstance(tetra, Tetrahedron) else tetra
-    single = np.asarray(pts).ndim == 1
-    phi, grad = _tetra_face_quad(verts, pts, want_grad=True)
+    body, x, single = _prepared(tetra, pts)
+    phi, face = _tetra_terms(body, x)
+    grad = -(face.T @ body.normals)
     return (phi[0], grad[0]) if single else (phi, grad)
+
+
+def _tetra_self_integral(tetra: Tetrahedron | np.ndarray):
+    """int int over the tetrahedron of dx dy/|x - y|, with an error estimate.
+
+    The surface identity U = (2/5) sum_f h_f int_f Phi dS, h_f the distance
+    from the centroid to face f, turns it into four face integrals of the
+    closed-form potential.  Each face takes a tensor Gauss-Legendre rule on
+    the unit square, each axis mapped by t -> 3t^2 - 2t^3 (which tames the
+    edge singularities of Phi), collapsed onto the triangle by a = u,
+    b = v (1 - u).  Returns the value at order 32 and its difference to
+    order 40.
+    """
+    body = TetraBody(tetra)
+    v = body.vertices
+    # h_f times the Jacobian 2 |f| of each face's map from the unit triangle
+    scale = body.area2[:, 0] * (body.offsets[:4, 0] - body.normals @ v.mean(axis=0))
+    vals = []
+    for order in (32, 40):
+        x, w1 = np.polynomial.legendre.leggauss(order)
+        t = 0.5 * (x + 1.0)
+        u, wu = t * t * (3.0 - 2.0 * t), 3.0 * w1 * t * (1.0 - t)
+        a = np.repeat(u, order)
+        b = np.tile(u, order) * (1.0 - a)
+        w = np.outer(wu, wu).ravel() * (1.0 - a)
+        total = 0.0
+        for (i, j, k), s in zip(_FACES, scale.tolist()):
+            pts = v[i] + np.outer(a, v[j] - v[i]) + np.outer(b, v[k] - v[i])
+            # eight rows of the rule per call keep the temporaries below 0.5 MB
+            for lo in range(0, order * order, 8 * order):
+                phi, _ = _tetra_terms(body, pts[lo:lo + 8 * order])
+                total += s * float(phi @ w[lo:lo + 8 * order])
+        vals.append(0.4 * total)
+    return vals[0], abs(vals[0] - vals[1])
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +359,11 @@ def _quad_over_ball(ball: Ball, f, order: int) -> float:
     return ball.volume * float(ww @ f(pts))
 
 
-def _quad_over_tetra(tet: Tetrahedron, f, order: int) -> float:
-    # collapsed-cube map onto the simplex with its polynomial Jacobian
-    u, w = _gauss_cells(order)
-    U, V, W = np.meshgrid(u, u, u, indexing="ij")
-    a = U
-    b = V * (1.0 - U)
-    c = W * (1.0 - U) * (1.0 - V)
-    jac = (1.0 - U) ** 2 * (1.0 - V)
-    ww = np.einsum("i,j,k->ijk", w, w, w) * jac
-    v = tet.vertices
-    pts = (
-        v[0][None, :]
-        + a.ravel()[:, None] * (v[1] - v[0])
-        + b.ravel()[:, None] * (v[2] - v[0])
-        + c.ravel()[:, None] * (v[3] - v[0])
-    )
-    return 6.0 * tet.volume * float(ww.ravel() @ f(pts))
-
-
 def _quad_over_domain(domain, f, order: int) -> float:
     if isinstance(domain, Cube):
         return _quad_over_cube(domain, f, order)
     if isinstance(domain, Ball):
         return _quad_over_ball(domain, f, order)
-    if isinstance(domain, Tetrahedron):
-        return _quad_over_tetra(domain, f, order)
     raise TypeError(f"no volume quadrature for {type(domain).__name__}")
 
 
@@ -349,28 +371,17 @@ def _same_ball(d1: Ball, d2: Ball) -> bool:
     return np.allclose(d1.center, d2.center) and np.isclose(d1.radius, d2.radius)
 
 
-# self integral of the unit-volume regular tetrahedron: the order-34 volume
-# quadrature of the order-38 apex-rule potential.  It is about 2.3e-7 below
-# the exact value 1.7719175767900737 (surface identity over the closed-form
-# tetrahedron potential), so the 2e-9 error that domain_pair_coulomb returns
-# with it understates the miss.
-REGULAR_TETRA_SELF_INTEGRAL = 1.7719173459773292
-
-
-def _is_regular_tetra(verts: np.ndarray) -> bool:
-    iu, ju = np.triu_indices(4, k=1)
-    e = np.linalg.norm(verts[iu] - verts[ju], axis=1)
-    return bool(e.max() - e.min() <= 1e-9 * e.max())
-
-
 def domain_pair_coulomb(d1, d2, tol: float = 1e-8):
     """Double integral over d1 x d2 of 1/|x-y|, with an error estimate.
 
     Closed forms where Newton's theorem gives them (ball pairs); a frozen
-    high-accuracy constant for a cube with itself; otherwise an escalating
-    Gauss quadrature of the closed-form/quadrature potential of one body
-    over the other, with the difference of the last two refinements as the
-    error estimate.
+    high-accuracy constant for a cube with itself; the surface identity of
+    ``_tetra_self_integral`` for a tetrahedron with itself; otherwise an
+    escalating Gauss quadrature (orders 6 to 34) of the closed-form potential
+    of one body over the other, with the difference of the last two orders
+    as the error estimate.
+
+    Raises ValueError when that error exceeds ``tol * max(1, |value|)``.
     """
     if isinstance(d1, Ball) and isinstance(d2, Ball):
         if _same_ball(d1, d2):
@@ -386,23 +397,21 @@ def domain_pair_coulomb(d1, d2, tol: float = 1e-8):
         isinstance(d1, Tetrahedron)
         and isinstance(d2, Tetrahedron)
         and (d1.vertices is d2.vertices or np.array_equal(d1.vertices, d2.vertices))
-        and _is_regular_tetra(d1.vertices)
     ):
-        # self integral scales like volume^(5/3) with a shape constant that
-        # is the same for every regular tetrahedron
-        scale = d1.volume ** (5.0 / 3.0)
-        return REGULAR_TETRA_SELF_INTEGRAL * scale, 2e-9 * scale
-    # irregular tetra self-integrals fall through to the quadrature path
-    outer, inner = (d1, d2) if d1.volume <= d2.volume else (d2, d1)
-    f = lambda pts: potential_domain(inner, pts)
-    prev = None
-    val = np.nan
-    err = np.inf
-    for order in (6, 10, 16, 24, 34):
-        val = _quad_over_domain(outer, f, order)
-        if prev is not None:
+        val, err = _tetra_self_integral(d1)
+    else:
+        outer, inner = (d1, d2) if d1.volume <= d2.volume else (d2, d1)
+        f = lambda pts: potential_domain(inner, pts)
+        val = np.nan
+        for order in (6, 10, 16, 24, 34):
+            prev, val = val, _quad_over_domain(outer, f, order)
             err = abs(val - prev)
             if err <= tol * max(1.0, abs(val)):
                 break
-        prev = val
+    allowed = tol * max(1.0, abs(val))
+    if not err <= allowed:
+        raise ValueError(
+            f"pair integral error {err:.3g} exceeds the allowed {allowed:.3g} "
+            f"(tol={tol:g})"
+        )
     return val, err

@@ -19,7 +19,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from liqdrop.coulomb.ewald import PeriodicKernel
-from liqdrop.coulomb.potentials import domain_pair_coulomb, potential_domain, tetra_field
+from liqdrop.coulomb.potentials import (
+    TetraBody,
+    domain_pair_coulomb,
+    potential_domain,
+    tetra_field,
+)
 from liqdrop.geom import Tetrahedron, regular_tetrahedron, sample_in_domain
 
 __all__ = [
@@ -268,16 +273,16 @@ class GrandCanonicalPointReport:
     background_self: float  # (1/2) int int over the scaled tetra
 
 
-def _finite_energy(pos, q, tet, planes, bb, penalty):
-    """Energy of charges q at ``pos`` on the unit background of ``tet`` (whose
-    self term is ``bb`` and whose ``face_planes()`` are ``planes``), plus
-    ``penalty`` times the squared face violations; returns (energy, flat
-    gradient)."""
+def _finite_energy(pos, pairs, q, body, planes, bb, penalty):
+    """Energy of charges q at ``pos`` on the unit background of ``body``, a
+    ``TetraBody`` whose self term is ``bb`` and whose ``face_planes()`` are
+    ``planes``, plus ``penalty`` times the squared face violations; returns
+    (energy, flat gradient).  ``pairs`` is ``np.triu_indices(len(pos), k=1)``."""
     n = len(pos)
     e = bb
     g = np.zeros_like(pos)
     if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = pairs
         d = pos[iu] - pos[ju]
         r = np.linalg.norm(d, axis=1)
         r = np.maximum(r, 1e-12)
@@ -286,7 +291,7 @@ def _finite_energy(pos, q, tet, planes, bb, penalty):
         np.add.at(g, iu, gp)
         np.add.at(g, ju, -gp)
     if n >= 1:
-        phi, dphi = tetra_field(tet.vertices, pos)
+        phi, dphi = tetra_field(body, pos)
         e -= q * float(np.sum(phi))
         g -= q * dphi
         # quadratic penalty per violated face keeps iterates inside
@@ -327,6 +332,7 @@ def grand_canonical_point_jellium(
     verts = base.vertices * a_scale
     tet = Tetrahedron(vertices=verts)
     planes = tet.face_planes()
+    body = TetraBody(tet)
     q = float(charge)
     bb_full, _ = domain_pair_coulomb(tet, tet, tol=1e-9)
     bb = 0.5 * bb_full
@@ -351,16 +357,19 @@ def grand_canonical_point_jellium(
             configs[0] = np.zeros((0, 3))
             continue
         rng = np.random.default_rng(seeds[n - lo])
+        pairs = np.triu_indices(n, k=1)
         best_e, best_pos = np.inf, None
         for _ in range(starts):
             x0 = sample_in_domain(rng, tet, n).ravel()
             res = minimize(
-                lambda x: _finite_energy(x.reshape(n, 3), q, tet, planes, bb, penalty),
+                lambda x: _finite_energy(
+                    x.reshape(n, 3), pairs, q, body, planes, bb, penalty
+                ),
                 x0, jac=True, method="L-BFGS-B",
                 options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14},
             )
             pos = _project_into(planes, res.x.reshape(n, 3))
-            e, _ = _finite_energy(pos, q, tet, planes, bb, 0.0)
+            e, _ = _finite_energy(pos, pairs, q, body, planes, bb, 0.0)
             if e < best_e:
                 best_e, best_pos = e, pos
         values[n] = best_e

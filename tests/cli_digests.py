@@ -9,10 +9,13 @@ Run it from a source checkout, with that checkout's ``src`` on the path:
 Every subcommand runs in-process at small, fixed-seed settings, each into its
 own directory under a temporary one.  The listing has one line with the exit
 code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
-so an empty ``diff`` means two checkouts write the same bytes.  Two last
+so an empty ``diff`` means two checkouts write the same bytes.  Two more
 lines digest the ``repr`` of every field of the ``checks`` workload's voxel
 liquid-drop breakdown at seed 0, a library call with no CLI command, and of
-the same breakdown at rho = 0, which transforms the droplet field alone.
+the same breakdown at rho = 0, which transforms the droplet field alone.  The
+last line digests the ``repr`` of ``tetra_field`` on the ``simplex``
+workload's body at five fixed points, so a rewrite of that kernel shows even
+where L-BFGS would land on the same bytes.
 This is a script, not a pytest module; the whole listing takes about half a
 minute on a 2-core box.
 """
@@ -27,8 +30,9 @@ import tempfile
 import numpy as np
 
 from liqdrop.cli import main
+from liqdrop.coulomb import tetra_field
 from liqdrop.droplet import liquid_drop_energy
-from liqdrop.geom import BallUnion, Cube, voxelize, voxelize_domain
+from liqdrop.geom import BallUnion, Cube, regular_tetrahedron, voxelize, voxelize_domain
 
 RUNS = (
     ("zeta", ["zeta", "--s", "0.5,1,2.5,5"]),
@@ -84,6 +88,24 @@ def voxel_digest(rho: float) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def tetra_digest() -> str:
+    """Digest of ``tetra_field`` on the ``simplex`` body, the unit-volume
+    regular tetrahedron scaled by 2.2246, at points inside, outside, on a
+    face, on an edge and at a vertex."""
+    verts = regular_tetrahedron(1.0).vertices * 2.2246
+    center = verts.mean(axis=0)
+    pts = np.array([
+        center + [0.1, -0.2, 0.3],
+        center + [2.5, 1.0, -3.0],
+        (verts[0] + verts[1] + verts[2]) / 3.0,
+        0.5 * (verts[0] + verts[3]),
+        verts[2],
+    ])
+    phi, grad = tetra_field(verts, pts)
+    text = repr((phi.tolist(), grad.tolist()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main_listing() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -102,6 +124,7 @@ def main_listing() -> int:
             sys.stdout.flush()
     print(f"{voxel_digest(0.05)}  checks-voxel-energy/breakdown")
     print(f"{voxel_digest(0.0)}  voxel-energy@rho=0/breakdown")
+    print(f"{tetra_digest()}  simplex-body/tetra_field")
     return 1 if failed else 0
 
 

@@ -97,9 +97,10 @@ def test_jellium_gc_small_window(tmp_path):
 
 
 def test_jellium_gc_output_is_pinned(tmp_path):
-    # digests recorded before the tetrahedron kernel was restructured: every
-    # value here goes through the quadrature order ladder and L-BFGS, which
-    # turns a one-ulp change in the kernel into a different file
+    # digests recorded with the closed-form tetrahedron potential and the
+    # surface-identity self-integral: every value here goes through that
+    # kernel and L-BFGS, which turns a one-ulp change in it into a different
+    # file
     argv = ("--a", "2.2246", "--window", "4,5", "--starts", "2", "--seed", "0")
     assert run("jellium-gc", *argv, "--out", str(tmp_path)) == EXIT_OK
     digests = {
@@ -107,8 +108,8 @@ def test_jellium_gc_output_is_pinned(tmp_path):
         for ext in ("csv", "json")
     }
     assert digests == {
-        "csv": "19e1c968ddf84b342bfaedb5179fdec0d6dabd7d424d7298040af0258e044af4",
-        "json": "077a27681a44ef0b3f5dcb13c81ee901e5da1f033e8a3a2f1f0275a965bc0fe2",
+        "csv": "0097a7000983986a28d0de710688ac0336a2392c5a92c8b7a57e4d160169b88c",
+        "json": "a0ef25c13fbb1b17713ae6ed94a5629468d7b23cfb2eff42d3872b60d58c24fc",
     }
 
 

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import fft as scipy_fft
@@ -31,10 +32,9 @@ from liqdrop.coulomb import (
 from liqdrop.coulomb.ewald import _BLOCK, _CACHE_BLOCK, _MIN_SHIFTS, _block_shifts
 from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
-    _FACES,
+    TetraBody,
     _box_gradient,
     _brick_antiderivative,
-    _triangle_rule,
 )
 from liqdrop.geom import (
     Ball,
@@ -56,7 +56,7 @@ ZETA_SC_MINUS_1 = -0.13329813935919682
 GREEN_UNIT_HALF = -0.8019359700280242  # unit cell, x = (1/2, 1/2, 1/2)
 GREEN_UNIT_MIXED = -0.4071807084095082  # unit cell, x = (1/2, 1/4, 1/8)
 CUBE_CENTER_POTENTIAL = 2.38007736397955
-TETRA_SELF_INTEGRAL = 1.7719173459773292
+TETRA_SELF_INTEGRAL = 1.7719175767900737
 TETRA_PROBE_POTENTIAL = 2.1663728273038916  # unit regular tetra at (0.1,-0.05,0.2)
 
 
@@ -521,27 +521,65 @@ def test_tetra_potential_frozen_value_and_far_field():
     assert potential_tetra(t, far)[0] == pytest.approx(1.0 / r, rel=1e-4)
 
 
-def test_tetra_self_integral_cached_and_scaled():
-    t = regular_tetrahedron(1.0)
-    val, err = domain_pair_coulomb(t, t)
-    assert val == pytest.approx(TETRA_SELF_INTEGRAL, abs=1e-12)
-    assert err <= 1e-8
-    # the regular shape constant scales exactly like volume^(5/3)
-    t2 = regular_tetrahedron(2.0)
-    val2, _ = domain_pair_coulomb(t2, t2)
-    assert val2 == pytest.approx(TETRA_SELF_INTEGRAL * 2.0 ** (5.0 / 3.0), rel=1e-10)
+def test_tetra_field_far_field_is_volume_over_r():
+    # about its centroid a regular tetrahedron has no dipole and, by its
+    # symmetry, no quadrupole: Phi = V/r (1 + O(r^-3)) and grad Phi =
+    # -V x/r^3 (1 + O(r^-3)); the cancelling face terms cost about
+    # 1e-16 (r/edge)^2 of relative accuracy
+    t = regular_tetrahedron(2.0, center=(0.3, -0.2, 0.1))
+    body = TetraBody(t)
+    direction = np.array([0.3, -0.7, 0.648]) / np.linalg.norm([0.3, -0.7, 0.648])
+    for r, rel in ((30.0, 1e-5), (300.0, 1e-8), (3000.0, 1e-9)):
+        x = t.centroid() + r * direction
+        phi, grad = tetra_field(body, x)
+        assert phi == pytest.approx(t.volume / r, rel=rel)
+        np.testing.assert_allclose(grad, -t.volume * r * direction / r**3, rtol=3 * rel)
 
 
-def test_tetra_self_integral_quadrature_path():
-    # a slightly irregular tetra takes the live quadrature path; continuity
-    # keeps the value near the regular-shape constant
-    t = regular_tetrahedron(1.0)
-    verts = t.vertices.copy()
-    verts[0] += np.array([1e-4, -5e-5, 2e-5])
-    ti = Tetrahedron(vertices=verts)
-    val, err = domain_pair_coulomb(ti, ti, tol=1e-6)
-    assert val == pytest.approx(TETRA_SELF_INTEGRAL, abs=5e-4)
-    assert err < 1e-4
+def _split_at(verts, p):
+    """The four tetrahedra with apex ``p`` over the faces of ``verts``."""
+    faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    return [np.array([p, *verts[list(f)]]) for f in faces]
+
+
+def test_tetra_field_is_additive_over_a_split():
+    rng = np.random.default_rng(11)
+    verts = regular_tetrahedron(1.0).vertices + 0.1 * rng.normal(size=(4, 3))
+    apex = rng.dirichlet([2.0, 2.0, 2.0, 2.0]) @ verts
+    pts = np.concatenate([
+        verts.mean(axis=0) + 0.4 * rng.normal(size=(6, 3)),  # inside and out
+        verts.mean(axis=0) + 3.0 * rng.normal(size=(3, 3)),
+        apex[None, :],  # a vertex of every piece
+        (0.5 * (apex + verts[0]))[None, :],  # on an inner edge
+    ])
+    phi, grad = tetra_field(verts, pts)
+    parts = [tetra_field(piece, pts) for piece in _split_at(verts, apex)]
+    np.testing.assert_allclose(sum(p for p, _ in parts), phi, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sum(g for _, g in parts), grad, rtol=1e-11, atol=1e-11)
+
+
+def test_tetra_field_laplacian_is_minus_four_pi_inside_and_zero_outside():
+    # the divergence of the closed-form gradient, by central differences
+    rng = np.random.default_rng(5)
+    verts = regular_tetrahedron(1.0).vertices + 0.1 * rng.normal(size=(4, 3))
+    t = Tetrahedron(vertices=verts)
+    body = TetraBody(t)
+    inside = t.centroid() + 0.1 * rng.normal(size=(4, 3))
+    outside = t.centroid() + np.array(
+        [[1.5, 0.2, 0.1], [-0.3, -1.4, 0.9], [4.0, 4.0, -3.0]]
+    )
+    assert t.contains(inside).all() and not t.contains(outside).any()
+    h = 1e-4
+
+    def grad(p):
+        return tetra_field(body, p)[1]
+
+    for pts, want in ((inside, -4.0 * np.pi), (outside, 0.0)):
+        div = sum(
+            (grad(pts + h * e) - grad(pts - h * e))[:, k] / (2.0 * h)
+            for k, e in enumerate(np.eye(3))
+        )
+        np.testing.assert_allclose(div, want, rtol=0, atol=1e-6)
 
 
 def test_tetra_field_matches_finite_differences():
@@ -559,142 +597,232 @@ def test_tetra_field_matches_finite_differences():
         np.testing.assert_allclose(grad[:, k], fd, rtol=1e-6, atol=1e-8)
 
 
-def _einsum_face_quad(vertices, pts, order, want_grad):
-    """Reference: the apex rule over one (P, Q, 3) array per face."""
-    a, b, w = _triangle_rule(order)
-    c = 1.0 - a - b
-    phi = np.zeros(len(pts))
-    grad = np.zeros((len(pts), 3)) if want_grad else None
-    scale = np.abs(np.linalg.det(vertices[1:] - vertices[0]))
-    for fa, fb, fc in _FACES:
-        pa, pb, pc = vertices[fa] - pts, vertices[fb] - pts, vertices[fc] - pts
-        wf = np.einsum("pi,pi->p", pa, np.cross(pb, pc)) / 6.0
-        wf = np.where(np.abs(wf) > 1e-13 * scale, wf, 0.0)
-        g = (
-            pa[:, None, :] * a[None, :, None]
-            + pb[:, None, :] * b[None, :, None]
-            + pc[:, None, :] * c[None, :, None]
-        )
-        gn = np.maximum(np.linalg.norm(g, axis=-1), 1e-300)
-        phi += 3.0 * wf * ((1.0 / gn) @ w)
-        if want_grad:
-            grad += 6.0 * wf[:, None] * np.einsum("pqi,q->pi", g / gn[..., None] ** 3, w)
+def _apex_rule(vertices, x, order):
+    """Potential and gradient at one point ``x`` by the apex decomposition:
+    one signed tetrahedron with apex x per face, each a smooth integral over
+    the unit triangle (tensor Gauss rule via a=u, b=v(1-u))."""
+    g1, w1 = np.polynomial.legendre.leggauss(order)
+    u, wu = 0.5 * (g1 + 1.0), 0.5 * w1
+    a = np.repeat(u, order)
+    b = np.tile(u, order) * (1.0 - a)
+    w = np.outer(wu, wu).ravel() * (1.0 - a)
+    nodes = np.stack([a, b, 1.0 - a - b], axis=1)
+    phi, grad = 0.0, np.zeros(3)
+    for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+        corners = vertices[[i, j, k]] - x
+        # |det| is 6 times the apex tetra's volume; it counts positive when x
+        # lies on the side of the face's plane that holds the body
+        vol6 = np.linalg.det(corners)
+        side = np.linalg.det(vertices[[i, j, k]] - vertices[6 - i - j - k])
+        g = nodes @ corners  # points of the face relative to x
+        gn = np.sqrt(np.einsum("qi,qi->q", g, g))
+        phi += 0.5 * abs(vol6) * np.sign(vol6 * side) * float(w @ (1.0 / gn))
+        grad += abs(vol6) * np.sign(vol6 * side) * ((w / gn**3) @ g)
     return phi, grad
 
 
-def _outward(vertices):
-    # the vertex order for which _FACES is outward-oriented
-    vertices = np.asarray(vertices, dtype=float)
-    if np.linalg.det(vertices[1:] - vertices[0]) > 0.0:
-        return vertices[[0, 2, 1, 3]]
-    return vertices
+def test_tetra_field_matches_apex_rule_at_order_800():
+    # away from the faces the apex rule's integrands are smooth; at 0.1 from
+    # every face plane its orders 400 and 800 agree to about 1e-13
+    t = regular_tetrahedron(1.0)
+    rng = np.random.default_rng(3)
+    normals, offsets = t.face_planes()
+    pts = []
+    for spread, inside in ((0.15, True), (1.0, False)):
+        cand = t.centroid() + spread * rng.normal(size=(20, 3))
+        keep = np.abs(cand @ normals.T - offsets).min(axis=1) >= 0.1
+        pts.append(cand[keep & (t.contains(cand) == inside)][:3])
+    pts = np.concatenate(pts)
+    assert len(pts) == 6
+    phi, grad = tetra_field(t, pts)
+    for p, g, x in zip(phi, grad, pts):
+        ref_phi, ref_grad = _apex_rule(t.vertices, x, 800)
+        assert p == pytest.approx(ref_phi, abs=1e-12)
+        np.testing.assert_allclose(g, ref_grad, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("npts", [1, 2, 6, 11])
-def test_tetra_face_quad_bitwise_equal_to_einsum_formula(npts):
-    rng = np.random.default_rng(600 + npts)
-    verts = regular_tetrahedron(1.0).vertices + 0.1 * rng.normal(size=(4, 3))
-    # points inside and outside the body
-    pts = rng.normal(size=(npts, 3)) * 0.8
-    # the last point lies within 1e-14 of a face plane: that face's W_f drops to 0
-    fa, fb, fc = _FACES[npts % 4]
-    pts[-1] = rng.dirichlet([1.0, 1.0, 1.0]) @ verts[[fa, fb, fc]]
-    normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-    pts[-1] += 5e-15 * normal / np.linalg.norm(normal)
-    # both handednesses: one of the two vertex orders is swapped internally
-    for v in (verts, verts[[0, 2, 1, 3]]):
-        phi_ref, _ = _einsum_face_quad(_outward(v), pts, 38, False)
-        _, grad_ref = _einsum_face_quad(_outward(v), pts, 38, True)
-        np.testing.assert_array_equal(potential_tetra(v, pts), phi_ref)
-        phi, grad = tetra_field(v, pts)
-        np.testing.assert_array_equal(phi, phi_ref)
-        np.testing.assert_array_equal(grad, grad_ref)
+def _mp_sub(u, v):
+    return [p - q for p, q in zip(u, v)]
 
 
-# the order ladder that the fixed rule replaced: it stopped at the first
-# order that agreed with the one before to tol (relative above 1)
-_LADDER_ORDERS = (8, 12, 18, 26, 38)
+def _mp_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _reference_ladder(vertices, pts, tol, want_grad):
-    """The order ladder over ``_einsum_face_quad``; also returns the order
-    it stopped at."""
-    vertices = _outward(vertices)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    prev_phi = prev_grad = None
-    for order in _LADDER_ORDERS:
-        phi, grad = _einsum_face_quad(vertices, pts, order, want_grad)
-        if prev_phi is not None:
-            err = np.max(np.abs(phi - prev_phi))
-            if want_grad:
-                err = max(err, np.max(np.abs(grad - prev_grad)))
-            if err <= tol * max(1.0, np.max(np.abs(phi))):
-                break
-        prev_phi, prev_grad = phi, grad
-    return phi, grad, order
+def _mp_cross(u, v):
+    return [
+        u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+    ]
 
 
-def _simplex_point_sets():
-    # the jellium-gc body of the benchmark: the unit-volume regular
-    # tetrahedron scaled by 2.2246
-    rng = np.random.default_rng(7)
+def _mp_norm(u):
+    return mpmath.sqrt(_mp_dot(u, u))
+
+
+def _mp_face_integral(a, b, c, x):
+    """int over the triangle (a, b, c) of dS/|y - x| by mpmath: segments
+    parallel to bc, each integrated in closed form, then tanh-sinh over the
+    segment's distance t from a, so that edge bc sits at the endpoint t = 1."""
+    ab, ac, ax = _mp_sub(b, a), _mp_sub(c, a), _mp_sub(a, x)
+    bc = _mp_sub(c, b)
+    unit = [p / _mp_norm(bc) for p in bc]
+
+    def seg(t):
+        # from p0 = a + t ab to p1 = a + t ac, of length t |bc|
+        w0 = [p + t * q for p, q in zip(ax, ab)]
+        w1 = [p + t * q for p, q in zip(ax, ac)]
+        along = _mp_dot(w0, unit)
+        far = t * _mp_norm(bc) + along + _mp_norm(w1)
+        return mpmath.log(far / (along + _mp_norm(w0)))
+
+    area2 = _mp_norm(_mp_cross(ab, ac))
+    return area2 / _mp_norm(bc) * mpmath.quad(seg, [0, 1])
+
+
+def _mp_field(vertices, x, edge):
+    """Phi = (1/2) sum_f h_f I_f and grad Phi = -sum_f n_f I_f, with each
+    face integral I_f by ``_mp_face_integral`` at 25 digits; faces holding
+    ``edge`` are parametrized with that edge at the end of the quadrature."""
+    with mpmath.workdps(25):
+        v = [[mpmath.mpf(float(c)) for c in row] for row in vertices]
+        xm = [mpmath.mpf(float(c)) for c in x]
+        phi, grad = mpmath.mpf(0), [mpmath.mpf(0)] * 3
+        for opp in range(4):
+            face = [i for i in range(4) if i != opp]
+            if set(edge) <= set(face):
+                face = [i for i in face if i not in edge] + list(edge)
+            a, b, c = (v[i] for i in face)
+            n = _mp_cross(_mp_sub(b, a), _mp_sub(c, a))
+            sign = -1 if _mp_dot(n, _mp_sub(v[opp], a)) > 0 else 1  # outward
+            n = [sign * p / _mp_norm(n) for p in n]
+            integral = _mp_face_integral(a, b, c, xm)
+            phi += _mp_dot(n, _mp_sub(a, xm)) * integral / 2
+            grad = [g - p * integral for g, p in zip(grad, n)]
+        return float(phi), np.array([float(g) for g in grad])
+
+
+def test_tetra_field_matches_mpmath_near_an_edge():
+    # from 1e-3 down to 1e-8 off the middle of edge (0, 1), inside and out:
+    # the log term's argument is formed without cancellation there (with
+    # |r_a| |r_b| + r_a . r_b taken as it stands, the gradient misses by
+    # 2e-11 at 1e-6 and by 4e-7 at 1e-8)
+    verts = regular_tetrahedron(1.0).vertices
+    mid = 0.5 * (verts[0] + verts[1])
+    inward = verts[2:].mean(axis=0) - mid
+    inward /= np.linalg.norm(inward)
+    along = 0.2 * (verts[1] - verts[0])
+    for dist in (1e-3, 1e-6, 1e-8):
+        for x in (mid + dist * inward, mid - dist * inward + along):
+            phi, grad = tetra_field(verts, x)
+            ref_phi, ref_grad = _mp_field(verts, x, (0, 1))
+            assert phi == pytest.approx(ref_phi, abs=1e-13)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+
+
+def test_tetra_field_on_faces_edges_and_vertices_equals_inside_limits():
+    # the benchmark body; points on each face, at each edge's midpoint, at
+    # each vertex, and on two face planes outside their faces
+    rng = np.random.default_rng(2)
     verts = regular_tetrahedron(1.0).vertices * 2.2246
-    center = verts.mean(axis=0)
-    out = _outward(verts)
-    fa, fb, fc = _FACES[1]
-    normal = np.cross(out[fb] - out[fa], out[fc] - out[fa])
-    near_face = rng.dirichlet([1.0, 1.0, 1.0]) @ out[[fa, fb, fc]]
-    near_face += 5e-15 * normal / np.linalg.norm(normal)
-    point_sets = (
-        center + 0.3 * rng.normal(size=(3, 3)),  # inside
-        center + 3.0 * rng.normal(size=(3, 3)),  # mostly outside
-        center + 20.0 * rng.normal(size=(2, 3)),  # far away
-        center + 300.0 * rng.normal(size=(2, 3)),  # line-search probes
-        near_face[None, :],
-    )
-    return verts, point_sets
+    body = TetraBody(verts)
+    centroid = verts.mean(axis=0)
+    faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    on_faces = [rng.dirichlet([1.0, 1.0, 1.0]) @ verts[list(f)] for f in faces]
+    midpoints = [0.5 * (verts[i] + verts[j]) for i in range(4) for j in range(i + 1, 4)]
+    pts = np.array([*on_faces, *midpoints, *verts])
+    phi, grad = tetra_field(body, pts)
+    assert np.isfinite(phi).all() and np.isfinite(grad).all()
+    for delta in (1e-11, 1e-12):
+        phi_in, grad_in = tetra_field(body, pts + delta * (centroid - pts))
+        np.testing.assert_allclose(phi, phi_in, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(grad, grad_in, rtol=0, atol=1e-9)
+    # on a face plane outside the face the field is smooth: both sides agree
+    normals, offsets = Tetrahedron(vertices=verts).face_planes()
+    for f in (0, 3):
+        corner = verts[faces[f][0]]
+        x = corner + 0.7 * (corner - verts[list(faces[f])].mean(axis=0))
+        assert abs(x @ normals[f] - offsets[f]) < 1e-13
+        phi_x, grad_x = tetra_field(body, x)
+        for side in (1e-12, -1e-12):
+            phi_s, grad_s = tetra_field(body, x + side * normals[f])
+            assert phi_s == pytest.approx(phi_x, abs=1e-9)
+            np.testing.assert_allclose(grad_s, grad_x, rtol=0, atol=1e-9)
 
 
-def test_tetra_face_quad_bitwise_equal_to_full_ladder():
-    verts, point_sets = _simplex_point_sets()
-    full = 0
-    for pts in point_sets:
-        for tol in (1e-1, 1e-4, 3e-8, 1e-9):
-            phi_ref, _, order = _reference_ladder(verts, pts, tol, False)
-            if order == 38:
-                full += 1
-                assert potential_tetra(verts, pts).tobytes() == phi_ref.tobytes()
-            phi_ref, grad_ref, order = _reference_ladder(verts, pts, tol, True)
-            if order == 38:
-                full += 1
-                phi, grad = tetra_field(verts, pts)
-                assert phi.tobytes() == phi_ref.tobytes()
-                assert grad.tobytes() == grad_ref.tobytes()
-    assert full == 8  # value and field calls that ran the whole ladder
+def _volume_quadrature(tet, order):
+    """int over ``tet`` of the closed-form potential of ``tet``: tensor Gauss
+    on the unit cube, collapsed onto the simplex with its Jacobian."""
+    g, w = np.polynomial.legendre.leggauss(order)
+    u, w = 0.5 * (g + 1.0), 0.5 * w
+    uu, vv, ww = np.meshgrid(u, u, u, indexing="ij")
+    bary = np.stack([uu, vv * (1.0 - uu), ww * (1.0 - uu) * (1.0 - vv)], axis=-1)
+    weights = np.einsum("i,j,k->ijk", w, w, w) * (1.0 - uu) ** 2 * (1.0 - vv)
+    v = tet.vertices
+    pts = v[0] + bary.reshape(-1, 3) @ (v[1:] - v[0])
+    return 6.0 * tet.volume * float(weights.ravel() @ potential_tetra(tet, pts))
 
 
-def test_tetra_face_quad_no_less_accurate_than_early_ladder_exit():
-    # where the ladder stopped before order 38, the fixed rule is at least as
-    # close to the order-120 rule, up to a roundoff floor of 1e-14 (relative
-    # above 1): far from the body both are within a few ulps of it
-    verts, point_sets = _simplex_point_sets()
-    exits = set()
-    for pts in point_sets:
-        phi_hi, grad_hi = _einsum_face_quad(_outward(verts), pts, 120, True)
-        phi, grad = tetra_field(verts, pts)
-        floor = 1e-14 * max(1.0, np.max(np.abs(phi_hi)), np.max(np.abs(grad_hi)))
-        for tol in (1e-1, 1e-4, 3e-8, 1e-9):
-            phi_l, grad_l, order = _reference_ladder(verts, pts, tol, True)
-            exits.add(order)
-            if order == 38:
-                continue
-            assert np.max(np.abs(phi - phi_hi)) <= max(
-                np.max(np.abs(phi_l - phi_hi)), floor
-            )
-            assert np.max(np.abs(grad - grad_hi)) <= max(
-                np.max(np.abs(grad_l - grad_hi)), floor
-            )
-    assert exits == {12, 18, 26, 38}
+@pytest.mark.parametrize("shape", ["regular", "perturbed", "corner"])
+def test_tetra_self_integral_matches_volume_quadrature(shape):
+    # the surface identity against a volume integral of the same potential;
+    # order 64 of the volume rule is within about 1e-13 (orders 24, 34, 48
+    # and 64 miss by 2e-10, 1e-11, 9e-13 and 9e-14 on the regular body).
+    # The corner tetrahedron (0, e1, e2, e3) missed tol = 1e-8 by the old
+    # volume ladder (error 2.1e-7).
+    rng = np.random.default_rng(1)
+    regular = regular_tetrahedron(1.0).vertices
+    verts = {
+        "regular": regular,
+        "perturbed": regular + 0.2 * rng.normal(size=(4, 3)),
+        "corner": np.vstack([np.zeros(3), np.eye(3)]),
+    }[shape]
+    tet = Tetrahedron(vertices=verts)
+    val, err = domain_pair_coulomb(tet, tet)
+    assert err < 1e-13
+    assert val == pytest.approx(_volume_quadrature(tet, 64), abs=3e-13)
+
+
+def test_tetra_self_integral_cached_and_scaled():
+    t = regular_tetrahedron(1.0)
+    val, err = domain_pair_coulomb(t, t)
+    assert val == pytest.approx(TETRA_SELF_INTEGRAL, abs=1e-12)
+    assert err <= 1e-13
+    # the regular shape constant scales exactly like volume^(5/3)
+    t2 = regular_tetrahedron(2.0)
+    val2, _ = domain_pair_coulomb(t2, t2)
+    assert val2 == pytest.approx(val * 2.0 ** (5.0 / 3.0), rel=1e-13)
+    for scale in (0.3, 2.2246, 7.0):
+        ts = Tetrahedron(vertices=t.vertices * scale)
+        got, _ = domain_pair_coulomb(ts, ts)
+        assert got == pytest.approx(val * scale**5, rel=1e-13)
+
+
+def test_tetra_self_integral_quadrature_path():
+    # a slightly irregular tetra takes the same surface identity; continuity
+    # keeps the value near the regular-shape constant, and the volume
+    # quadrature of its potential agrees
+    t = regular_tetrahedron(1.0)
+    verts = t.vertices.copy()
+    verts[0] += np.array([1e-4, -5e-5, 2e-5])
+    ti = Tetrahedron(vertices=verts)
+    val, err = domain_pair_coulomb(ti, ti, tol=1e-6)
+    assert val == pytest.approx(TETRA_SELF_INTEGRAL, abs=5e-4)
+    assert err < 1e-13
+    assert val == pytest.approx(_volume_quadrature(ti, 64), abs=3e-13)
+
+
+@pytest.mark.parametrize(
+    "pair, error",
+    [
+        ((Ball(radius=1.0), Cube(side=3.0)), "1.1e-05"),
+        ((Ball(radius=1.0), Ball(radius=1.0, center=(1.0, 0.0, 0.0))), "5.1e-06"),
+    ],
+    ids=["ball-in-cube", "overlapping-balls"],
+)
+def test_domain_pair_coulomb_raises_when_the_ladder_misses_tol(pair, error):
+    # order 34 of the volume ladder still misses the default tol = 1e-8
+    with pytest.raises(ValueError, match=f"error {error} exceeds .* \\(tol=1e-08\\)"):
+        domain_pair_coulomb(*pair)
 
 
 def test_potential_domain_dispatch():

@@ -31,10 +31,8 @@ from liqdrop.geom import Ball, Cube
 
 __all__ = [
     "LayerPiece",
-    "PieceDiagnostics",
     "BoundaryLayer",
     "quadrupole_layer",
-    "piece_diagnostics",
     "PackingSchedule",
     "swiss_cheese",
     "RecursionLimitCertificate",
@@ -117,16 +115,6 @@ class LayerPiece:
     inner_side: float
     background_fraction: float
     tile_size: float
-
-
-@dataclass(frozen=True)
-class PieceDiagnostics:
-    """Exact multipole data and measured far-field decay of a layer piece."""
-
-    charge: float
-    dipole: np.ndarray
-    quadrupole: np.ndarray
-    decay_exponent: float
 
 
 class BoundaryLayer:
@@ -647,13 +635,11 @@ def piece_potential(piece: LayerPiece, pts) -> np.ndarray:
     return v
 
 
-def far_field_exponent(piece: LayerPiece, radii=None) -> float:
-    """Fitted decay exponent p of |potential| ~ r^(-p) away from the piece,
-    from the RMS over 32 fixed directions at each radius."""
-    eps = piece.tile_size
-    if radii is None:
-        radii = np.geomspace(4.0 * eps, 32.0 * eps, 7)
-    radii = np.asarray(radii, dtype=float)
+def far_field_exponent(piece: LayerPiece) -> float:
+    """Fitted decay exponent p of |potential| ~ r^(-p) away from the piece:
+    a log-log fit of the RMS over 32 fixed directions at seven radii between
+    4 and 32 tile sizes from the piece's centre of mass."""
+    radii = np.geomspace(4.0 * piece.tile_size, 32.0 * piece.tile_size, 7)
     dirs = _fit_directions()
     com = _piece_com(piece)
     rms = np.empty(len(radii))
@@ -671,39 +657,6 @@ def _piece_com(piece: LayerPiece) -> np.ndarray:
     vols = np.prod(sides, axis=1)
     centers = (piece.box_lo + piece.box_hi) / 2.0
     return (vols[:, None] * centers).sum(axis=0) / vols.sum()
-
-
-def piece_diagnostics(piece: LayerPiece) -> PieceDiagnostics:
-    """Exact charge/dipole/quadrupole and fitted far-field decay exponent.
-
-    Moments are closed-form box integrals; the decay exponent is a log-log
-    fit of the direction-RMS potential over radii between 4 and 32 tile
-    sizes from the piece's center of mass.
-    """
-    rho = piece.background_fraction
-    sides = piece.box_hi - piece.box_lo
-    vols = np.prod(sides, axis=1)
-    centers = (piece.box_lo + piece.box_hi) / 2.0
-    vol = vols.sum()
-    side = piece.inner_side
-    charge = side**3 - rho * vol
-    dipole = side**3 * piece.inner_center - rho * (vols[:, None] * centers).sum(
-        axis=0
-    )
-    s_bg = np.einsum("b,bi,bj->ij", vols, centers, centers)
-    s_bg[np.diag_indices(3)] += (vols[:, None] * (sides / 2.0) ** 2).sum(
-        axis=0
-    ) / 3.0
-    s_in = side**3 * np.outer(piece.inner_center, piece.inner_center)
-    s_in[np.diag_indices(3)] += side**3 * (side / 2.0) ** 2 / 3.0
-    s = s_in - rho * s_bg
-    quad = s - np.trace(s) / 3.0 * np.eye(3)
-    return PieceDiagnostics(
-        charge=float(charge),
-        dipole=dipole,
-        quadrupole=quad,
-        decay_exponent=far_field_exponent(piece),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from liqdrop.coulomb.potentials import (
     potential_tetra,
     tetra_field,
 )
-from liqdrop.coulomb.grid import CUBE_SELF_INTEGRAL, freespace_coulomb_energy
+from liqdrop.coulomb.grid import CUBE_SELF_INTEGRAL
 
 __all__ = [
     "PeriodicKernel",
@@ -35,5 +35,4 @@ __all__ = [
     "potential_domain",
     "domain_pair_coulomb",
     "CUBE_SELF_INTEGRAL",
-    "freespace_coulomb_energy",
 ]

@@ -31,7 +31,6 @@ from scipy import fft as _fft
 
 __all__ = [
     "CUBE_SELF_INTEGRAL",
-    "freespace_coulomb_energy",
     "grid_potential",
 ]
 
@@ -110,9 +109,3 @@ def grid_potential(values: np.ndarray, h: float) -> np.ndarray:
     out *= h**3
     return out
 
-
-def freespace_coulomb_energy(values: np.ndarray, h: float) -> float:
-    """D(f) >= 0 for the piecewise-constant charge field ``values``."""
-    f = np.asarray(values, dtype=float)
-    pot = grid_potential(f, h)
-    return 0.5 * h**3 * float(np.sum(f * pot))

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+# frozen unit-cube self integral; see grid.py for provenance
+from liqdrop.coulomb.grid import CUBE_SELF_INTEGRAL
 from liqdrop.geom import Ball, Cube, Tetrahedron
 
 __all__ = [
@@ -323,95 +325,42 @@ def _box_gradient(cube: Cube, pts):
 # pair integrals D1 x D2 of 1/|x-y|
 # ---------------------------------------------------------------------------
 
-# frozen unit-cube self integral; see grid.py for provenance
-from liqdrop.coulomb.grid import CUBE_SELF_INTEGRAL  # noqa: E402
+def _same_body(d1, d2, size: str) -> bool:
+    # exact equality of the defining data: a ball 5e-6 off another is a
+    # distinct body, and ndarray centres compare without numpy's ambiguity
+    return getattr(d1, size) == getattr(d2, size) and np.array_equal(d1.center, d2.center)
 
 
-def _gauss_cells(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _quad_over_cube(cube: Cube, f, order: int) -> float:
-    u, w = _gauss_cells(order)
-    c = np.asarray(cube.center)
-    pts1 = c[None, :] + (u[:, None] - 0.5) * cube.side
-    xx, yy, zz = np.meshgrid(pts1[:, 0], pts1[:, 1], pts1[:, 2], indexing="ij")
-    pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return cube.volume * float(ww @ f(pts))
-
-
-def _quad_over_ball(ball: Ball, f, order: int) -> float:
-    # product rule: Gauss in radius^3 (uniform in volume), Gauss in cos(theta),
-    # trapezoid in phi (exact for trig polynomials)
-    u, w = _gauss_cells(order)
-    r = ball.radius * u ** (1.0 / 3.0)
-    mu, wmu = np.polynomial.legendre.leggauss(order)
-    nphi = 2 * order
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - mu**2)
-    x = np.einsum("r,m,p->rmp", r, st, np.cos(phi))
-    y = np.einsum("r,m,p->rmp", r, st, np.sin(phi))
-    z = np.einsum("r,m,p->rmp", r, mu, np.ones(nphi))
-    pts = np.stack([x, y, z], axis=-1).reshape(-1, 3) + np.asarray(ball.center)
-    ww = np.einsum("r,m,p->rmp", w, wmu / 2.0, np.full(nphi, 1.0 / nphi)).ravel()
-    return ball.volume * float(ww @ f(pts))
-
-
-def _quad_over_domain(domain, f, order: int) -> float:
-    if isinstance(domain, Cube):
-        return _quad_over_cube(domain, f, order)
-    if isinstance(domain, Ball):
-        return _quad_over_ball(domain, f, order)
-    raise TypeError(f"no volume quadrature for {type(domain).__name__}")
-
-
-def _same_ball(d1: Ball, d2: Ball) -> bool:
-    return np.allclose(d1.center, d2.center) and np.isclose(d1.radius, d2.radius)
-
-
-def domain_pair_coulomb(d1, d2, tol: float = 1e-8):
+def domain_pair_coulomb(d1, d2):
     """Double integral over d1 x d2 of 1/|x-y|, with an error estimate.
 
-    Closed forms where Newton's theorem gives them (ball pairs); a frozen
-    high-accuracy constant for a cube with itself; the surface identity of
-    ``_tetra_self_integral`` for a tetrahedron with itself; otherwise an
-    escalating Gauss quadrature (orders 6 to 34) of the closed-form potential
-    of one body over the other, with the difference of the last two orders
-    as the error estimate.
+    Closed forms only: a ball with itself and two disjoint balls (Newton's
+    theorem), a cube with itself (``CUBE_SELF_INTEGRAL``), and a tetrahedron
+    with itself (the surface identity of ``_tetra_self_integral``).  A pair
+    is the same body only when its defining data are exactly equal.
 
-    Raises ValueError when that error exceeds ``tol * max(1, |value|)``.
+    Raises ValueError for any other pair, and when the tetrahedron's error
+    estimate exceeds ``1e-9 * max(1, |value|)``.
     """
     if isinstance(d1, Ball) and isinstance(d2, Ball):
-        if _same_ball(d1, d2):
+        if _same_body(d1, d2, "radius"):
             q, r = d1.volume, d1.radius
             return 1.2 * q**2 / r, 0.0
         d = float(np.linalg.norm(np.asarray(d1.center) - np.asarray(d2.center)))
         if d >= d1.radius + d2.radius - 1e-12:
             return d1.volume * d2.volume / d, 0.0
-        # overlapping distinct balls: fall through to quadrature
-    if isinstance(d1, Cube) and isinstance(d2, Cube) and d1 == d2:
-        return CUBE_SELF_INTEGRAL * d1.side**5, 1e-12 * d1.side**5
-    if (
-        isinstance(d1, Tetrahedron)
-        and isinstance(d2, Tetrahedron)
-        and (d1.vertices is d2.vertices or np.array_equal(d1.vertices, d2.vertices))
-    ):
-        val, err = _tetra_self_integral(d1)
-    else:
-        outer, inner = (d1, d2) if d1.volume <= d2.volume else (d2, d1)
-        f = lambda pts: potential_domain(inner, pts)
-        val = np.nan
-        for order in (6, 10, 16, 24, 34):
-            prev, val = val, _quad_over_domain(outer, f, order)
-            err = abs(val - prev)
-            if err <= tol * max(1.0, abs(val)):
-                break
-    allowed = tol * max(1.0, abs(val))
-    if not err <= allowed:
-        raise ValueError(
-            f"pair integral error {err:.3g} exceeds the allowed {allowed:.3g} "
-            f"(tol={tol:g})"
-        )
-    return val, err
+    elif isinstance(d1, Cube) and isinstance(d2, Cube):
+        if _same_body(d1, d2, "side"):
+            return CUBE_SELF_INTEGRAL * d1.side**5, 1e-12 * d1.side**5
+    elif isinstance(d1, Tetrahedron) and isinstance(d2, Tetrahedron):
+        if np.array_equal(d1.vertices, d2.vertices):
+            val, err = _tetra_self_integral(d1)
+            allowed = 1e-9 * max(1.0, abs(val))
+            if not err <= allowed:
+                raise ValueError(
+                    f"pair integral error {err:.3g} exceeds the allowed {allowed:.3g}"
+                )
+            return val, err
+    raise ValueError(
+        f"no closed form for the pair {type(d1).__name__}, {type(d2).__name__}"
+    )

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from liqdrop.coulomb.ewald import PeriodicKernel
-from liqdrop.coulomb.potentials import domain_pair_coulomb, potential_box
 from liqdrop.droplet import (
     OPT_ENERGY_PER_VOLUME,
     OPT_MASS,
@@ -50,7 +49,6 @@ __all__ = [
     "CoulombLocalizationReport",
     "lower_simplex_rhs",
     "LowerSimplexReport",
-    "cell_pair_interaction",
 ]
 
 
@@ -561,34 +559,3 @@ def lower_simplex_rhs(
         note="ansatz upper bound; order-1/A correction constant unquantified",
     )
 
-
-# ---------------------------------------------------------------------------
-# cell-to-cell interaction for the decay property
-# ---------------------------------------------------------------------------
-
-
-def cell_pair_interaction(points, cell: float, offset) -> float:
-    """Interaction energy between a cell's charge (unit-mass points at the
-    given positions carrying the droplet mass each, minus the neutralizing
-    uniform background on the cube) and a translated copy of itself.
-
-    Used to verify the multipole decay of neutral, dipole-free cells.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    offset = np.asarray(offset, dtype=float)
-    q = OPT_MASS
-    dens = n * q / cell**3
-    pts2 = pts + offset
-    d = np.linalg.norm(pts[:, None, :] - pts2[None, :, :], axis=2)
-    e = q**2 * float(np.sum(1.0 / d))
-    lo1 = np.full(3, -cell / 2.0)
-    hi1 = -lo1
-    phi_1_at_2 = potential_box(lo1, hi1, pts2)  # cube 1 potential at copy's points
-    phi_2_at_1 = potential_box(lo1 + offset, hi1 + offset, pts)
-    e -= q * dens * float(np.sum(phi_1_at_2) + np.sum(phi_2_at_1))
-    pair, _ = domain_pair_coulomb(
-        Cube(side=cell), Cube(side=cell, center=tuple(offset)), tol=1e-9
-    )
-    e += dens**2 * pair
-    return e

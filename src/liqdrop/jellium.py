@@ -6,8 +6,8 @@ density the per-particle energy of a commensurate crystal equals the lattice
 zeta value at s = 1 with no finite-size error, which pins down every sign and
 factor convention in the sums.
 
-Finite side: n points of charge q in a bounded domain with background density
-one, the object whose ground state drives the dilute droplet expansion.
+Finite side: n points of charge q on the unit background of a scaled
+tetrahedron, the grand-canonical point problem of the lower bound.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from liqdrop.coulomb.ewald import PeriodicKernel
 from liqdrop.coulomb.potentials import (
     TetraBody,
     domain_pair_coulomb,
-    potential_domain,
     tetra_field,
 )
 from liqdrop.geom import Tetrahedron, regular_tetrahedron, sample_in_domain
@@ -30,9 +29,7 @@ from liqdrop.geom import Tetrahedron, regular_tetrahedron, sample_in_domain
 __all__ = [
     "PointConfiguration",
     "PeriodicEnergyReport",
-    "FiniteEnergyReport",
     "periodic_energy",
-    "finite_jellium_energy",
     "minimize_local",
     "basin_hop",
     "BasinHopResult",
@@ -223,39 +220,6 @@ def crystal_positions(kind: str, k: int, ell: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite domains
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteEnergyReport:
-    point_point: float
-    point_background: float
-    background_background: float
-    total: float
-
-
-def finite_jellium_energy(positions, domain, q: float = 1.0) -> FiniteEnergyReport:
-    """Energy of charges q at ``positions`` against background 1 on ``domain``:
-    sum_{i<j} q^2/r_ij - q sum_i Phi_D(x_i) + (1/2) int int_D 1/|x-y|."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    n = len(pos)
-    pp = 0.0
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        r = np.linalg.norm(pos[iu] - pos[ju], axis=1)
-        if np.any(r <= 0.0):
-            raise ValueError("coincident points")
-        pp = q**2 * float(np.sum(1.0 / r))
-    pb = -q * float(np.sum(potential_domain(domain, pos))) if n else 0.0
-    bb, _ = domain_pair_coulomb(domain, domain)
-    bb *= 0.5
-    return FiniteEnergyReport(
-        point_point=pp, point_background=pb, background_background=bb, total=pp + pb + bb
-    )
-
-
-# ---------------------------------------------------------------------------
 # grand-canonical point problem on a scaled tetrahedron
 # ---------------------------------------------------------------------------
 
@@ -334,7 +298,7 @@ def grand_canonical_point_jellium(
     planes = tet.face_planes()
     body = TetraBody(tet)
     q = float(charge)
-    bb_full, _ = domain_pair_coulomb(tet, tet, tol=1e-9)
+    bb_full, _ = domain_pair_coulomb(tet, tet)
     bb = 0.5 * bb_full
 
     nstar = a_scale**3 * base.volume / q

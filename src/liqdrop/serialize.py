@@ -1,9 +1,11 @@
 """JSON and CSV serialization for geometry, configurations, and reports.
 
-JSON encoding is type-tagged so that the types ``encode`` accepts --
-``Lattice``, ``Cube``, ``Ball``, ``Tetrahedron``, ``BallUnion``, ``VoxelSet``
-and ``PointConfiguration`` -- round-trip exactly through ``decode``; report
-dataclasses serialize one way (for summaries) without a decode path.  CSV output uses RFC-4180 quoting.
+JSON encoding is type-tagged: ``encode`` writes ``Lattice``, ``Cube``,
+``Ball``, ``Tetrahedron``, ``BallUnion``, ``VoxelSet`` and
+``PointConfiguration`` as a ``"type"`` key plus their defining data, every
+float at full ``repr`` precision, so the values read back from the JSON text
+are the object's own; report dataclasses serialize field by field.  Nothing
+reads JSON back into objects.  CSV output uses RFC-4180 quoting.
 All emitters are deterministic: keys are sorted and no timestamps or
 environment-dependent values are written.
 """
@@ -30,9 +32,7 @@ from liqdrop.jellium import PointConfiguration
 __all__ = [
     "to_jsonable",
     "encode",
-    "decode",
     "dump_json",
-    "load_json",
     "write_csv",
     "read_csv",
     "schedule_rows",
@@ -133,59 +133,12 @@ def encode(obj) -> dict:
     raise TypeError(f"cannot encode object of type {type(obj).__name__}")
 
 
-def decode(data: dict):
-    """Inverse of :func:`encode`."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("expected a type-tagged mapping")
-    t = data["type"]
-    if t == "Lattice":
-        return Lattice(
-            basis=np.asarray(data["basis"], dtype=float),
-            density=float(data["density"]),
-            kind=data["kind"],
-        )
-    if t == "Cube":
-        return Cube(side=float(data["side"]), center=tuple(data["center"]))
-    if t == "Ball":
-        return Ball(radius=float(data["radius"]), center=tuple(data["center"]))
-    if t == "Tetrahedron":
-        return Tetrahedron(vertices=np.asarray(data["vertices"], dtype=float))
-    if t == "BallUnion":
-        return BallUnion(
-            centers=np.asarray(data["centers"], dtype=float),
-            radii=np.asarray(data["radii"], dtype=float),
-        )
-    if t == "VoxelSet":
-        occ = np.zeros(tuple(data["shape"]), dtype=bool)
-        idx = np.asarray(data["occupied"], dtype=int)
-        if len(idx):
-            occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-        return VoxelSet(
-            h=float(data["h"]),
-            origin=np.asarray(data["origin"], dtype=float),
-            occ=occ,
-        )
-    if t == "PointConfiguration":
-        container = data.get("container")
-        return PointConfiguration(
-            positions=np.asarray(data["positions"], dtype=float),
-            charge=float(data["charge"]),
-            container=None if container is None else decode(container),
-        )
-    raise ValueError(f"unknown serialized type {t!r}")
-
-
 def dump_json(obj, path) -> None:
     """Write ``obj`` as deterministic JSON (sorted keys, trailing newline)."""
     payload = to_jsonable(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
         json.dump(payload, fp, sort_keys=True, indent=2)
         fp.write("\n")
-
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
 
 
 def write_csv(path, header, rows) -> None:

@@ -13,9 +13,13 @@ so an empty ``diff`` means two checkouts write the same bytes.  Two more
 lines digest the ``repr`` of every field of the ``checks`` workload's voxel
 liquid-drop breakdown at seed 0, a library call with no CLI command, and of
 the same breakdown at rho = 0, which transforms the droplet field alone.  The
-last line digests the ``repr`` of ``tetra_field`` on the ``simplex``
+next line digests the ``repr`` of ``tetra_field`` on the ``simplex``
 workload's body at five fixed points, so a rewrite of that kernel shows even
-where L-BFGS would land on the same bytes.
+where L-BFGS would land on the same bytes.  The last line digests the
+``repr`` of ``domain_pair_coulomb`` on the pairs that programs pass (the
+cube containers of sides 6 and 8, the ``simplex`` body and the unit ball,
+each with itself) and on one disjoint ball pair, so a rewrite of its
+dispatch shows even where the CLI output rounds to the same bytes.
 This is a script, not a pytest module; the whole listing takes about half a
 minute on a 2-core box.
 """
@@ -30,9 +34,17 @@ import tempfile
 import numpy as np
 
 from liqdrop.cli import main
-from liqdrop.coulomb import tetra_field
+from liqdrop.coulomb import domain_pair_coulomb, tetra_field
 from liqdrop.droplet import liquid_drop_energy
-from liqdrop.geom import BallUnion, Cube, regular_tetrahedron, voxelize, voxelize_domain
+from liqdrop.geom import (
+    Ball,
+    BallUnion,
+    Cube,
+    Tetrahedron,
+    regular_tetrahedron,
+    voxelize,
+    voxelize_domain,
+)
 
 RUNS = (
     ("zeta", ["zeta", "--s", "0.5,1,2.5,5"]),
@@ -106,6 +118,20 @@ def tetra_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def pair_digest() -> str:
+    """Digest of ``domain_pair_coulomb`` (value and error) on the program
+    pairs and one disjoint ball pair."""
+    origin = (0.0, 0.0, 0.0)
+    body = Tetrahedron(vertices=regular_tetrahedron(1.0).vertices * 2.2246)
+    pairs = [(d, d) for d in (Cube(side=6.0, center=origin),
+                              Cube(side=8.0, center=origin),
+                              body,
+                              Ball(radius=1.0, center=origin))]
+    pairs.append((Ball(radius=0.5, center=origin), Ball(radius=0.7, center=(3.0, 0.0, 0.0))))
+    text = repr([domain_pair_coulomb(d1, d2) for d1, d2 in pairs])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main_listing() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,6 +151,7 @@ def main_listing() -> int:
     print(f"{voxel_digest(0.05)}  checks-voxel-energy/breakdown")
     print(f"{voxel_digest(0.0)}  voxel-energy@rho=0/breakdown")
     print(f"{tetra_digest()}  simplex-body/tetra_field")
+    print(f"{pair_digest()}  pair-integrals")
     return 1 if failed else 0
 
 

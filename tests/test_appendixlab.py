@@ -16,7 +16,6 @@ from liqdrop.appendixlab import (
     _rank_hosts,
     _subcell_center,
     far_field_exponent,
-    piece_diagnostics,
     piece_potential,
     quadrupole_layer,
     recursion_limit,
@@ -35,6 +34,26 @@ def small_layer():
 @pytest.fixture(scope="module")
 def cube_layer():
     return quadrupole_layer(Cube(side=4.0), eps=0.25, subdiv=4, rho=0.3)
+
+
+def _moments(piece):
+    """Charge, dipole and trace-free quadrupole of a piece's signed density
+    (the inner cube minus the background fraction of its boxes), from the
+    closed-form moments of each box: an oracle independent of the layer's
+    bulk arrays."""
+    rho = piece.background_fraction
+    sides = piece.box_hi - piece.box_lo
+    vols = np.prod(sides, axis=1)
+    centers = (piece.box_lo + piece.box_hi) / 2.0
+    side = piece.inner_side
+    charge = side**3 - rho * vols.sum()
+    dipole = side**3 * piece.inner_center - rho * (vols[:, None] * centers).sum(axis=0)
+    s_bg = np.einsum("b,bi,bj->ij", vols, centers, centers)
+    s_bg[np.diag_indices(3)] += (vols[:, None] * (sides / 2.0) ** 2).sum(axis=0) / 3.0
+    s_in = side**3 * np.outer(piece.inner_center, piece.inner_center)
+    s_in[np.diag_indices(3)] += side**3 * (side / 2.0) ** 2 / 3.0
+    s = s_in - rho * s_bg
+    return float(charge), dipole, s - np.trace(s) / 3.0 * np.eye(3)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +112,25 @@ def test_layer_build_is_deterministic():
     assert list(a.kinds()) == list(b.kinds())
 
 
+def test_bulk_charges_and_dipoles_match_the_moment_oracle(small_layer, cube_layer):
+    # every host piece (merged or exterior cube) and every 16th subcell
+    for layer in (small_layer, cube_layer):
+        counts = layer.counts()
+        hosts = counts["merged"] + counts["exterior-cube"]
+        charges, dipoles = layer.charges(), layer.dipoles()
+        for i in [*range(hosts), *range(hosts, len(layer), 16)]:
+            charge, dipole, _ = _moments(layer[i])
+            assert abs(charge - charges[i]) <= 1e-14 * layer.eps**3
+            assert np.abs(dipole - dipoles[i]).max() <= 1e-14 * layer.eps**4
+
+
 def test_merged_pieces_decay_like_quadrupoles(small_layer):
     kinds = small_layer.kinds()
     for i in np.nonzero(kinds == "merged")[0][:3]:
-        d = piece_diagnostics(small_layer[i])
-        assert abs(d.charge) < 1e-15
-        assert np.abs(d.dipole).max() < 1e-15
-        assert 2.7 <= d.decay_exponent <= 3.3
+        charge, dipole, _ = _moments(small_layer[i])
+        assert abs(charge) < 1e-15
+        assert np.abs(dipole).max() < 1e-15
+        assert 2.7 <= far_field_exponent(small_layer[i]) <= 3.3
 
 
 def test_exterior_cubes_decay_faster(cube_layer):
@@ -108,17 +139,17 @@ def test_exterior_cubes_decay_faster(cube_layer):
     kinds = cube_layer.kinds()
     ext = np.nonzero(kinds == "exterior-cube")[0]
     assert len(ext) > 0
-    d = piece_diagnostics(cube_layer[ext[0]])
-    assert d.charge == 0.0
-    assert np.abs(d.dipole).max() == 0.0
-    assert np.abs(d.quadrupole).max() == 0.0
-    assert d.decay_exponent > 4.0
+    charge, dipole, quadrupole = _moments(cube_layer[ext[0]])
+    assert charge == 0.0
+    assert np.abs(dipole).max() == 0.0
+    assert np.abs(quadrupole).max() == 0.0
+    assert far_field_exponent(cube_layer[ext[0]]) > 4.0
 
 
 def test_merged_piece_quadrupole_is_symmetric_and_trace_free(small_layer):
     kinds = small_layer.kinds()
     for i in np.nonzero(kinds == "merged")[0][:3]:
-        q = piece_diagnostics(small_layer[i]).quadrupole
+        _, _, q = _moments(small_layer[i])
         scale = np.abs(q).max()
         assert scale > 0.0
         assert np.abs(q - q.T).max() <= 1e-15 * scale
@@ -255,14 +286,6 @@ def test_piece_potential_matches_multipole_neutrality(small_layer):
     signed = abs(piece_potential(piece, pt)[0])
     bare = piece.inner_side**3 / r
     assert signed < 1e-2 * bare
-
-
-def test_far_field_exponent_accepts_custom_radii(small_layer):
-    kinds = small_layer.kinds()
-    i = int(np.nonzero(kinds == "merged")[0][0])
-    eps = small_layer.eps
-    p = far_field_exponent(small_layer[i], radii=np.geomspace(6 * eps, 24 * eps, 5))
-    assert 2.5 <= p <= 3.5
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from liqdrop.coulomb import (
     domain_pair_coulomb,
     epstein_zeta,
     epstein_zeta_direct,
-    freespace_coulomb_energy,
     madelung_z3,
     potential_ball,
     potential_box,
@@ -805,24 +804,52 @@ def test_tetra_self_integral_quadrature_path():
     verts = t.vertices.copy()
     verts[0] += np.array([1e-4, -5e-5, 2e-5])
     ti = Tetrahedron(vertices=verts)
-    val, err = domain_pair_coulomb(ti, ti, tol=1e-6)
+    val, err = domain_pair_coulomb(ti, ti)
     assert val == pytest.approx(TETRA_SELF_INTEGRAL, abs=5e-4)
     assert err < 1e-13
     assert val == pytest.approx(_volume_quadrature(ti, 64), abs=3e-13)
 
 
 @pytest.mark.parametrize(
-    "pair, error",
+    "pair",
     [
-        ((Ball(radius=1.0), Cube(side=3.0)), "1.1e-05"),
-        ((Ball(radius=1.0), Ball(radius=1.0, center=(1.0, 0.0, 0.0))), "5.1e-06"),
+        (Ball(radius=1.0), Cube(side=3.0)),
+        (Ball(radius=1.0), Ball(radius=1.0, center=(1.0, 0.0, 0.0))),
+        (Cube(side=4.0), Cube(side=4.0, center=(8.0, 0.0, 0.0))),
+        (Cube(side=2.0), Ball(radius=1.0)),
+        # centres 5e-6 apart relative to their distance from the origin:
+        # overlapping, distinct balls, which a tolerance-based equality
+        # would take for one
+        (Ball(radius=1.0, center=(1000.0, 0.0, 0.0)),
+         Ball(radius=1.0, center=(1000.005, 0.0, 0.0))),
     ],
-    ids=["ball-in-cube", "overlapping-balls"],
+    ids=["ball-in-cube", "overlapping-balls", "distinct-cubes", "cube-and-ball",
+         "near-equal-balls"],
 )
-def test_domain_pair_coulomb_raises_when_the_ladder_misses_tol(pair, error):
-    # order 34 of the volume ladder still misses the default tol = 1e-8
-    with pytest.raises(ValueError, match=f"error {error} exceeds .* \\(tol=1e-08\\)"):
+def test_domain_pair_coulomb_raises_without_a_closed_form(pair):
+    names = ", ".join(type(d).__name__ for d in pair)
+    with pytest.raises(ValueError, match=f"no closed form for the pair {names}$"):
         domain_pair_coulomb(*pair)
+
+
+def test_domain_pair_coulomb_program_pairs_are_pinned():
+    # the pairs that programs pass, against the repr of (value, error)
+    # recorded before the quadrature ladder was removed
+    origin = (0.0, 0.0, 0.0)
+    scaled = Tetrahedron(vertices=regular_tetrahedron(1.0).vertices * 2.2246)
+    cases = [
+        ((Cube(side=6.0, center=origin),) * 2, "(14636.863122774308, 7.776e-09)"),
+        ((Cube(side=8.0, center=origin),) * 2, "(61679.62073136169, 3.2768e-08)"),
+        ((scaled, scaled), "(96.5390855311971, 1.0373923942097463e-12)"),
+        ((Ball(radius=1.0, center=origin),) * 2, "(21.055156055657292, 0.0)"),
+        ((Ball(radius=0.5, center=origin), Ball(radius=0.7, center=(3.0, 0.0, 0.0))),
+         "(0.2507610599684184, 0.0)"),
+        # equal cubes with ndarray centres, held as separate objects
+        ((Cube(side=6.0, center=np.zeros(3)), Cube(side=6.0, center=np.zeros(3))),
+         "(14636.863122774308, 7.776e-09)"),
+    ]
+    for pair, want in cases:
+        assert repr(domain_pair_coulomb(*pair)) == want
 
 
 def test_potential_domain_dispatch():
@@ -903,5 +930,6 @@ def test_freespace_grid_energy_matches_ball_self_energy():
     v = voxelize(u, h=0.08)
     q = v.measure
     exact = 0.6 * q**2 / 1.0
-    est = freespace_coulomb_energy(v.occ.astype(float), v.h)
+    f = v.occ.astype(float)
+    est = 0.5 * v.h**3 * float(np.sum(f * grid_potential(f, v.h)))
     assert est == pytest.approx(exact, rel=2e-2)

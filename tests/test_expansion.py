@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from liqdrop.coulomb import potential_box
 from liqdrop.droplet import OPT_ENERGY_PER_VOLUME, OPT_MASS, OPT_RADIUS
 from liqdrop.expansion import (
     _both_inside,
@@ -10,7 +11,6 @@ from liqdrop.expansion import (
     _face_planes,
     _norm,
     _random_windows,
-    cell_pair_interaction,
     expansion_sweep,
     extract_coefficients,
     gs_coulomb_inequality_check,
@@ -356,12 +356,55 @@ def test_lower_simplex_rhs_zero_density():
     assert "empty" in rep.note
 
 
+def _cube_pair_integral(cell, offset, order=10):
+    """int over the cube of side ``cell`` at the origin of the potential of
+    its copy at ``offset``: a tensor Gauss-Legendre rule of ``order`` points
+    per axis.  Order 10 is where the escalating volume quadrature once used
+    here stopped at tol = 1e-9, so the value is the same to the last bit."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    u = (0.5 * (x + 1.0) - 0.5) * cell
+    w = 0.5 * w
+    pts = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
+    ww = np.einsum("i,j,k->ijk", w, w, w).ravel()
+    c = np.asarray(offset, dtype=float)
+    return cell**3 * float(ww @ potential_box(c - cell / 2.0, c + cell / 2.0, pts))
+
+
+def _cell_pair_interaction(points, cell, offset):
+    """Interaction energy between a cell's charge (points carrying one optimal
+    droplet mass each, minus the neutralizing background on the cube) and a
+    copy of it translated by ``offset``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    offset = np.asarray(offset, dtype=float)
+    q = OPT_MASS
+    dens = len(pts) * q / cell**3
+    pts2 = pts + offset
+    d = np.linalg.norm(pts[:, None, :] - pts2[None, :, :], axis=2)
+    e = q**2 * float(np.sum(1.0 / d))
+    lo, hi = np.full(3, -cell / 2.0), np.full(3, cell / 2.0)
+    phi_1_at_2 = potential_box(lo, hi, pts2)
+    phi_2_at_1 = potential_box(lo + offset, hi + offset, pts)
+    e -= q * dens * float(np.sum(phi_1_at_2) + np.sum(phi_2_at_1))
+    return e + dens**2 * _cube_pair_integral(cell, offset)
+
+
+def test_cube_pair_rule_matches_the_volume_ladder_values():
+    # (value at offset (x, 0, 0), cell 4) that the escalating volume
+    # quadrature returned at tol = 1e-9
+    for x, want in ((8.0, 511.1192033418857), (-8.0, 511.11920334188574),
+                    (16.0, 255.97108405137996)):
+        got = _cube_pair_integral(4.0, (x, 0.0, 0.0))
+        assert got == pytest.approx(want, rel=1e-12)
+        # well separated cubes interact nearly like point charges
+        assert got == pytest.approx(4.0**6 / abs(x), rel=1e-2)
+
+
 def test_cell_pair_interaction_symmetry_and_decay():
     cell = 4.0
     pts = crystal_positions("bcc", 2, cell) - cell / 2.0
-    e2 = cell_pair_interaction(pts, cell, (2.0 * cell, 0.0, 0.0))
-    e2m = cell_pair_interaction(pts, cell, (-2.0 * cell, 0.0, 0.0))
-    e4 = cell_pair_interaction(pts, cell, (4.0 * cell, 0.0, 0.0))
+    e2 = _cell_pair_interaction(pts, cell, (2.0 * cell, 0.0, 0.0))
+    e2m = _cell_pair_interaction(pts, cell, (-2.0 * cell, 0.0, 0.0))
+    e4 = _cell_pair_interaction(pts, cell, (4.0 * cell, 0.0, 0.0))
     assert e2 == pytest.approx(e2m, rel=1e-10)
     assert abs(e4) < abs(e2)
     # neutral cells: interaction is tiny compared to the raw charge scale

@@ -1,17 +1,16 @@
-"""Point charges in a neutralizing background: torus and finite domains."""
+"""Point charges in a neutralizing background: torus and scaled tetrahedron."""
 
 import numpy as np
 import pytest
 
 import liqdrop.jellium as jellium
 from liqdrop.coulomb import PeriodicKernel, domain_pair_coulomb
-from liqdrop.geom import Ball, regular_tetrahedron
+from liqdrop.geom import Tetrahedron, regular_tetrahedron
 from liqdrop.jellium import (
     PointConfiguration,
     basin_hop,
     crystal_positions,
     e_jel_extrapolate,
-    finite_jellium_energy,
     grand_canonical_point_jellium,
     minimize_local,
     periodic_energy,
@@ -200,36 +199,6 @@ def test_basin_hop_crystal_seed_is_never_beaten_badly():
     )
 
 
-# ---------------------------------------------------------------------------
-# finite domains
-# ---------------------------------------------------------------------------
-
-
-def test_finite_jellium_energy_single_point_in_ball():
-    ball = Ball(radius=1.0, center=(0.0, 0.0, 0.0))
-    q = 2.0
-    rep = finite_jellium_energy([(0.0, 0.0, 0.0)], ball, q=q)
-    vol = ball.volume
-    assert rep.point_point == 0.0
-    # unit-density ball potential at the center is 2 pi R^2
-    assert rep.point_background == pytest.approx(-q * 2.0 * np.pi, rel=1e-12)
-    # half the self pair integral: 0.5 * (6/5) vol^2 / R
-    assert rep.background_background == pytest.approx(0.6 * vol**2, rel=1e-12)
-    assert rep.total == pytest.approx(
-        rep.point_point + rep.point_background + rep.background_background,
-        rel=1e-14,
-    )
-
-
-def test_finite_jellium_energy_pair_term():
-    ball = Ball(radius=2.0, center=(0.0, 0.0, 0.0))
-    pts = [(0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)]
-    rep = finite_jellium_energy(pts, ball, q=3.0)
-    assert rep.point_point == pytest.approx(9.0 / 1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        finite_jellium_energy([(0.1, 0.2, 0.3), (0.1, 0.2, 0.3)], ball)
-
-
 def test_point_configuration_shapes():
     cfg = PointConfiguration(positions=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0], charge=2.0)
     assert len(cfg) == 2
@@ -255,8 +224,6 @@ def test_grand_canonical_point_jellium_small_cell():
     # background self term matches the cached pair integral
     tet = regular_tetrahedron()
     verts = tet.vertices * a
-    from liqdrop.geom import Tetrahedron
-
     scaled = Tetrahedron(vertices=verts)
     bb, _ = domain_pair_coulomb(scaled, scaled)
     assert rep.background_self == pytest.approx(0.5 * bb, rel=1e-12)

@@ -19,10 +19,9 @@ RESIDUAL_REFERENCE = -2.6602957899652124  # (5/2)^(2/3) * bcc lattice sum
 def main() -> None:
     rhos = (1e-3, 3e-4, 1e-4, 3e-5)
     # 16 droplets per cell keeps this demo fast; the acceptance run uses 54
-    pp, single = expansion_sweep(rhos, n=16, seed=0, restarts=2, hops=1,
-                                 threads=4)
+    pp = expansion_sweep(rhos, n=16, seed=0, restarts=2, hops=1, threads=4)
 
-    print("Upper-bound energy per volume (per-particle image convention):")
+    print("Upper-bound energy per volume:")
     print("  rho         e(rho)          e/rho      residual after c1*rho")
     for rho, rep in zip(rhos, pp):
         resid = (rep.upper_bound - MU_STAR * rho) / rho ** (4.0 / 3.0)
@@ -30,17 +29,11 @@ def main() -> None:
               f"   {resid:+9.5f}")
 
     c1, c2, resid = extract_coefficients(rhos, pp)
-    print("\nFitted coefficients (per-particle convention):")
+    print("\nFitted coefficients:")
     print(f"  c1 = {c1:.10f}   target {MU_STAR:.10f} "
           f"(rel err {abs(c1 - MU_STAR) / MU_STAR:.1e})")
     print(f"  c2 = {c2:.6f}   crystal reference {RESIDUAL_REFERENCE:.6f}")
     print(f"  max fit residual {resid:.2e}")
-
-    c1s, c2s, _ = extract_coefficients(rhos, single)
-    print("\nSame data under the single-droplet image convention:")
-    print(f"  c1 = {c1s:.10f}   c2 = {c2s:.6f}")
-    print("(the two conventions differ in how the self-image energy is "
-          "attributed; the gap shrinks as the cell grows)")
 
 
 if __name__ == "__main__":

@@ -392,7 +392,7 @@ def _cmd_fgc(ns):
 
 
 def _cmd_expansion(ns):
-    reports_pp, reports_single = expansion_sweep(
+    reports = expansion_sweep(
         ns.rho,
         n=ns.n,
         seed=ns.seed,
@@ -400,30 +400,27 @@ def _cmd_expansion(ns):
         hops=ns.hops,
         threads=ns.threads,
     )
-    rows, fits = [], {}
-    for name, reports in (("per-particle", reports_pp), ("single", reports_single)):
-        c1, c2, resid = extract_coefficients(ns.rho, reports)
-        fits[name] = {
+    c1, c2, resid = extract_coefficients(ns.rho, reports)
+    fits = {
+        "per-particle": {
             "linear_coefficient": c1,
             "four_thirds_coefficient": c2,
             "max_fit_residual": resid,
         }
-        for rep in reports:
-            rows.append(
-                (
-                    name,
-                    rep.rho,
-                    rep.n_points,
-                    rep.cell,
-                    rep.upper_bound,
-                    rep.residual_coefficient,
-                    rep.residual_coefficient_no_quadratic,
-                )
-            )
-    plot = [(rep.rho, rep.upper_bound) for rep in reports_pp]
+    }
+    rows = [
+        (
+            rep.rho,
+            rep.n_points,
+            rep.cell,
+            rep.upper_bound,
+            rep.residual_coefficient,
+            rep.residual_coefficient_no_quadratic,
+        )
+        for rep in reports
+    ]
     return {
         "header": (
-            "convention",
             "rho",
             "n_points",
             "cell",
@@ -433,7 +430,7 @@ def _cmd_expansion(ns):
         ),
         "rows": rows,
         "summary": {"n": ns.n, "fits": fits},
-        "plot": ("rho upper_bound", plot),
+        "plot": ("rho upper_bound", [(rep.rho, rep.upper_bound) for rep in reports]),
     }
 
 

@@ -14,6 +14,7 @@ parameter alpha.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import wait
 
 import numpy as np
@@ -23,10 +24,9 @@ __all__ = ["PeriodicKernel", "madelung_z3"]
 
 # Image terms (pairs x shifts).  _BLOCK is the unit chunks() splits by and
 # the largest block.  A serial sum takes blocks of _CACHE_BLOCK: their scratch
-# (6 doubles per term, 0.8 MB) stays in L2 and touches few fresh pages per
-# call.  A pool task takes blocks of _BLOCK, because each block costs about
-# twenty numpy calls and each call hands the interpreter lock between the
-# pool's threads.
+# (6 doubles per term, 0.8 MB) stays in L2.  A pool task takes blocks of
+# _BLOCK, because each block costs about twenty numpy calls and each call
+# hands the interpreter lock between the pool's threads.
 _BLOCK = 2**16
 _CACHE_BLOCK = 2**14
 # fewest shifts per serial block, which bounds the per-block Python overhead
@@ -46,9 +46,20 @@ class PeriodicKernel:
     gradient from one real-space and one structure-factor pass;
     ``pair_energy`` and ``pair_gradient`` return one of the two.
 
+    The default alpha = 4 pi / ell^2 balances the two sums: at the default
+    tolerance they run over 81 real-space shifts and 775 k-vectors for every
+    ell (alpha = pi / ell^2 needs 389 shifts and 256 k-vectors, the whole
+    cutoff ball).  The k-vectors cover half of k-space, those whose first
+    nonzero integer component is positive.  The terms of k and -k are equal
+    in the energy, the gradient, ``green`` and ``madelung``, so ``kcoef``
+    carries the factor 2 and every formula is the full-ball one.
+
     Its real-space sum runs over blocks of shifts, each a ``(shifts, 3,
     pairs)`` array contiguous along the pair axis, and every elementwise pass
-    runs in place in scratch buffers allocated once per call.  A serial sum
+    runs in place in scratch buffers.  Those buffers, the ``(pairs, shifts)``
+    energy terms and the ``(n, k-vectors)`` structure-factor arrays belong
+    to the calling thread (``_buffer``): they are kept between calls and
+    grow with n, so a repeated call faults no fresh pages.  A serial sum
     takes blocks of about 2^14 image terms, but at least 32 shifts, which
     keeps its scratch small; a pool task takes blocks of about 2^16 terms,
     the unit ``chunks`` splits by; no block exceeds 2^16 terms
@@ -60,15 +71,16 @@ class PeriodicKernel:
     one-ulp change, so that order is part of the result.
 
     Given an executor, ``energy_and_gradient`` splits the real-space sum into
-    contiguous pair ranges, one task each.  A task writes only its own rows of
-    the energy buffer and its own columns of the gradient accumulator, and
-    runs the same per-pair operations in the same shift order; the energy is
-    still one ``np.sum`` over the whole buffer.  The result is therefore
-    bitwise equal to the serial call for any number of workers.  The tasks
-    overlap in their ``erfc`` passes too: with scipy 1.17.1,
-    ``scipy.special.erfc`` releases the interpreter lock, as numpy's own
-    ufuncs do.  Measured on a 2-core box, a Python loop on the main thread
-    kept running through one ``erfc`` call over 2e7 elements, and ten
+    contiguous pair ranges, one task each, with at least 2^16 image terms per
+    task (``chunks``); with 81 shifts, n >= 58 splits on 2 workers.  A task
+    writes only its own rows of the energy buffer and its own columns of the
+    gradient accumulator, and runs the same per-pair operations in the same
+    shift order; the energy is still one ``np.sum`` over the whole buffer.
+    The result is therefore bitwise equal to the serial call for any number
+    of workers.  The tasks overlap in their ``erfc`` passes too: with scipy
+    1.17.1, ``scipy.special.erfc`` releases the interpreter lock, as numpy's
+    own ufuncs do.  Measured on a 2-core box, a Python loop on the main
+    thread kept running through one ``erfc`` call over 2e7 elements, and ten
     passes over 2^16 elements took 0.22 s serially and 0.11 s split over two
     threads.
 
@@ -78,7 +90,7 @@ class PeriodicKernel:
         Cell side, finite and positive.
     alpha : float, optional
         Splitting parameter (inverse length squared), finite and positive.
-        Default pi / ell^2.  Results are alpha-independent up to the
+        Default 4 pi / ell^2.  Results are alpha-independent up to the
         truncation tolerance.
     tol : float
         Target absolute truncation error of kernel values, in (0, 1); real
@@ -90,7 +102,7 @@ class PeriodicKernel:
         if not (math.isfinite(ell) and ell > 0.0):
             raise ValueError(f"ell must be finite and positive, got {ell}")
         self.ell = ell
-        self.alpha = float(alpha) if alpha is not None else np.pi / ell**2
+        self.alpha = float(alpha) if alpha is not None else 4.0 * np.pi / ell**2
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         tol = float(tol)
@@ -117,11 +129,27 @@ class PeriodicKernel:
         kgrid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
         kvecs = kgrid * (2.0 * np.pi / ell)
         k2 = np.sum(kvecs**2, axis=1)
-        keep = (k2 > 0.0) & (np.sqrt(k2) <= kcut)
+        # half of k-space: the first nonzero component is positive.  The k
+        # and -k terms are equal in every sum, so each kept k counts twice.
+        lead = np.where(kgrid[:, 0] != 0, kgrid[:, 0],
+                        np.where(kgrid[:, 1] != 0, kgrid[:, 1], kgrid[:, 2]))
+        keep = (lead > 0) & (np.sqrt(k2) <= kcut)
         self.kvecs = kvecs[keep]
         k2 = k2[keep]
-        self.kcoef = (4.0 * np.pi / ell**3) * np.exp(-k2 / (4.0 * self.alpha)) / k2
+        self.kcoef = (8.0 * np.pi / ell**3) * np.exp(-k2 / (4.0 * self.alpha)) / k2
         self.self_const = np.pi / (self.alpha * ell**3)
+        self._buffers = threading.local()
+
+    def _buffer(self, name: str, shape) -> np.ndarray:
+        """A C-contiguous float array of ``shape`` over this thread's buffer
+        ``name``.  The buffer is kept between calls and grows when a call
+        needs more, so repeated calls touch no fresh pages."""
+        size = math.prod(shape)
+        buf = getattr(self._buffers, name, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size)
+            setattr(self._buffers, name, buf)
+        return buf[:size].reshape(shape)
 
     # -- point values -------------------------------------------------------
 
@@ -176,8 +204,9 @@ class PeriodicKernel:
         dx -= self.ell * np.round(dx / self.ell)
         dxt = np.ascontiguousarray(dx.T)  # (3, pairs)
         npair = len(iu)
-        terms = np.empty((npair, len(self.shifts)))  # erfc(s r)/r, pair-major
-        acc = np.empty((3, npair))  # -(grad wrt x_i of pair (i, j))
+        # erfc(s r)/r, pair-major, and -(grad wrt x_i of pair (i, j))
+        terms = self._buffer("terms", (npair, len(self.shifts)))
+        acc = self._buffer("acc", (3, npair))
         parts = 1 if executor is None else self.chunks(n, executor._max_workers)
         if parts == 1:
             self._real_space(dxt, 0, npair, terms, acc, _CACHE_BLOCK)
@@ -192,32 +221,37 @@ class PeriodicKernel:
         gpair = -acc.T
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
-        phase = pos @ self.kvecs.T
-        c, s = np.cos(phase), np.sin(phase)
+        shape = (n, len(self.kvecs))
+        phase = np.matmul(pos, self.kvecs.T, out=self._buffer("phase", shape))
+        c = np.cos(phase, out=self._buffer("cos", shape))
+        s = np.sin(phase, out=phase)
         ctot, stot = c.sum(axis=0), s.sum(axis=0)
         recip = 0.5 * np.dot(self.kcoef, ctot**2 + stot**2 - n)
         # sum_{j != i} sin(k.(x_i - x_j)) = s_i ctot - c_i stot
-        cross = s * ctot[None, :] - c * stot[None, :]
-        grad += -(cross * self.kcoef[None, :]) @ self.kvecs
+        cross = np.multiply(s, ctot, out=self._buffer("cross", shape))
+        cross -= np.multiply(c, stot, out=c)
+        cross *= self.kcoef
+        grad += np.negative(cross, out=cross) @ self.kvecs
         npairs = n * (n - 1) / 2.0
         return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
 
     def _real_space(self, dxt, lo, hi, terms, acc, budget):
         """Real-space image sum of pairs ``lo:hi``: fills those rows of the
         pair-major ``terms`` with erfc(s r)/r and those columns of ``acc``
-        with the pair forces, summed in shift order.  Its scratch is local to
-        the call, so tasks running it concurrently share no buffer."""
+        with the pair forces, summed in shift order.  Its scratch is the
+        calling thread's own, so tasks running it concurrently share no
+        buffer."""
         dxt = dxt[:, lo:hi]
         npair, nshift = hi - lo, len(self.shifts)
         sa = np.sqrt(self.alpha)
         gauss = 2.0 * sa / np.sqrt(np.pi)
         step = min(_block_shifts(npair, budget), nshift)
-        # scratch of this call: row 0 of blk is the running sum of the pair
+        # scratch of this thread: row 0 of blk is the running sum of the pair
         # forces, rows 1.. one block of displacements; scratch holds per-term
         # values
-        blk = np.empty((step + 1, 3, npair))
+        blk = self._buffer("blk", (step + 1, 3, npair))
         blk[0] = 0.0
-        scratch = np.empty((3, step, npair))
+        scratch = self._buffer("scratch", (3, step, npair))
         for s0 in range(0, nshift, step):
             sh = self.shifts[s0 : s0 + step]
             m = len(sh)

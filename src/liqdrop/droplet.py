@@ -22,9 +22,11 @@ from scipy.optimize import minimize, minimize_scalar
 
 from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
+    TetraBody,
     domain_pair_coulomb,
     potential_domain,
     potential_domain_gradient,
+    tetra_field,
 )
 from liqdrop.geom import (
     Ball,
@@ -256,8 +258,9 @@ def _gc_objective_factory(lam, rho, penalty, k):
     mu = OPT_ENERGY_PER_VOLUME
     if isinstance(lam, Tetrahedron):
         normals, offsets = lam.face_planes()
+        body = TetraBody(lam)  # set up once; one closed-form pass per call
     else:
-        normals = offsets = None
+        normals = offsets = body = None
 
     def objective(x):
         c = x[: 3 * k].reshape(k, 3)
@@ -280,8 +283,11 @@ def _gc_objective_factory(lam, rho, penalty, k):
             np.add.at(gq, ju, q[iu] / dist)
             gr += gq * dq
         if rho > 0.0:
-            phi = potential_domain(lam, c)
-            dphi = potential_domain_gradient(lam, c)
+            if body is not None:
+                phi, dphi = tetra_field(body, c)
+            else:
+                phi = potential_domain(lam, c)
+                dphi = potential_domain_gradient(lam, c)
             e -= rho * float(np.sum(q * (phi - (2.0 * np.pi / 5.0) * r**2)))
             gc -= rho * q[:, None] * dphi
             gr -= rho * (dq * (phi - (2.0 * np.pi / 5.0) * r**2)

@@ -63,22 +63,16 @@ class ExpansionReport:
     n_points: int
     cell: float
     pair_energy: float  # sum over pairs of the periodic kernel
-    self_image_term: float  # Madelung term under the chosen convention
+    self_image_term: float  # n * Madelung / (2 cell): each point's own images
     per_cell_bracket: float  # pair_energy + self_image_term
     upper_bound: float
     residual_coefficient: float  # (upper_bound - mu* rho) / rho^(4/3)
     residual_coefficient_no_quadratic: float
-    convention: str  # "per-particle" or "single"
     quadratic_term: float
 
 
-def _assemble_report(rho, n, cell, pair, madelung_over_cell, convention):
-    if convention == "per-particle":
-        self_term = n * madelung_over_cell / 2.0
-    elif convention == "single":
-        self_term = madelung_over_cell / 2.0
-    else:
-        raise ValueError("convention must be 'per-particle' or 'single'")
+def _assemble_report(rho, n, cell, pair, madelung_over_cell):
+    self_term = n * madelung_over_cell / 2.0
     bracket = pair + self_term
     quad = 2.0 * np.pi * OPT_RADIUS**2 * rho**2
     bound = OPT_ENERGY_PER_VOLUME * rho + (OPT_MASS**2 / cell**3) * bracket + quad
@@ -94,17 +88,11 @@ def _assemble_report(rho, n, cell, pair, madelung_over_cell, convention):
         upper_bound=bound,
         residual_coefficient=resid,
         residual_coefficient_no_quadratic=resid_nq,
-        convention=convention,
         quadratic_term=quad,
     )
 
 
-def upper_bound_e(
-    rho: float,
-    n: int,
-    points: np.ndarray,
-    convention: str = "per-particle",
-) -> ExpansionReport:
+def upper_bound_e(rho: float, n: int, points: np.ndarray) -> ExpansionReport:
     """Upper bound on the energy per unit volume at background density rho,
     from the given N points per periodic cell of side (mass N / rho)^(1/3).
 
@@ -112,10 +100,9 @@ def upper_bound_e(
     programs use comes from expansion_sweep, which rescales one unit-cell
     optimization to every density.
 
-    The self-image term has two conventions: "per-particle" applies the
-    periodic self-energy once per point (default; validated against the
-    independent total-energy evaluation for commensurate crystals), "single"
-    applies it once per cell.  Both are reported by expansion_sweep.
+    The periodic self-energy (half the Madelung term) counts once per point,
+    which matches the independent total-energy evaluation for commensurate
+    crystals.
     """
     if not 0.0 < rho <= 1e-2:
         raise ValueError("density must lie in (0, 1e-2]")
@@ -126,7 +113,7 @@ def upper_bound_e(
     cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
     kernel = PeriodicKernel(cell)
     pair = kernel.pair_energy(points, q=1.0)
-    return _assemble_report(rho, n, cell, pair, kernel.madelung(), convention)
+    return _assemble_report(rho, n, cell, pair, kernel.madelung())
 
 
 def expansion_sweep(
@@ -137,7 +124,7 @@ def expansion_sweep(
     hops: int = 2,
     threads: int = 1,
 ):
-    """Reports for a density grid, under both self-image conventions.
+    """Upper-bound reports for a density grid.
 
     The periodic minimizer is computed once in the unit-density cell (side
     n^(1/3)) by basin hopping, with seeded crystal starts added when n
@@ -145,7 +132,7 @@ def expansion_sweep(
     (the kernel obeys green(cell * u; cell) = green(u; 1) / cell, so the
     scaled configuration stays optimal and its energies scale by 1/cell);
     this makes the sweep O(one optimization) instead of O(grid size).
-    Returns (reports_per_particle, reports_single).
+    Returns one report per density.
     """
     rhos = [float(r) for r in rhos]
     unit_side = n ** (1.0 / 3.0)
@@ -163,17 +150,13 @@ def expansion_sweep(
     unit_pos -= unit_pos.mean(axis=0)  # zero total displacement in the centered cell
     unit_pair = unit_kernel.pair_energy(unit_pos, q=1.0)
     unit_madelung = unit_kernel.madelung()
-    per_particle, single = [], []
+    reports = []
     for rho in rhos:
         cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
         scale = unit_side / cell  # energies scale like inverse length
-        pair = unit_pair * scale
-        mad_over_cell = unit_madelung * scale
-        per_particle.append(_assemble_report(rho, n, cell, pair, mad_over_cell,
-                                             "per-particle"))
-        single.append(_assemble_report(rho, n, cell, pair, mad_over_cell,
-                                       "single"))
-    return per_particle, single
+        reports.append(_assemble_report(rho, n, cell, unit_pair * scale,
+                                        unit_madelung * scale))
+    return reports
 
 
 def extract_coefficients(rhos, values):

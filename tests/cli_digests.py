@@ -51,10 +51,10 @@ RUNS = (
     ("madelung", ["madelung"]),
     ("jellium-opt", ["jellium-opt", "--n", "8", "--restarts", "2", "--hops", "1",
                      "--seed", "5"]),
-    # the benchmark's crystal workload at seed 0: Ewald in several blocks
+    # the benchmark's crystal workload at seed 0: small Ewald calls
     ("crystal", ["jellium-opt", "--n", "16", "--restarts", "1", "--hops", "2",
                  "--threads", "1", "--seed", "0"]),
-    # the dilute workload's CLI command: Ewald split over the thread pool
+    # the dilute workload's CLI command: restarts on the thread pool
     ("dilute", ["expansion", "--n", "54", "--restarts", "0", "--hops", "0",
                 "--rho", "1e-3,3e-4,1e-4,3e-5", "--threads", "2"]),
     ("jellium-gc", ["jellium-gc", "--a", "2.2246", "--window", "4,5", "--starts", "2"]),

@@ -134,10 +134,9 @@ def test_acceptance_4_global_optimization_bracket():
 
 def test_acceptance_5_dilute_expansion_coefficients():
     t0 = time.time()
-    pp, single = expansion_sweep(RHO_GRID, n=54, seed=0, restarts=6, hops=2,
-                                 threads=THREADS)
+    pp = expansion_sweep(RHO_GRID, n=54, seed=0, restarts=6, hops=2,
+                         threads=THREADS)
     c1_pp, c2_pp, _ = extract_coefficients(RHO_GRID, pp)
-    c1_s, c2_s, _ = extract_coefficients(RHO_GRID, single)
     e_exact = 9.0 * (np.pi / 15.0) ** (1.0 / 3.0)
     ok = abs(c1_pp - e_exact) <= 5e-3 * e_exact
     ok = ok and abs(c2_pp - RESIDUAL_TARGET) <= 0.1 * abs(RESIDUAL_TARGET)
@@ -146,8 +145,7 @@ def test_acceptance_5_dilute_expansion_coefficients():
         "dilute expansion coefficients",
         ok,
         f"per-particle c1 {c1_pp:.6f} (target {e_exact:.6f} +-0.5%), "
-        f"c2 {c2_pp:.4f} (target {RESIDUAL_TARGET} +-10%); "
-        f"single-count convention reported: c1 {c1_s:.6f}, c2 {c2_s:.4f}",
+        f"c2 {c2_pp:.4f} (target {RESIDUAL_TARGET} +-10%)",
         time.time() - t0,
         limit=1800.0,
     )

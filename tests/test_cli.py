@@ -195,13 +195,13 @@ def test_expansion_small_grid(tmp_path):
     )
     doc = json.loads((tmp_path / "expansion.json").read_text())
     fits = doc["summary"]["fits"]
-    assert set(fits) == {"per-particle", "single"}
-    # c1 is convention-independent and close to the droplet constant
+    assert set(fits) == {"per-particle"}
+    # c1 is close to the droplet constant
     assert fits["per-particle"]["linear_coefficient"] == pytest.approx(
         5.3447662207, rel=1e-3
     )
     _, rows = read_csv(tmp_path / "expansion.csv")
-    assert len(rows) == 8  # 4 densities x 2 conventions
+    assert len(rows) == 4  # one per density
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,61 @@ def test_madelung_values_and_scaling():
     assert k.madelung() == pytest.approx(MADELUNG_Z3, abs=1e-12)
 
 
+def test_madelung_keeps_every_bit_at_the_default_alpha():
+    assert madelung_z3(1.0) == MADELUNG_Z3
+    # the bits of the previous default, alpha = pi (full ball of k-vectors)
+    assert PeriodicKernel(1.0, alpha=math.pi).madelung() == MADELUNG_Z3
+
+
+def _full_ball(k):
+    """Every k-vector of the cutoff ball, both signs, with the unpaired
+    coefficient 4 pi exp(-k^2/(4 alpha)) / (ell^3 k^2)."""
+    kcut = 2.0 * np.sqrt(k.alpha * np.log(1.0 / k.tol)) + 2.0 * np.pi / k.ell
+    nmax = int(np.ceil(kcut * k.ell / (2.0 * np.pi)))
+    rng = np.arange(-nmax, nmax + 1)
+    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+    kvecs = grid * (2.0 * np.pi / k.ell)
+    k2 = np.sum(kvecs**2, axis=1)
+    keep = (k2 > 0.0) & (np.sqrt(k2) <= kcut)
+    kvecs, k2 = kvecs[keep], k2[keep]
+    return kvecs, (4.0 * np.pi / k.ell**3) * np.exp(-k2 / (4.0 * k.alpha)) / k2
+
+
+def test_half_space_k_sum_equals_full_ball():
+    n = 16
+    ell = n ** (1.0 / 3.0)
+    k = PeriodicKernel(ell)
+    assert (len(k.shifts), len(k.kvecs)) == (81, 775)
+    full, coef = _full_ball(k)
+    # the kept half and its mirror image are the whole ball, each k once
+    both = np.concatenate([k.kvecs, -k.kvecs])
+    assert len(both) == len(full) == 1550
+    assert {tuple(v) for v in np.round(both * ell / (2 * np.pi)).astype(int)} == {
+        tuple(v) for v in np.round(full * ell / (2 * np.pi)).astype(int)
+    }
+    pos = np.random.default_rng(16).random((n, 3)) * ell
+    e, g = k.energy_and_gradient(pos)
+    ball = PeriodicKernel(ell)
+    ball.kvecs, ball.kcoef = full, coef
+    e_ref, g_ref = _broadcast_energy_and_gradient(ball, pos, 1.0)
+    assert e == pytest.approx(e_ref, rel=1e-14, abs=1e-14)
+    np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-13)
+    x = np.array([[0.31, 0.12, 0.44], [0.5, 0.5, 0.5]]) * ell
+    np.testing.assert_allclose(k.green(x), ball.green(x), rtol=0.0, atol=1e-14)
+    assert k.madelung() == pytest.approx(ball.madelung(), rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 54, 128])
+def test_default_alpha_agrees_with_pi_over_ell_squared(n):
+    ell = n ** (1.0 / 3.0)
+    pos = np.random.default_rng(300 + n).random((n, 3)) * ell
+    e, g = PeriodicKernel(ell).energy_and_gradient(pos)
+    e_pi, g_pi = PeriodicKernel(ell, alpha=np.pi / ell**2).energy_and_gradient(pos)
+    bound = 1e-12 * max(1.0, abs(e))
+    assert abs(e - e_pi) <= bound
+    assert np.abs(g - g_pi).max() <= bound
+
+
 def test_green_function_frozen_values():
     k = PeriodicKernel(1.0)
     assert k.green([(0.5, 0.5, 0.5)])[0] == pytest.approx(
@@ -241,26 +296,40 @@ def _block_regime(npair, nshift, budget):
 
 
 # every regime of the block rule: serial sums take 2^14-term blocks and pool
-# tasks (n = 54 on 2 and 3 workers) 2^16-term blocks
+# tasks 2^16-term blocks.  The cases without a suffix use alpha = pi/ell^2
+# (389 shifts), where n = 54 splits on 2 and 3 workers; the "default" cases
+# use the default alpha (81 shifts), where n = 58 splits on 2 workers and
+# n = 71 on 3.
 @pytest.mark.parametrize(
-    "n, workers, regime",
+    "n, workers, regime, default_alpha",
     [
-        pytest.param(2, 1, "one block", id="2"),
-        pytest.param(3, 1, "one block", id="3"),
-        pytest.param(16, 1, "2^14 blocks, partial last", id="16"),
-        pytest.param(27, 1, "2^14 blocks, partial last", id="27"),
-        pytest.param(54, 1, "32-shift floor", id="54"),
-        pytest.param(54, 2, "2^16 blocks, partial last", id="54-on-2-workers"),
-        pytest.param(54, 3, "2^16 blocks, partial last", id="54-on-3-workers"),
-        pytest.param(200, 1, "2^16 cap", id="200"),
+        pytest.param(2, 1, "one block", False, id="2"),
+        pytest.param(3, 1, "one block", False, id="3"),
+        pytest.param(16, 1, "2^14 blocks, partial last", False, id="16"),
+        pytest.param(27, 1, "2^14 blocks, partial last", False, id="27"),
+        pytest.param(54, 1, "32-shift floor", False, id="54"),
+        pytest.param(54, 2, "2^16 blocks, partial last", False, id="54-on-2-workers"),
+        pytest.param(54, 3, "2^16 blocks, partial last", False, id="54-on-3-workers"),
+        pytest.param(200, 1, "2^16 cap", False, id="200"),
+        pytest.param(16, 1, "one block", True, id="16-default"),
+        pytest.param(27, 1, "2^14 blocks, partial last", True, id="27-default"),
+        pytest.param(54, 1, "32-shift floor", True, id="54-default"),
+        pytest.param(58, 2, "2^16 blocks, partial last", True,
+                     id="58-on-2-workers-default"),
+        pytest.param(71, 3, "2^16 blocks, partial last", True,
+                     id="71-on-3-workers-default"),
+        pytest.param(200, 1, "2^16 cap", True, id="200-default"),
     ],
 )
-def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, workers, regime):
+def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(
+    n, workers, regime, default_alpha
+):
     rng = np.random.default_rng(500 + n)
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
     q = rng.uniform(0.2, 3.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
-    k = PeriodicKernel(ell)
+    k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
+    assert len(k.shifts) == (81 if default_alpha else 389)
     npair = n * (n - 1) // 2
     assert k.chunks(n, workers) == workers
     # the pair ranges and block budget energy_and_gradient gives each task
@@ -328,19 +397,19 @@ def _assert_bitwise(result, reference):
     assert result[1].tobytes() == reference[1].tobytes()
 
 
-# on 2 and 3 workers, n = 2 and 3 run inline and n = 54 and 200 split
-@pytest.mark.parametrize("n", [2, 3, 54, 200])
+# on 2 and 3 workers, n = 2, 3 and 54 run inline and n = 58 and 200 split
+@pytest.mark.parametrize("n", [2, 3, 54, 58, 200])
 def test_energy_and_gradient_split_bitwise_equal_to_serial(n):
     k, pts, q = _random_case(n)
     serial = k.energy_and_gradient(pts, q)
     for workers in (2, 3):
-        assert (k.chunks(n, workers) > 1) == (n >= 54)
+        assert (k.chunks(n, workers) > 1) == (n >= 58)
         with ThreadPoolExecutor(workers) as pool:
             _assert_bitwise(k.energy_and_gradient(pts, q, executor=pool), serial)
 
 
 def test_energy_and_gradient_split_raises_on_coincident_pair():
-    n = 54
+    n = 58
     k = PeriodicKernel(n ** (1.0 / 3.0))
     pts = np.random.default_rng(3).random((n, 3)) * k.ell
     pts[-1] = pts[-2]  # the last pair, in the last worker's range
@@ -348,6 +417,24 @@ def test_energy_and_gradient_split_raises_on_coincident_pair():
     with ThreadPoolExecutor(2) as pool:
         with pytest.raises(ValueError, match="coincident"):
             k.energy_and_gradient(pts, executor=pool)
+
+
+def test_kernel_buffers_are_per_thread_and_follow_n():
+    # one kernel keeps its scratch between calls, one set per thread: calls
+    # at growing and shrinking n, and calls from two threads at once, give
+    # the bits of a fresh kernel
+    ell = 3.1
+    rng = np.random.default_rng(11)
+    configs = [rng.random((n, 3)) * ell for n in (7, 60, 2, 33, 60, 7)]
+    fresh = [PeriodicKernel(ell).energy_and_gradient(p, 1.1) for p in configs]
+    k = PeriodicKernel(ell)
+    for p, ref in zip(configs, fresh):
+        _assert_bitwise(k.energy_and_gradient(p, 1.1), ref)
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(3):
+            results = pool.map(lambda p: k.energy_and_gradient(p, 1.1), configs)
+            for res, ref in zip(results, fresh):
+                _assert_bitwise(res, ref)
 
 
 def test_energy_and_gradient_split_stress_many_switches():
@@ -366,11 +453,12 @@ def test_energy_and_gradient_split_stress_many_switches():
 
 
 def test_minimize_local_bitwise_equal_with_pool():
-    n = 54
+    n = 108  # large enough for the real-space sum to split on 2 workers
     side = n ** (1.0 / 3.0)
     k = PeriodicKernel(side)
+    assert k.chunks(n, 2) == 2
     rng = np.random.default_rng(54)
-    start = crystal_positions("bcc", 3, side) + rng.normal(scale=0.1, size=(n, 3))
+    start = crystal_positions("fcc", 3, side) + rng.normal(scale=0.1, size=(n, 3))
     pos0, trace0 = minimize_local(start, k)
     with ThreadPoolExecutor(2) as pool:
         pos1, trace1 = minimize_local(start, k, executor=pool)

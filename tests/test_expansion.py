@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liqdrop.coulomb import potential_box
+from liqdrop.coulomb import madelung_z3, potential_box
 from liqdrop.droplet import OPT_ENERGY_PER_VOLUME, OPT_MASS, OPT_RADIUS
 from liqdrop.expansion import (
     _both_inside,
@@ -22,8 +22,8 @@ from liqdrop.geom import Ball, BallUnion, Cube, regular_tetrahedron
 from liqdrop.jellium import crystal_positions
 
 # residual coefficient of the bcc crystal bracket (independently derived):
-# per-particle convention equals (5/2)^(2/3) * (bcc lattice-sum value);
-# the single-count convention differs at finite point count
+# (5/2)^(2/3) * (bcc lattice-sum value); counting the self-image energy once
+# per cell instead of once per point gives a different value at n = 16
 RESIDUAL_PER_PARTICLE = -2.6602957899652124
 RESIDUAL_SINGLE_N16 = -1.6880721776306877
 
@@ -33,15 +33,15 @@ RESIDUAL_SINGLE_N16 = -1.6880721776306877
 # ---------------------------------------------------------------------------
 
 
-def crystal_report(rho, convention):
+def crystal_report(rho):
     n = 16
     cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
     pts = crystal_positions("bcc", 2, cell)
-    return upper_bound_e(rho, n=n, points=pts, convention=convention)
+    return upper_bound_e(rho, n=n, points=pts)
 
 
 def test_upper_bound_crystal_residual_per_particle():
-    rep = crystal_report(1e-3, "per-particle")
+    rep = crystal_report(1e-3)
     assert rep.residual_coefficient_no_quadratic == pytest.approx(
         RESIDUAL_PER_PARTICLE, abs=1e-9
     )
@@ -57,12 +57,21 @@ def test_upper_bound_crystal_residual_per_particle():
     )
 
 
-def test_upper_bound_crystal_residual_single_convention():
-    rep = crystal_report(1e-3, "single")
-    assert rep.residual_coefficient_no_quadratic == pytest.approx(
-        RESIDUAL_SINGLE_N16, abs=1e-9
+def test_self_image_once_per_point_not_once_per_cell():
+    # the bound counts each point's own images; counting them once per cell
+    # raises the residual by (n - 1) / n^(4/3) * |M| * OPT_MASS^(2/3) / 2
+    n, rho = 16, 1e-3
+    rep = crystal_report(rho)
+    assert rep.self_image_term == n * madelung_z3(rep.cell) / 2.0
+    once_per_cell = rep.pair_energy + rep.self_image_term / n
+    single = (OPT_MASS**2 / rep.cell**3) * once_per_cell / rho ** (4.0 / 3.0)
+    assert single == pytest.approx(RESIDUAL_SINGLE_N16, abs=1e-9)
+    mad = madelung_z3(1.0)
+    offset = (n - 1) / n ** (4.0 / 3.0) * abs(mad) * OPT_MASS ** (2.0 / 3.0) / 2
+    assert offset == pytest.approx(0.972, abs=5e-4)
+    assert single - rep.residual_coefficient_no_quadratic == pytest.approx(
+        offset, rel=1e-9
     )
-    assert rep.convention == "single"
 
 
 def test_upper_bound_validates_inputs():
@@ -71,8 +80,6 @@ def test_upper_bound_validates_inputs():
         upper_bound_e(0.5, n=16, points=pts)  # too dense for the dilute pipeline
     with pytest.raises(ValueError):
         upper_bound_e(1e-3, n=1, points=pts[:1])
-    with pytest.raises(ValueError):
-        crystal_report(1e-3, "sideways")
 
 
 def test_upper_bound_rejects_points_that_do_not_match_n():
@@ -93,18 +100,13 @@ def test_upper_bound_rejects_points_that_do_not_match_n():
 
 def test_expansion_sweep_scales_exactly():
     rhos = [1e-3, 1e-4, 1e-5]
-    pp, single = expansion_sweep(rhos, n=8, seed=0, restarts=2, hops=1)
-    assert len(pp) == len(single) == 3
+    pp = expansion_sweep(rhos, n=8, seed=0, restarts=2, hops=1)
+    assert len(pp) == 3
     # the same unit-cell minimizer is rescaled, so the residual coefficient
     # (before the quadratic term) is exactly density-independent
     r0 = pp[0].residual_coefficient_no_quadratic
     for rep in pp[1:]:
         assert rep.residual_coefficient_no_quadratic == pytest.approx(r0, rel=1e-12)
-    # conventions differ exactly by the (n-1) extra self-image shares
-    for a, b in zip(pp, single):
-        assert a.convention == "per-particle" and b.convention == "single"
-        assert a.self_image_term == pytest.approx(8 * b.self_image_term, rel=1e-12)
-        assert a.pair_energy == b.pair_energy
     # an 8-point optimized cell cannot beat the crystal residual by much
     assert r0 == pytest.approx(RESIDUAL_PER_PARTICLE, rel=0.05)
 

@@ -163,13 +163,13 @@ def test_basin_hop_deterministic_and_thread_invariant():
 
 
 def test_basin_hop_split_path_thread_invariant():
-    # at n = 54 the kernel splits its pair axis, so restarts run in order
-    n = 54
+    # at n = 108 the kernel splits its pair axis, so restarts run in order
+    n = 108
     side = n ** (1.0 / 3.0)
     kern = PeriodicKernel(side)
     assert kern.chunks(n, 2) > 1
     rng = np.random.default_rng(5)
-    starts = [crystal_positions("bcc", 3, side) + rng.normal(scale=1e-3, size=(n, 3))]
+    starts = [crystal_positions("fcc", 3, side) + rng.normal(scale=1e-3, size=(n, 3))]
     a = basin_hop(n, kern, restarts=0, hops=0, threads=1, initial_configs=starts)
     b = basin_hop(n, kern, restarts=0, hops=0, threads=2, initial_configs=starts)
     assert a.best_positions.tobytes() == b.best_positions.tobytes()

@@ -5,11 +5,9 @@ provenance block (echo of the resolved numeric configuration, the master
 seed, and the package version; never timestamps), and, where a sweep is
 involved, a two-column whitespace data file for offline plotting.  Runs with
 the same configuration produce byte-identical outputs, independent of
-``--threads`` (``jellium-opt`` and ``expansion``, the subcommands that run a
-thread pool).  The pool splits the Ewald pair axis when one kernel call
-spans at least two blocks of 2^16 image terms (n >= 27 at the default
-tolerance), and runs optimizer restarts side by side otherwise;
-``--threads`` must be at least 1.
+``--threads`` (``jellium-opt`` and ``expansion``, the subcommands that run
+optimizer restarts side by side on a thread pool); ``--threads`` must be at
+least 1.
 
 Exit codes: 0 ok, 1 bad arguments, 2 numeric failure, 3 I/O failure.
 """
@@ -54,10 +52,7 @@ EXIT_BAD_ARGS = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
-_THREADS_HELP = (
-    "worker threads: the Ewald pair axis when a call spans at least two blocks "
-    "of 2^16 image terms, restarts otherwise (does not change results)"
-)
+_THREADS_HELP = "worker threads: restarts run side by side (does not change results)"
 
 # execution plumbing that is not part of the numeric configuration echo
 _NON_CONFIG = {"config", "out", "prefix", "threads", "seed", "subcommand"}

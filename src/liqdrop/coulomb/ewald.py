@@ -15,28 +15,23 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import wait
 
 import numpy as np
 from scipy.special import erfc
 
 __all__ = ["PeriodicKernel", "madelung_z3"]
 
-# Image terms (pairs x shifts).  _BLOCK is the unit chunks() splits by and
-# the largest block.  A serial sum takes blocks of _CACHE_BLOCK: their scratch
-# (6 doubles per term, 0.8 MB) stays in L2.  A pool task takes blocks of
-# _BLOCK, because each block costs about twenty numpy calls and each call
-# hands the interpreter lock between the pool's threads.
-_BLOCK = 2**16
+# Image terms (pairs x shifts) per real-space block: about _CACHE_BLOCK, whose
+# scratch (6 doubles per term, 0.8 MB) stays in L2, but at least _MIN_SHIFTS
+# shifts, which bounds the per-block Python overhead, and at most _BLOCK.
 _CACHE_BLOCK = 2**14
-# fewest shifts per serial block, which bounds the per-block Python overhead
 _MIN_SHIFTS = 32
+_BLOCK = 2**16
 
 
-def _block_shifts(npair: int, budget: int) -> int:
-    """Shifts per real-space block over ``npair`` pairs: about ``budget``
-    image terms, at least _MIN_SHIFTS shifts, and at most _BLOCK terms."""
-    return min(max(_MIN_SHIFTS, budget // npair), max(1, _BLOCK // npair))
+def _block_shifts(npair: int) -> int:
+    """Shifts per real-space block over ``npair`` pairs."""
+    return min(max(_MIN_SHIFTS, _CACHE_BLOCK // npair), max(1, _BLOCK // npair))
 
 
 class PeriodicKernel:
@@ -59,30 +54,15 @@ class PeriodicKernel:
     runs in place in scratch buffers.  Those buffers, the ``(pairs, shifts)``
     energy terms and the ``(n, k-vectors)`` structure-factor arrays belong
     to the calling thread (``_buffer``): they are kept between calls and
-    grow with n, so a repeated call faults no fresh pages.  A serial sum
-    takes blocks of about 2^14 image terms, but at least 32 shifts, which
-    keeps its scratch small; a pool task takes blocks of about 2^16 terms,
-    the unit ``chunks`` splits by; no block exceeds 2^16 terms
-    (``_block_shifts``).  The block size changes no value, because the
+    grow with n, so a repeated call faults no fresh pages, and threads that
+    share one kernel share no scratch.  A block holds about 2^14 image terms,
+    but at least 32 shifts, which keeps its scratch small, and at most 2^16
+    terms (``_block_shifts``).  The block size changes no value, because the
     reduction order is fixed: the energy terms fill one pair-major
     ``(pairs, shifts)`` buffer summed by a single pairwise ``np.sum``, and
     the gradient is summed sequentially in shift order.
     Outputs are written at full ``repr`` precision and L-BFGS amplifies a
     one-ulp change, so that order is part of the result.
-
-    Given an executor, ``energy_and_gradient`` splits the real-space sum into
-    contiguous pair ranges, one task each, with at least 2^16 image terms per
-    task (``chunks``); with 81 shifts, n >= 58 splits on 2 workers.  A task
-    writes only its own rows of the energy buffer and its own columns of the
-    gradient accumulator, and runs the same per-pair operations in the same
-    shift order; the energy is still one ``np.sum`` over the whole buffer.
-    The result is therefore bitwise equal to the serial call for any number
-    of workers.  The tasks overlap in their ``erfc`` passes too: with scipy
-    1.17.1, ``scipy.special.erfc`` releases the interpreter lock, as numpy's
-    own ufuncs do.  Measured on a 2-core box, a Python loop on the main
-    thread kept running through one ``erfc`` call over 2e7 elements, and ten
-    passes over 2^16 elements took 0.22 s serially and 0.11 s split over two
-    threads.
 
     Parameters
     ----------
@@ -179,20 +159,11 @@ class PeriodicKernel:
 
     # -- many-body sums -----------------------------------------------------
 
-    def chunks(self, n: int, threads: int) -> int:
-        """Pair ranges the real-space sum at ``n`` points is split into on
-        ``threads`` workers: at most one per worker, and each at least 2^16
-        image terms."""
-        pairs = n * (n - 1) // 2
-        return max(1, min(threads, pairs * len(self.shifts) // _BLOCK))
-
-    def energy_and_gradient(self, positions, q: float = 1.0, executor=None):
+    def energy_and_gradient(self, positions, q: float = 1.0):
         """(q^2 * sum_{j<k} G_ell(x_j - x_k), its gradient in every position).
 
         One minimum-image reduction, one erfc pass and one structure factor
-        serve both results.  With a ``ThreadPoolExecutor`` the real-space
-        pair axis is split over its workers (see ``chunks``); the result is
-        bitwise the same.
+        serve both results.
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 3)
         n = len(pos)
@@ -202,23 +173,9 @@ class PeriodicKernel:
         iu, ju = np.triu_indices(n, k=1)
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
-        dxt = np.ascontiguousarray(dx.T)  # (3, pairs)
-        npair = len(iu)
-        # erfc(s r)/r, pair-major, and -(grad wrt x_i of pair (i, j))
-        terms = self._buffer("terms", (npair, len(self.shifts)))
-        acc = self._buffer("acc", (3, npair))
-        parts = 1 if executor is None else self.chunks(n, executor._max_workers)
-        if parts == 1:
-            self._real_space(dxt, 0, npair, terms, acc, _CACHE_BLOCK)
-        else:
-            bounds = [npair * c // parts for c in range(parts + 1)]
-            futures = [executor.submit(self._real_space, dxt, lo, hi, terms, acc, _BLOCK)
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-            wait(futures)  # no task outlives the call, even when one raises
-            for f in futures:
-                f.result()
+        terms, forces = self._real_space(np.ascontiguousarray(dx.T))
         real = np.sum(terms)
-        gpair = -acc.T
+        gpair = -forces.T
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
         shape = (n, len(self.kvecs))
@@ -235,20 +192,19 @@ class PeriodicKernel:
         npairs = n * (n - 1) / 2.0
         return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
 
-    def _real_space(self, dxt, lo, hi, terms, acc, budget):
-        """Real-space image sum of pairs ``lo:hi``: fills those rows of the
-        pair-major ``terms`` with erfc(s r)/r and those columns of ``acc``
-        with the pair forces, summed in shift order.  Its scratch is the
-        calling thread's own, so tasks running it concurrently share no
-        buffer."""
-        dxt = dxt[:, lo:hi]
-        npair, nshift = hi - lo, len(self.shifts)
+    def _real_space(self, dxt):
+        """Real-space image sum over the pairs of ``dxt``, shape (3, pairs).
+
+        Returns the pair-major ``(pairs, shifts)`` terms erfc(s r)/r and the
+        ``(3, pairs)`` pair forces, -(grad wrt x_i of pair (i, j)), summed in
+        shift order.  Both are views of the calling thread's buffers."""
+        npair, nshift = dxt.shape[1], len(self.shifts)
         sa = np.sqrt(self.alpha)
         gauss = 2.0 * sa / np.sqrt(np.pi)
-        step = min(_block_shifts(npair, budget), nshift)
-        # scratch of this thread: row 0 of blk is the running sum of the pair
-        # forces, rows 1.. one block of displacements; scratch holds per-term
-        # values
+        step = min(_block_shifts(npair), nshift)
+        terms = self._buffer("terms", (npair, nshift))
+        # row 0 of blk is the running sum of the pair forces, rows 1.. one
+        # block of displacements; scratch holds per-term values
         blk = self._buffer("blk", (step + 1, 3, npair))
         blk[0] = 0.0
         scratch = self._buffer("scratch", (3, step, npair))
@@ -267,7 +223,7 @@ class PeriodicKernel:
             if r.min() < 1e-300:
                 raise ValueError("coincident points in pair energy")
             screened = erfc(np.multiply(r, sa, out=a), out=a)
-            np.divide(screened, r, out=terms[lo:hi, s0 : s0 + m].T)
+            np.divide(screened, r, out=terms[:, s0 : s0 + m].T)
             # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r));
             # mag/r is built in a, with r^2 = r*r (bitwise r**2) in b
             r2 = np.multiply(r, r, out=b)
@@ -280,7 +236,7 @@ class PeriodicKernel:
             d *= a[:, None, :]
             # the running sum leads the block, so the sum stays sequential in shifts
             blk[0] = np.sum(rows, axis=0)
-        acc[:, lo:hi] = blk[0]
+        return terms, blk[0]
 
     def pair_energy(self, positions, q: float = 1.0) -> float:
         """q^2 * sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""

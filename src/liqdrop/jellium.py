@@ -89,7 +89,6 @@ def minimize_local(
     kernel: PeriodicKernel,
     q: float = 1.0,
     gtol: float = 1e-8,
-    executor=None,
 ):
     """L-BFGS descent of the periodic pair energy.
 
@@ -97,7 +96,6 @@ def minimize_local(
     gradient max-norm) recorded at every objective call.  Coincidence is
     already an infinite barrier of the energy itself, so the only guard
     needed is against exactly overlapping points during line search.
-    ``executor`` is handed to ``PeriodicKernel.energy_and_gradient``.
     """
     x0 = np.asarray(positions, dtype=float).reshape(-1).copy()
     n = x0.size // 3
@@ -112,7 +110,7 @@ def minimize_local(
         if np.any(r < 1e-10 * kernel.ell):
             # off-manifold guard: huge value, gradient pushing apart
             return 1e12, np.zeros_like(x)
-        e, g = kernel.energy_and_gradient(pos, q=q, executor=executor)
+        e, g = kernel.energy_and_gradient(pos, q=q)
         g = g.ravel()
         trace.append((len(trace), e, float(np.abs(g).max())))
         return e, g
@@ -137,15 +135,15 @@ class BasinHopResult:
     restart_table: np.ndarray  # rows: (restart, per-particle energy)
 
 
-def _one_restart(args, executor=None):
+def _one_restart(args):
     idx, seed, n, kernel, q, hops, gtol, start = args
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 3)) * kernel.ell if start is None else np.array(start)
-    pos, _ = minimize_local(pos, kernel, q=q, gtol=gtol, executor=executor)
+    pos, _ = minimize_local(pos, kernel, q=q, gtol=gtol)
     best = kernel.pair_energy(pos, q=q)
     for _ in range(hops):
         trial = pos + rng.normal(scale=0.12 * kernel.ell, size=pos.shape)
-        trial, _ = minimize_local(trial, kernel, q=q, gtol=gtol, executor=executor)
+        trial, _ = minimize_local(trial, kernel, q=q, gtol=gtol)
         e = kernel.pair_energy(trial, q=q)
         if e < best:
             best, pos = e, trial
@@ -168,13 +166,9 @@ def basin_hop(
     Each restart draws from its own spawned RNG stream and the reduction is
     by restart index, so results are identical for any thread count.
     ``initial_configs`` adds deterministic extra restarts started from the
-    given configurations instead of uniform draws.
-
-    One pool of ``threads`` workers serves the whole search.  When the
-    kernel splits its real-space sum at this n (``PeriodicKernel.chunks``),
-    restarts run in index order and each kernel call uses the pool;
-    otherwise the restarts themselves are mapped over the pool.  The two
-    never nest.
+    given configurations instead of uniform draws.  The restarts are mapped
+    over a pool of ``threads`` workers, which share ``kernel``; they overlap
+    in its numpy and ``erfc`` passes, which release the interpreter lock.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -185,10 +179,7 @@ def basin_hop(
     jobs += [(restarts + j, seeds[restarts + j], n, kernel, q, hops, gtol, extras[j])
              for j in range(len(extras))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        if kernel.chunks(n, threads) > 1:
-            results = [_one_restart(j, pool) for j in jobs]
-        else:
-            results = list(pool.map(_one_restart, jobs))
+        results = list(pool.map(_one_restart, jobs))
     mad = kernel.madelung()
     table = np.array([(i, (e + n * q**2 * mad / 2.0) / n) for i, e, _ in results])
     best_idx = int(np.argmin([e for _, e, _ in results]))

@@ -57,6 +57,9 @@ RUNS = (
     # the dilute workload's CLI command: restarts on the thread pool
     ("dilute", ["expansion", "--n", "54", "--restarts", "0", "--hops", "0",
                 "--rho", "1e-3,3e-4,1e-4,3e-5", "--threads", "2"]),
+    # two restarts at n = 64 side by side on two threads
+    ("jellium-opt-n64", ["jellium-opt", "--n", "64", "--restarts", "2", "--hops", "0",
+                         "--threads", "2", "--seed", "0"]),
     ("jellium-gc", ["jellium-gc", "--a", "2.2246", "--window", "4,5", "--starts", "2"]),
     # the benchmark's simplex workload at seed 0
     ("simplex", ["jellium-gc", "--a", "2.2246", "--window", "4,7", "--starts", "10"]),

@@ -44,7 +44,6 @@ from liqdrop.geom import (
     regular_tetrahedron,
     voxelize,
 )
-from liqdrop.jellium import crystal_positions, minimize_local
 
 # independently derived high-precision reference values
 MADELUNG_Z3 = -2.837297479480619
@@ -282,66 +281,46 @@ def _broadcast_energy_and_gradient(k, pos, q):
     return q**2 * (real + recip - npairs * k.self_const), q**2 * grad
 
 
-def _block_regime(npair, nshift, budget):
+def _block_regime(npair, nshift):
     """Which bound of the real-space block rule sets the block at ``npair``."""
-    step = _block_shifts(npair, budget)
+    step = _block_shifts(npair)
     if step >= nshift:
         return "one block"
     if step == _BLOCK // npair < _MIN_SHIFTS:
         return "2^16 cap"
-    if step == _MIN_SHIFTS > budget // npair:
+    if step == _MIN_SHIFTS > _CACHE_BLOCK // npair:
         return "32-shift floor"
-    assert step == budget // npair and nshift % step != 0
-    return ("2^16" if budget == _BLOCK else "2^14") + " blocks, partial last"
+    assert step == _CACHE_BLOCK // npair and nshift % step != 0
+    return "2^14 blocks, partial last"
 
 
-# every regime of the block rule: serial sums take 2^14-term blocks and pool
-# tasks 2^16-term blocks.  The cases without a suffix use alpha = pi/ell^2
-# (389 shifts), where n = 54 splits on 2 and 3 workers; the "default" cases
-# use the default alpha (81 shifts), where n = 58 splits on 2 workers and
-# n = 71 on 3.
+# every regime of the block rule.  The cases without a suffix use
+# alpha = pi/ell^2 (389 shifts), the "default" cases the default alpha
+# (81 shifts).
 @pytest.mark.parametrize(
-    "n, workers, regime, default_alpha",
+    "n, regime, default_alpha",
     [
-        pytest.param(2, 1, "one block", False, id="2"),
-        pytest.param(3, 1, "one block", False, id="3"),
-        pytest.param(16, 1, "2^14 blocks, partial last", False, id="16"),
-        pytest.param(27, 1, "2^14 blocks, partial last", False, id="27"),
-        pytest.param(54, 1, "32-shift floor", False, id="54"),
-        pytest.param(54, 2, "2^16 blocks, partial last", False, id="54-on-2-workers"),
-        pytest.param(54, 3, "2^16 blocks, partial last", False, id="54-on-3-workers"),
-        pytest.param(200, 1, "2^16 cap", False, id="200"),
-        pytest.param(16, 1, "one block", True, id="16-default"),
-        pytest.param(27, 1, "2^14 blocks, partial last", True, id="27-default"),
-        pytest.param(54, 1, "32-shift floor", True, id="54-default"),
-        pytest.param(58, 2, "2^16 blocks, partial last", True,
-                     id="58-on-2-workers-default"),
-        pytest.param(71, 3, "2^16 blocks, partial last", True,
-                     id="71-on-3-workers-default"),
-        pytest.param(200, 1, "2^16 cap", True, id="200-default"),
+        pytest.param(2, "one block", False, id="2"),
+        pytest.param(3, "one block", False, id="3"),
+        pytest.param(16, "2^14 blocks, partial last", False, id="16"),
+        pytest.param(27, "2^14 blocks, partial last", False, id="27"),
+        pytest.param(54, "32-shift floor", False, id="54"),
+        pytest.param(200, "2^16 cap", False, id="200"),
+        pytest.param(16, "one block", True, id="16-default"),
+        pytest.param(27, "2^14 blocks, partial last", True, id="27-default"),
+        pytest.param(54, "32-shift floor", True, id="54-default"),
+        pytest.param(200, "2^16 cap", True, id="200-default"),
     ],
 )
-def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(
-    n, workers, regime, default_alpha
-):
+def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, regime, default_alpha):
     rng = np.random.default_rng(500 + n)
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
     q = rng.uniform(0.2, 3.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
     k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
     assert len(k.shifts) == (81 if default_alpha else 389)
-    npair = n * (n - 1) // 2
-    assert k.chunks(n, workers) == workers
-    # the pair ranges and block budget energy_and_gradient gives each task
-    budget = _CACHE_BLOCK if workers == 1 else _BLOCK
-    bounds = [npair * c // workers for c in range(workers + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        assert _block_regime(hi - lo, len(k.shifts), budget) == regime
-    if workers == 1:
-        e, g = k.energy_and_gradient(pts, q)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            e, g = k.energy_and_gradient(pts, q, executor=pool)
+    assert _block_regime(n * (n - 1) // 2, len(k.shifts)) == regime
+    e, g = k.energy_and_gradient(pts, q)
     e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
     assert e == e_ref
     np.testing.assert_array_equal(g, g_ref)
@@ -384,39 +363,18 @@ def test_kernel_rejects_bad_parameters(kwargs, name):
         PeriodicKernel(**kwargs)
 
 
-def _random_case(n):
-    rng = np.random.default_rng(900 + n)
-    ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
-    q = rng.uniform(0.2, 3.0)
-    pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
-    return PeriodicKernel(ell), pts, q
-
-
 def _assert_bitwise(result, reference):
     assert np.float64(result[0]).tobytes() == np.float64(reference[0]).tobytes()
     assert result[1].tobytes() == reference[1].tobytes()
 
 
-# on 2 and 3 workers, n = 2, 3 and 54 run inline and n = 58 and 200 split
-@pytest.mark.parametrize("n", [2, 3, 54, 58, 200])
-def test_energy_and_gradient_split_bitwise_equal_to_serial(n):
-    k, pts, q = _random_case(n)
-    serial = k.energy_and_gradient(pts, q)
-    for workers in (2, 3):
-        assert (k.chunks(n, workers) > 1) == (n >= 58)
-        with ThreadPoolExecutor(workers) as pool:
-            _assert_bitwise(k.energy_and_gradient(pts, q, executor=pool), serial)
-
-
-def test_energy_and_gradient_split_raises_on_coincident_pair():
+def test_energy_and_gradient_raises_on_coincident_pair():
     n = 58
     k = PeriodicKernel(n ** (1.0 / 3.0))
     pts = np.random.default_rng(3).random((n, 3)) * k.ell
-    pts[-1] = pts[-2]  # the last pair, in the last worker's range
-    assert k.chunks(n, 2) == 2
-    with ThreadPoolExecutor(2) as pool:
-        with pytest.raises(ValueError, match="coincident"):
-            k.energy_and_gradient(pts, executor=pool)
+    pts[-1] = pts[-2]  # the last pair
+    with pytest.raises(ValueError, match="coincident"):
+        k.energy_and_gradient(pts)
 
 
 def test_kernel_buffers_are_per_thread_and_follow_n():
@@ -438,33 +396,28 @@ def test_kernel_buffers_are_per_thread_and_follow_n():
 
 
 def test_energy_and_gradient_split_stress_many_switches():
-    k, pts, q = _random_case(200)
-    serial = k.energy_and_gradient(pts, q)
+    # eight threads (more than the cores of a small box) share one kernel,
+    # with the interpreter switching threads every microsecond; each call,
+    # n = 200 among them, gives the bits of a serial call on a fresh kernel
+    rng = np.random.default_rng(1100)
+    ell = 200 ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
+    q = rng.uniform(0.2, 3.0)
+    configs = [rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
+               for n in (200, 7, 200, 60, 200, 2, 200, 33)]
+    fresh = [PeriodicKernel(ell).energy_and_gradient(p, q) for p in configs]
+    k = PeriodicKernel(ell)
     interval = sys.getswitchinterval()
     t0 = time.perf_counter()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
             for _ in range(2):
-                _assert_bitwise(k.energy_and_gradient(pts, q, executor=pool), serial)
+                results = pool.map(lambda p: k.energy_and_gradient(p, q), configs)
+                for res, ref in zip(results, fresh):
+                    _assert_bitwise(res, ref)
     finally:
         sys.setswitchinterval(interval)
     assert time.perf_counter() - t0 < 60.0
-
-
-def test_minimize_local_bitwise_equal_with_pool():
-    n = 108  # large enough for the real-space sum to split on 2 workers
-    side = n ** (1.0 / 3.0)
-    k = PeriodicKernel(side)
-    assert k.chunks(n, 2) == 2
-    rng = np.random.default_rng(54)
-    start = crystal_positions("fcc", 3, side) + rng.normal(scale=0.1, size=(n, 3))
-    pos0, trace0 = minimize_local(start, k)
-    with ThreadPoolExecutor(2) as pool:
-        pos1, trace1 = minimize_local(start, k, executor=pool)
-    assert len(trace0) >= 5
-    assert pos1.tobytes() == pos0.tobytes()
-    assert trace1.tobytes() == trace0.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -162,16 +162,17 @@ def test_basin_hop_deterministic_and_thread_invariant():
     assert a.restart_table.tobytes() == c.restart_table.tobytes()
 
 
-def test_basin_hop_split_path_thread_invariant():
-    # at n = 108 the kernel splits its pair axis, so restarts run in order
+def test_basin_hop_large_n_thread_invariant():
+    # two restarts at n = 108 run at once on two threads, sharing one kernel
     n = 108
     side = n ** (1.0 / 3.0)
     kern = PeriodicKernel(side)
-    assert kern.chunks(n, 2) > 1
     rng = np.random.default_rng(5)
-    starts = [crystal_positions("fcc", 3, side) + rng.normal(scale=1e-3, size=(n, 3))]
+    starts = [crystal_positions("fcc", 3, side) + rng.normal(scale=1e-3, size=(n, 3))
+              for _ in range(2)]
     a = basin_hop(n, kern, restarts=0, hops=0, threads=1, initial_configs=starts)
     b = basin_hop(n, kern, restarts=0, hops=0, threads=2, initial_configs=starts)
+    assert a.restart_table.shape == (2, 2)
     assert a.best_positions.tobytes() == b.best_positions.tobytes()
     assert a.restart_table.tobytes() == b.restart_table.tobytes()
 

@@ -175,7 +175,7 @@ def _build_parser():
     sp, add = sub("jellium-opt", "basin-hopped periodic point-charge minimization")
     add("--n", type=_at_least_one, default=8, help="points per cell")
     add("--density", type=_positive, default=1.0, help="points per unit volume")
-    add("--restarts", type=_non_negative, default=4, help="independent random restarts")
+    add("--restarts", type=_at_least_one, default=4, help="independent random restarts")
     add("--hops", type=_non_negative, default=2, help="perturbation hops per restart")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 

@@ -49,20 +49,31 @@ class PeriodicKernel:
     in the energy, the gradient, ``green`` and ``madelung``, so ``kcoef``
     carries the factor 2 and every formula is the full-ball one.
 
+    Every k-vector is 2 pi / ell times an integer triple (m1, m2, m3), so
+    the structure factor needs no cosine per point and k-vector.  Per-axis
+    tables hold e^{i m theta_a} at each point, theta_a = 2 pi x_a / ell, for
+    |m| up to the largest integer component: cos and sin for m >= 0 and
+    their conjugates for m < 0.  The products over the distinct (m1, m2)
+    pairs come next, and each k takes its pair's product times its m3
+    column, in that order.
+
     Its real-space sum runs over blocks of shifts, each a ``(shifts, 3,
     pairs)`` array contiguous along the pair axis, and every elementwise pass
     runs in place in scratch buffers.  Those buffers, the ``(pairs, shifts)``
-    energy terms and the ``(n, k-vectors)`` structure-factor arrays belong
-    to the calling thread (``_buffer``): they are kept between calls and
-    grow with n, so a repeated call faults no fresh pages, and threads that
-    share one kernel share no scratch.  A block holds about 2^14 image terms,
-    but at least 32 shifts, which keeps its scratch small, and at most 2^16
-    terms (``_block_shifts``).  The block size changes no value, because the
-    reduction order is fixed: the energy terms fill one pair-major
-    ``(pairs, shifts)`` buffer summed by a single pairwise ``np.sum``, and
-    the gradient is summed sequentially in shift order.
-    Outputs are written at full ``repr`` precision and L-BFGS amplifies a
-    one-ulp change, so that order is part of the result.
+    energy terms, the phase tables and the ``triu_indices`` pair indices of
+    the last n belong to the calling thread (``_buffer``): they are kept
+    between calls and grow with n, so a repeated call faults no fresh pages,
+    and threads that share one kernel share no scratch.  The point-major
+    complex ``(n, k-vectors)`` structure-factor arrays reuse the buffers of
+    the scratch and the terms once the real-space sum is done.  A
+    block holds about 2^14 image terms, but at least 32 shifts, which keeps
+    its scratch small, and at most 2^16 terms (``_block_shifts``).  The
+    block size changes no value, because the reduction order is fixed: the
+    energy terms fill one pair-major ``(pairs, shifts)`` buffer summed by a
+    single pairwise ``np.sum``, the gradient is summed sequentially in shift
+    order, and the structure factor sums its point-major rows in point
+    order.  Outputs are written at full ``repr`` precision and L-BFGS
+    amplifies a one-ulp change, so that order is part of the result.
 
     Parameters
     ----------
@@ -116,20 +127,29 @@ class PeriodicKernel:
         keep = (lead > 0) & (np.sqrt(k2) <= kcut)
         self.kvecs = kvecs[keep]
         k2 = k2[keep]
+        # e^{ik.x} = prod_a e^{i m_a theta_a} with theta_a = 2 pi x_a / ell:
+        # each kept k names its (m1, m2) pair and its m3, as columns of the
+        # per-axis phase tables (column _nmax + m holds m)
+        self._nmax = int(np.abs(kgrid[keep]).max())
+        cols = kgrid[keep] + self._nmax
+        pairs, kpair = np.unique(cols[:, :2], axis=0, return_inverse=True)
+        self._pair_cols = pairs.T
+        self._kpair = kpair.ravel()
+        self._kcol3 = cols[:, 2]
         self.kcoef = (8.0 * np.pi / ell**3) * np.exp(-k2 / (4.0 * self.alpha)) / k2
         self.self_const = np.pi / (self.alpha * ell**3)
         self._buffers = threading.local()
 
-    def _buffer(self, name: str, shape) -> np.ndarray:
-        """A C-contiguous float array of ``shape`` over this thread's buffer
-        ``name``.  The buffer is kept between calls and grows when a call
-        needs more, so repeated calls touch no fresh pages."""
-        size = math.prod(shape)
+    def _buffer(self, name: str, shape, dtype=float) -> np.ndarray:
+        """A C-contiguous ``dtype`` array of ``shape`` over this thread's
+        float buffer ``name``.  The buffer is kept between calls and grows
+        when a call needs more, so repeated calls touch no fresh pages."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8
         buf = getattr(self._buffers, name, None)
         if buf is None or buf.size < size:
             buf = np.empty(size)
             setattr(self._buffers, name, buf)
-        return buf[:size].reshape(shape)
+        return buf[:size].view(dtype).reshape(shape)
 
     # -- point values -------------------------------------------------------
 
@@ -170,7 +190,10 @@ class PeriodicKernel:
         grad = np.zeros_like(pos)
         if n < 2:
             return 0.0, grad
-        iu, ju = np.triu_indices(n, k=1)
+        pairs = getattr(self._buffers, "pairs", None)
+        if pairs is None or pairs[0] != n:
+            pairs = self._buffers.pairs = (n, *np.triu_indices(n, k=1))
+        _, iu, ju = pairs
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
         terms, forces = self._real_space(np.ascontiguousarray(dx.T))
@@ -178,16 +201,31 @@ class PeriodicKernel:
         gpair = -forces.T
         np.add.at(grad, iu, gpair)
         np.add.at(grad, ju, -gpair)
+        # table[a, j, _nmax + m] = e^{i m theta_a} at x_j for |m| <= _nmax
+        nm = self._nmax
+        mtheta = np.multiply.outer(pos.T * (2.0 * np.pi / self.ell), np.arange(nm + 1.0),
+                                   out=self._buffer("mtheta", (3, n, nm + 1)))
+        table = self._buffer("table", (3, n, 2 * nm + 1), complex)
+        np.cos(mtheta, out=table.real[:, :, nm:])
+        np.sin(mtheta, out=table.imag[:, :, nm:])
+        np.conjugate(table[:, :, :nm:-1], out=table[:, :, :nm])
+        # e^{ik.x_j}: the (m1, m2) products, then each k's pair times its m3
+        c1, c2 = self._pair_cols
+        shape = (n, len(c1))
+        e12 = np.take(table[0], c1, axis=1, out=self._buffer("e12", shape, complex))
+        e12 *= np.take(table[1], c2, axis=1, out=self._buffer("factor", shape, complex))
+        # the real-space pass is spent, so its scratch and terms buffers hold
+        # the (n, k-vectors) arrays
         shape = (n, len(self.kvecs))
-        phase = np.matmul(pos, self.kvecs.T, out=self._buffer("phase", shape))
-        c = np.cos(phase, out=self._buffer("cos", shape))
-        s = np.sin(phase, out=phase)
-        ctot, stot = c.sum(axis=0), s.sum(axis=0)
-        recip = 0.5 * np.dot(self.kcoef, ctot**2 + stot**2 - n)
-        # sum_{j != i} sin(k.(x_i - x_j)) = s_i ctot - c_i stot
-        cross = np.multiply(s, ctot, out=self._buffer("cross", shape))
-        cross -= np.multiply(c, stot, out=c)
-        cross *= self.kcoef
+        eik = np.take(e12, self._kpair, axis=1, out=self._buffer("scratch", shape, complex))
+        eik *= np.take(table[2], self._kcol3, axis=1,
+                       out=self._buffer("terms", shape, complex))
+        sk = eik.sum(axis=0)
+        recip = 0.5 * np.dot(self.kcoef, sk.real**2 + sk.imag**2 - n)
+        # Im(e^{ik.x_i} conj S) = sum_{j != i} sin(k.(x_i - x_j))
+        eik *= sk.conj()
+        # the m3 factors are spent too, so their buffer takes the weighted sines
+        cross = np.multiply(eik.imag, self.kcoef, out=self._buffer("terms", shape))
         grad += np.negative(cross, out=cross) @ self.kvecs
         npairs = n * (n - 1) / 2.0
         return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
@@ -197,7 +235,8 @@ class PeriodicKernel:
 
         Returns the pair-major ``(pairs, shifts)`` terms erfc(s r)/r and the
         ``(3, pairs)`` pair forces, -(grad wrt x_i of pair (i, j)), summed in
-        shift order.  Both are views of the calling thread's buffers."""
+        shift order.  Both are views of the calling thread's buffers; the
+        terms hold until the structure-factor pass reuses their buffer."""
         npair, nshift = dxt.shape[1], len(self.shifts)
         sa = np.sqrt(self.alpha)
         gauss = 2.0 * sa / np.sqrt(np.pi)

@@ -169,11 +169,15 @@ def basin_hop(
     given configurations instead of uniform draws.  The restarts are mapped
     over a pool of ``threads`` workers, which share ``kernel``; they overlap
     in its numpy and ``erfc`` passes, which release the interpreter lock.
+    Raises ``ValueError`` unless there is at least one start, random or given.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     extras = [np.asarray(p, dtype=float).reshape(n, 3) for p in (initial_configs or [])]
     total = restarts + len(extras)
+    if total < 1:
+        raise ValueError("restarts plus initial configurations must be at least 1, "
+                         f"got {restarts} + {len(extras)}")
     seeds = np.random.SeedSequence(seed).spawn(total)
     jobs = [(i, seeds[i], n, kernel, q, hops, gtol, None) for i in range(restarts)]
     jobs += [(restarts + j, seeds[restarts + j], n, kernel, q, hops, gtol, extras[j])

@@ -34,7 +34,6 @@ __all__ = [
     "encode",
     "dump_json",
     "write_csv",
-    "read_csv",
     "schedule_rows",
 ]
 
@@ -160,16 +159,6 @@ def _cell(v):
     if isinstance(v, float):
         return repr(v)
     return v
-
-
-def read_csv(path):
-    """Read a CSV file back as (header, rows-of-strings)."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        r = csv.reader(fp)
-        rows = list(r)
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
 
 
 def schedule_rows(schedule):

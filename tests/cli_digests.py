@@ -15,11 +15,15 @@ liquid-drop breakdown at seed 0, a library call with no CLI command, and of
 the same breakdown at rho = 0, which transforms the droplet field alone.  The
 next line digests the ``repr`` of ``tetra_field`` on the ``simplex``
 workload's body at five fixed points, so a rewrite of that kernel shows even
-where L-BFGS would land on the same bytes.  The last line digests the
+where L-BFGS would land on the same bytes.  The next line digests the
 ``repr`` of ``domain_pair_coulomb`` on the pairs that programs pass (the
 cube containers of sides 6 and 8, the ``simplex`` body and the unit ball,
 each with itself) and on one disjoint ball pair, so a rewrite of its
-dispatch shows even where the CLI output rounds to the same bytes.
+dispatch shows even where the CLI output rounds to the same bytes.  The
+last line digests ``PeriodicKernel.energy_and_gradient`` (the energy's
+``repr`` and the gradient's bytes) on seeded configurations at n = 2, 16, 54
+and 128, at the default alpha and at pi / ell^2, so a change to the kernel's
+arithmetic shows even where L-BFGS would land on the same bytes.
 This is a script, not a pytest module; the whole listing takes about half a
 minute on a 2-core box.
 """
@@ -34,7 +38,7 @@ import tempfile
 import numpy as np
 
 from liqdrop.cli import main
-from liqdrop.coulomb import domain_pair_coulomb, tetra_field
+from liqdrop.coulomb import PeriodicKernel, domain_pair_coulomb, tetra_field
 from liqdrop.droplet import liquid_drop_energy
 from liqdrop.geom import (
     Ball,
@@ -135,6 +139,20 @@ def pair_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def ewald_digest() -> str:
+    """Digest of ``energy_and_gradient`` at q = 1 on uniform seeded points in
+    the unit-density cell, for n = 2, 16, 54 and 128 and both alphas."""
+    digest = hashlib.sha256()
+    for n in (2, 16, 54, 128):
+        ell = n ** (1.0 / 3.0)
+        pos = np.random.default_rng(n).random((n, 3)) * ell
+        for alpha in (None, np.pi / ell**2):
+            energy, grad = PeriodicKernel(ell, alpha=alpha).energy_and_gradient(pos)
+            digest.update(repr(energy).encode())
+            digest.update(grad.tobytes())
+    return digest.hexdigest()
+
+
 def main_listing() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,6 +173,7 @@ def main_listing() -> int:
     print(f"{voxel_digest(0.0)}  voxel-energy@rho=0/breakdown")
     print(f"{tetra_digest()}  simplex-body/tetra_field")
     print(f"{pair_digest()}  pair-integrals")
+    print(f"{ewald_digest()}  ewald")
     return 1 if failed else 0
 
 

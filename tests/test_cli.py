@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config merging, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 
@@ -12,7 +13,6 @@ from liqdrop.cli import (
     EXIT_OK,
     main,
 )
-from liqdrop.serialize import read_csv
 
 ZETA_BCC_1 = -1.4442307515269701
 MADELUNG_Z3 = -2.837297479480619
@@ -20,6 +20,13 @@ MADELUNG_Z3 = -2.837297479480619
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_csv(path):
+    """Read a CSV file back as (header, rows of strings)."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        rows = list(csv.reader(fp))
+    return (rows[0], rows[1:]) if rows else ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +300,7 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # passed coulomb check for gs-check --ell -1, no far-field probe for
     # quadlayer --probes -1), a numeric failure with exit 2 (madelung --ell,
     # quadlayer --eps, --radius, --cube-side, --subdiv and --rho,
-    # jellium-opt --n, --density and --restarts, cheese --k and --growth,
+    # jellium-opt --n, --density and --restarts -1 or 0, cheese --k and --growth,
     # gs-check --rho, fgc and expansion --rho nan or inf, expansion --n 0),
     # or a traceback (droplet --rho -0.1, expansion --restarts -1 and --n -3,
     # zeta --s inf); zeta --s nan wrote nan values with exit 0, and
@@ -330,6 +337,7 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "--density", "-1"),
         ("cheese", "--k", "-1"),
         ("jellium-opt", "--restarts", "-1"),
+        ("jellium-opt", "--restarts", "0"),
         ("jellium-opt", "--hops", "-1"),
         ("expansion", "--n", "2", "--restarts", "-1"),
         ("expansion", "--n", "2", "--hops", "-1"),
@@ -370,6 +378,7 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "n = 0"),
         ("cheese", "k = -1"),
         ("jellium-opt", "hops = -1"),
+        ("jellium-opt", "restarts = 0"),
         ("expansion", "restarts = -1"),
         ("zeta", "s = nan"),
         ("quadlayer", "subdiv = 0"),
@@ -384,6 +393,16 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("cheese", "--growth", "2"),
     ):
         assert run(*argv, "--out", str(tmp_path / argv[0])) == EXIT_OK
+
+
+def test_expansion_without_any_start_exits_two(tmp_path, capsys):
+    # n = 17 has no crystal start, so --restarts 0 leaves the search with no
+    # start at all; it used to exit 2 with "attempt to get argmin of an empty
+    # sequence".  At n = 54 the bcc start remains and --restarts 0 runs.
+    argv = ("expansion", "--n", "17", "--restarts", "0", "--hops", "0")
+    assert run(*argv, "--out", str(tmp_path)) == EXIT_NUMERIC
+    assert "restarts plus initial configurations must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_fgc_rejects_empty_container_and_negative_kmax_exit_one(tmp_path):

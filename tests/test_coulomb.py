@@ -255,8 +255,40 @@ def test_energy_and_gradient_invariances(n):
     check(pts[perm], perm)
 
 
-def _broadcast_energy_and_gradient(k, pos, q):
-    """Reference: the real-space sum over one (pairs, shifts, 3) array."""
+def _direct_k_space(k, pos):
+    """Reference: the structure-factor sum from cos and sin of every k.x."""
+    phase = pos @ k.kvecs.T
+    c, s = np.cos(phase), np.sin(phase)
+    ctot, stot = c.sum(axis=0), s.sum(axis=0)
+    recip = 0.5 * np.dot(k.kcoef, ctot**2 + stot**2 - len(pos))
+    cross = s * ctot[None, :] - c * stot[None, :]
+    return recip, -(cross * k.kcoef[None, :]) @ k.kvecs
+
+
+def _table_k_space(k, pos):
+    """Reference: e^{ik.x} as the product, in axis order, of per-axis table
+    columns e^{i m theta_a}, theta_a = 2 pi x_a / ell; negative m mirror the
+    non-negative ones by conjugation."""
+    m = np.rint(k.kvecs * k.ell / (2.0 * np.pi)).astype(int)
+    nmax = int(np.abs(m).max())
+    mtheta = (pos.T * (2.0 * np.pi / k.ell))[:, :, None] * np.arange(nmax + 1.0)
+    half = np.empty(mtheta.shape, complex)
+    half.real, half.imag = np.cos(mtheta), np.sin(mtheta)
+    table = np.concatenate([np.conj(half[:, :, :0:-1]), half], axis=2)
+    cols = m + nmax
+    eik = table[0][:, cols[:, 0]] * table[1][:, cols[:, 1]] * table[2][:, cols[:, 2]]
+    # point-major, as in the kernel: the sum over points runs row by row and
+    # the product with kvecs sees the same memory order
+    eik = np.ascontiguousarray(eik)
+    sk = sum(eik[1:], eik[0])
+    recip = 0.5 * np.dot(k.kcoef, sk.real**2 + sk.imag**2 - len(pos))
+    cross = (eik * np.conj(sk)).imag * k.kcoef
+    return recip, -cross @ k.kvecs
+
+
+def _broadcast_energy_and_gradient(k, pos, q, k_space=_direct_k_space):
+    """Reference: the real-space sum over one (pairs, shifts, 3) array, and
+    the k-space sum by ``k_space``."""
     n = len(pos)
     grad = np.zeros_like(pos)
     iu, ju = np.triu_indices(n, k=1)
@@ -271,12 +303,8 @@ def _broadcast_energy_and_gradient(k, pos, q):
     gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)
     np.add.at(grad, iu, gpair)
     np.add.at(grad, ju, -gpair)
-    phase = pos @ k.kvecs.T
-    c, s = np.cos(phase), np.sin(phase)
-    ctot, stot = c.sum(axis=0), s.sum(axis=0)
-    recip = 0.5 * np.dot(k.kcoef, ctot**2 + stot**2 - n)
-    cross = s * ctot[None, :] - c * stot[None, :]
-    grad += -(cross * k.kcoef[None, :]) @ k.kvecs
+    recip, kgrad = k_space(k, pos)
+    grad += kgrad
     npairs = n * (n - 1) / 2.0
     return q**2 * (real + recip - npairs * k.self_const), q**2 * grad
 
@@ -294,9 +322,10 @@ def _block_regime(npair, nshift):
     return "2^14 blocks, partial last"
 
 
-# every regime of the block rule.  The cases without a suffix use
-# alpha = pi/ell^2 (389 shifts), the "default" cases the default alpha
-# (81 shifts).
+# every regime of the block rule, bit for bit: the real-space sum against the
+# broadcast formula, the k-space sum against the test-local phase tables.
+# The cases without a suffix use alpha = pi/ell^2 (389 shifts), the
+# "default" cases the default alpha (81 shifts).
 @pytest.mark.parametrize(
     "n, regime, default_alpha",
     [
@@ -321,9 +350,26 @@ def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, regime, defau
     assert len(k.shifts) == (81 if default_alpha else 389)
     assert _block_regime(n * (n - 1) // 2, len(k.shifts)) == regime
     e, g = k.energy_and_gradient(pts, q)
-    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q, _table_k_space)
     assert e == e_ref
     np.testing.assert_array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("default_alpha", [True, False], ids=["default", "pi-over-ell2"])
+@pytest.mark.parametrize("n", [2, 3, 16, 27, 54, 128, 200])
+def test_energy_and_gradient_matches_direct_structure_factor(n, default_alpha):
+    # the per-axis phase tables against cos and sin of every k.x, with
+    # points up to 3 ell outside the cell
+    rng = np.random.default_rng(700 + n)
+    ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
+    q = rng.uniform(0.2, 3.0)
+    pts = rng.uniform(-3.0, 4.0, (n, 3)) * ell
+    k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
+    e, g = k.energy_and_gradient(pts, q)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
+    bound = 1e-12 * max(1.0, abs(e_ref))
+    assert abs(e - e_ref) <= bound
+    assert np.abs(g - g_ref).max() <= bound
 
 
 def test_energy_and_gradient_peak_memory_n128():

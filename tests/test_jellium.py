@@ -184,6 +184,19 @@ def test_basin_hop_rejects_fewer_than_one_thread():
             basin_hop(8, kern, restarts=1, hops=0, threads=threads)
 
 
+def test_basin_hop_needs_at_least_one_start():
+    # no restarts and no initial configuration used to die in an argmin of
+    # an empty sequence; one given start and no random ones still runs
+    n, ell = 16, 16.0 ** (1.0 / 3.0)
+    kern = PeriodicKernel(ell)
+    for extras in (None, []):
+        with pytest.raises(ValueError, match="restarts plus initial configurations"):
+            basin_hop(n, kern, restarts=0, hops=0, initial_configs=extras)
+    res = basin_hop(n, kern, restarts=0, hops=0,
+                    initial_configs=[crystal_positions("bcc", 2, ell)])
+    assert res.restart_table.shape == (1, 2)
+
+
 def test_basin_hop_crystal_seed_is_never_beaten_badly():
     # with a bcc crystal among the starts, the best energy is at most the
     # crystal energy (the hop acceptance is monotone)

@@ -1,5 +1,6 @@
 """Deterministic JSON/CSV serialization of results and geometry."""
 
+import csv
 import json
 from fractions import Fraction
 
@@ -20,11 +21,17 @@ from liqdrop.jellium import PointConfiguration
 from liqdrop.serialize import (
     dump_json,
     encode,
-    read_csv,
     schedule_rows,
     to_jsonable,
     write_csv,
 )
+
+
+def read_csv(path):
+    """Read a CSV file back as (header, rows of strings)."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        rows = list(csv.reader(fp))
+    return (rows[0], rows[1:]) if rows else ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from liqdrop import __version__
 from liqdrop.appendixlab import far_field_exponent, quadrupole_layer, swiss_cheese
-from liqdrop.coulomb import PeriodicKernel, epstein_zeta, madelung_z3
+from liqdrop.coulomb import PeriodicKernel, epstein_zeta
 from liqdrop.droplet import ball_optimum, grand_canonical_F, liquid_drop_energy
 from liqdrop.expansion import (
     expansion_sweep,
@@ -157,7 +157,7 @@ def _build_parser():
 
         for flag, typ, dv, h in (
             ("--seed", int, 0, "master RNG seed"),
-            ("--tol", float, 1e-8, "gradient tolerance (jellium-opt; others echo it)"),
+            ("--tol", _positive, 1e-8, "gradient tolerance (jellium-opt; others echo it)"),
             ("--config", str, None, "key=value file merged under flags (flags win)"),
             ("--out", str, ".", "output directory"),
             ("--prefix", str, None, "output basename (default: subcommand)"),
@@ -264,11 +264,23 @@ def _cmd_zeta(ns):
 
 
 def _cmd_madelung(ns):
-    value = madelung_z3(ns.ell)
+    kernel = PeriodicKernel(ns.ell)
+    value, error = kernel.madelung(), kernel.truncation_error
     return {
         "header": ("cell_side", "value", "truncation_error"),
-        "rows": [(ns.ell, value, 1e-13)],
-        "summary": {"cell_side": ns.ell, "value": value, "truncation_error": 1e-13},
+        "rows": [(ns.ell, value, error)],
+        "summary": {"cell_side": ns.ell, "value": value, "truncation_error": error},
+    }
+
+
+def _ewald_summary(kernel):
+    """The truncation an Ewald kernel sums with, for the JSON summaries."""
+    return {
+        "alpha": kernel.alpha,
+        "real_cutoff": kernel.rcut,
+        "shifts": len(kernel.shifts),
+        "kvectors": len(kernel.kvecs),
+        "truncation_error": kernel.truncation_error,
     }
 
 
@@ -301,6 +313,7 @@ def _cmd_jellium_opt(ns):
             "best_per_particle": res.best_per_particle,
             "gradient_tolerance": ns.tol,
             "best_configuration": encode(best),
+            "ewald": _ewald_summary(kernel),
         },
     }
 
@@ -424,7 +437,9 @@ def _cmd_expansion(ns):
             "residual_coefficient_no_quadratic",
         ),
         "rows": rows,
-        "summary": {"n": ns.n, "fits": fits},
+        # the sweep minimizes in the unit-density cell with this kernel
+        "summary": {"n": ns.n, "fits": fits,
+                    "ewald": _ewald_summary(PeriodicKernel(ns.n ** (1.0 / 3.0)))},
         "plot": ("rho upper_bound", [(rep.rho, rep.upper_bound) for rep in reports]),
     }
 

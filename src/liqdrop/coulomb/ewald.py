@@ -19,7 +19,7 @@ import threading
 import numpy as np
 from scipy.special import erfc
 
-__all__ = ["PeriodicKernel", "madelung_z3"]
+__all__ = ["CoincidentPointsError", "PeriodicKernel", "madelung_z3"]
 
 # Image terms (pairs x shifts) per real-space block: about _CACHE_BLOCK, whose
 # scratch (6 doubles per term, 0.8 MB) stays in L2, but at least _MIN_SHIFTS
@@ -34,6 +34,11 @@ def _block_shifts(npair: int) -> int:
     return min(max(_MIN_SHIFTS, _CACHE_BLOCK // npair), max(1, _BLOCK // npair))
 
 
+class CoincidentPointsError(ValueError):
+    """Two points of a configuration lie closer than 1e-10 cell sides, after
+    the minimum-image reduction."""
+
+
 class PeriodicKernel:
     """Ewald evaluator for the zero-mean periodic Coulomb kernel at period ``ell``.
 
@@ -42,8 +47,8 @@ class PeriodicKernel:
     ``pair_energy`` and ``pair_gradient`` return one of the two.
 
     The default alpha = 4 pi / ell^2 balances the two sums: at the default
-    tolerance they run over 81 real-space shifts and 775 k-vectors for every
-    ell (alpha = pi / ell^2 needs 389 shifts and 256 k-vectors, the whole
+    tolerance they run over 57 real-space shifts and 775 k-vectors for every
+    ell (alpha = pi / ell^2 needs 251 shifts and 256 k-vectors, the whole
     cutoff ball).  The k-vectors cover half of k-space, those whose first
     nonzero integer component is positive.  The terms of k and -k are equal
     in the energy, the gradient, ``green`` and ``madelung``, so ``kcoef``
@@ -56,6 +61,30 @@ class PeriodicKernel:
     their conjugates for m < 0.  The products over the distinct (m1, m2)
     pairs come next, and each k takes its pair's product times its m3
     column, in that order.
+
+    The real-space sum stops at ``rcut`` = sqrt(ln(1/tol) / alpha), where
+    erfc(sqrt(alpha) rcut) is about tol / sqrt(pi ln(1/tol)).  Displacements
+    are reduced to the centered cell, so the shifts within
+    rcut / ell + sqrt(3) / 2 cells hold every image inside the cutoff.  At
+    the images beyond it, which those shifts include too, no ``erfc`` is
+    evaluated: the energy term is zero and the force keeps only its
+    Gaussian part.  The reciprocal cutoff is padded by 2 pi / ell.
+
+    ``truncation_error`` estimates the error of one kernel value: the
+    real-space tail beyond rcut, as the continuum integral
+    (4 pi / ell^3) int_rcut^inf r erfc(sqrt(alpha) r) dr plus 6.5 rcut / ell
+    terms at rcut for images crowding the cutoff sphere, and the reciprocal
+    tail beyond kcut as the continuum integral
+    2 sqrt(alpha / pi) erfc(kcut / (2 sqrt(alpha))).  The crowding term is
+    measured, not proven.  A fine search over displacements, at tol from
+    1e-13 to 1e-6, found no real-space tail above 0.95 of the estimate at
+    alpha = pi / ell^2 and none above 0.67 of it at the default.  At other
+    alphas, where a symmetric orbit of images can sit just beyond rcut, the
+    tail found exceeded it at single tolerances: by 20 % at 3 pi / ell^2,
+    3 % at 6 pi / ell^2 and up to 60 % below pi / ell^2.  The estimate
+    scales as 1 / ell at fixed alpha ell^2, so it exceeds tol for ell well
+    below 1.  Where it holds, the pair energy of a configuration errs by at
+    most q^2 times the estimate per pair.
 
     Its real-space sum runs over blocks of shifts, each a ``(shifts, 3,
     pairs)`` array contiguous along the pair axis, and every elementwise pass
@@ -101,9 +130,8 @@ class PeriodicKernel:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
         self.tol = tol
 
-        # real-space cutoff: erfc(sqrt(alpha) r) / r below tol for r >= rcut
-        eta = np.sqrt(np.log(1.0 / tol)) + 1.0
-        self.rcut = eta / np.sqrt(self.alpha)
+        sa = np.sqrt(self.alpha)
+        self.rcut = float(np.sqrt(np.log(1.0 / tol)) / sa)
         # displacements are reduced to the centered cell, so images within
         # rcut + half the cell diagonal are enough
         reach = self.rcut / ell + np.sqrt(3.0) / 2.0 + 1e-9
@@ -113,7 +141,7 @@ class PeriodicKernel:
         keep = np.linalg.norm(shifts, axis=1) <= reach
         self.shifts = shifts[keep].astype(float) * ell
 
-        # reciprocal cutoff: exp(-k^2/(4 alpha)) / k^2 below tol
+        # reciprocal cutoff: exp(-k^2/(4 alpha)) / k^2 below tol, padded
         kcut = 2.0 * np.sqrt(self.alpha * np.log(1.0 / tol)) + 2.0 * np.pi / ell
         nmax = int(np.ceil(kcut * ell / (2.0 * np.pi)))
         rng = np.arange(-nmax, nmax + 1)
@@ -138,6 +166,15 @@ class PeriodicKernel:
         self._kcol3 = cols[:, 2]
         self.kcoef = (8.0 * np.pi / ell**3) * np.exp(-k2 / (4.0 * self.alpha)) / k2
         self.self_const = np.pi / (self.alpha * ell**3)
+
+        # the tails beyond the cutoffs; see the class docstring
+        rc, at_rc = self.rcut, erfc(sa * self.rcut)
+        beyond = (4.0 * np.pi / ell**3) * (
+            rc * np.exp(-self.alpha * rc**2) / (2.0 * sa * np.sqrt(np.pi))
+            + at_rc * (0.25 / self.alpha - 0.5 * rc**2))
+        crowd = 6.5 * at_rc / ell  # 6.5 rc / ell terms erfc(sa rc) / rc
+        recip = 2.0 * sa / np.sqrt(np.pi) * erfc(kcut / (2.0 * sa))
+        self.truncation_error = float(beyond + crowd + recip)
         self._buffers = threading.local()
 
     def _buffer(self, name: str, shape, dtype=float) -> np.ndarray:
@@ -196,6 +233,9 @@ class PeriodicKernel:
         _, iu, ju = pairs
         dx = pos[iu] - pos[ju]
         dx -= self.ell * np.round(dx / self.ell)
+        # every image lies at least as far away as the minimum image
+        if np.linalg.norm(dx, axis=1).min() < 1e-10 * self.ell:
+            raise CoincidentPointsError("coincident points in pair energy")
         terms, forces = self._real_space(np.ascontiguousarray(dx.T))
         real = np.sum(terms)
         gpair = -forces.T
@@ -233,12 +273,13 @@ class PeriodicKernel:
     def _real_space(self, dxt):
         """Real-space image sum over the pairs of ``dxt``, shape (3, pairs).
 
-        Returns the pair-major ``(pairs, shifts)`` terms erfc(s r)/r and the
-        ``(3, pairs)`` pair forces, -(grad wrt x_i of pair (i, j)), summed in
-        shift order.  Both are views of the calling thread's buffers; the
+        Returns the pair-major ``(pairs, shifts)`` terms erfc(s r)/r, zero at
+        r >= rcut, and the ``(3, pairs)`` pair forces, -(grad wrt x_i of
+        pair (i, j)), summed in shift order.  Both are views of the calling thread's buffers; the
         terms hold until the structure-factor pass reuses their buffer."""
         npair, nshift = dxt.shape[1], len(self.shifts)
         sa = np.sqrt(self.alpha)
+        srcut = sa * self.rcut
         gauss = 2.0 * sa / np.sqrt(np.pi)
         step = min(_block_shifts(npair), nshift)
         terms = self._buffer("terms", (npair, nshift))
@@ -259,9 +300,13 @@ class PeriodicKernel:
             r += np.multiply(y, y, out=a)
             r += np.multiply(z, z, out=a)
             np.sqrt(r, out=r)
-            if r.min() < 1e-300:
-                raise ValueError("coincident points in pair energy")
-            screened = erfc(np.multiply(r, sa, out=a), out=a)
+            # erfc only inside the cutoff; the terms beyond it are zero
+            screened = np.multiply(r, sa, out=a)
+            flat = screened.reshape(-1)
+            inside = np.flatnonzero(flat < srcut)
+            values = erfc(flat[inside])
+            flat.fill(0.0)
+            flat[inside] = values
             np.divide(screened, r, out=terms[:, s0 : s0 + m].T)
             # d/dr [erfc(s r)/r] = -(erfc(s r)/r^2 + 2 s exp(-s^2 r^2)/(sqrt(pi) r));
             # mag/r is built in a, with r^2 = r*r (bitwise r**2) in b

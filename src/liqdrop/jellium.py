@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from liqdrop.coulomb.ewald import PeriodicKernel
+from liqdrop.coulomb.ewald import CoincidentPointsError, PeriodicKernel
 from liqdrop.coulomb.potentials import (
     TetraBody,
     domain_pair_coulomb,
@@ -95,22 +95,21 @@ def minimize_local(
     Returns (positions, trace); the trace rows are (eval index, energy,
     gradient max-norm) recorded at every objective call.  Coincidence is
     already an infinite barrier of the energy itself, so the only guard
-    needed is against exactly overlapping points during line search.
+    needed is against overlapping points during line search: where the
+    kernel raises ``CoincidentPointsError`` (a pair closer than 1e-10 cell
+    sides), the objective returns 1e12 and a zero gradient and records no
+    trace row.
     """
     x0 = np.asarray(positions, dtype=float).reshape(-1).copy()
     n = x0.size // 3
     trace = []
-    iu, ju = np.triu_indices(n, k=1)
 
     def objective(x):
-        pos = x.reshape(n, 3)
-        dx = pos[iu] - pos[ju]
-        dx -= kernel.ell * np.round(dx / kernel.ell)
-        r = np.linalg.norm(dx, axis=1)
-        if np.any(r < 1e-10 * kernel.ell):
-            # off-manifold guard: huge value, gradient pushing apart
+        try:
+            e, g = kernel.energy_and_gradient(x.reshape(n, 3), q=q)
+        except CoincidentPointsError:
+            # off-manifold guard: huge value, zero gradient
             return 1e12, np.zeros_like(x)
-        e, g = kernel.energy_and_gradient(pos, q=q)
         g = g.ravel()
         trace.append((len(trace), e, float(np.abs(g).max())))
         return e, g

@@ -13,6 +13,7 @@ from liqdrop.cli import (
     EXIT_OK,
     main,
 )
+from liqdrop.coulomb import PeriodicKernel
 
 ZETA_BCC_1 = -1.4442307515269701
 MADELUNG_Z3 = -2.837297479480619
@@ -70,8 +71,14 @@ def test_zeta_repeated_s_pairs_each_value(tmp_path):
 
 def test_madelung_value(tmp_path):
     assert run("madelung", "--out", str(tmp_path), "--prefix", "m") == EXIT_OK
-    _, rows = read_csv(tmp_path / "m.csv")
+    header, rows = read_csv(tmp_path / "m.csv")
     assert float(rows[0][1]) == pytest.approx(MADELUNG_Z3, abs=1e-12)
+    # the kernel's own truncation estimate, not a constant
+    error = float(rows[0][header.index("truncation_error")])
+    assert error == PeriodicKernel(1.0).truncation_error
+    assert 0.0 < error <= 1e-13
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["summary"]["truncation_error"] == error
 
 
 def test_cheese_exact_fractions(tmp_path):
@@ -209,6 +216,15 @@ def test_expansion_small_grid(tmp_path):
     )
     _, rows = read_csv(tmp_path / "expansion.csv")
     assert len(rows) == 4  # one per density
+    # the truncation of the unit-density kernel the sweep minimizes with
+    kernel = PeriodicKernel(4 ** (1.0 / 3.0))
+    assert doc["summary"]["ewald"] == {
+        "alpha": kernel.alpha,
+        "real_cutoff": kernel.rcut,
+        "shifts": 57,
+        "kvectors": 775,
+        "truncation_error": kernel.truncation_error,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +319,9 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
     # jellium-opt --n, --density and --restarts -1 or 0, cheese --k and --growth,
     # gs-check --rho, fgc and expansion --rho nan or inf, expansion --n 0),
     # or a traceback (droplet --rho -0.1, expansion --restarts -1 and --n -3,
-    # zeta --s inf); zeta --s nan wrote nan values with exit 0, and
-    # jellium-opt --hops -1 ran as --hops 0
+    # zeta --s inf); zeta --s nan wrote nan values with exit 0,
+    # jellium-opt --hops -1 ran as --hops 0, and jellium-opt --tol nan and
+    # --tol -1 exited 0, the first writing NaN, which is not JSON
     for argv in (
         ("jellium-gc", "--starts", "0"),
         ("jellium-gc", "--a", "0"),
@@ -339,6 +356,10 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "--restarts", "-1"),
         ("jellium-opt", "--restarts", "0"),
         ("jellium-opt", "--hops", "-1"),
+        ("jellium-opt", "--n", "4", "--tol", "nan"),
+        ("jellium-opt", "--n", "4", "--tol", "0"),
+        ("jellium-opt", "--n", "4", "--tol", "-1"),
+        ("madelung", "--tol", "nan"),
         ("expansion", "--n", "2", "--restarts", "-1"),
         ("expansion", "--n", "2", "--hops", "-1"),
         ("expansion", "--n", "-3", "--restarts", "0", "--hops", "0"),
@@ -379,6 +400,8 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("cheese", "k = -1"),
         ("jellium-opt", "hops = -1"),
         ("jellium-opt", "restarts = 0"),
+        ("jellium-opt", "tol = nan"),
+        ("jellium-opt", "tol = -1"),
         ("expansion", "restarts = -1"),
         ("zeta", "s = nan"),
         ("quadlayer", "subdiv = 0"),

@@ -162,7 +162,7 @@ def test_half_space_k_sum_equals_full_ball():
     n = 16
     ell = n ** (1.0 / 3.0)
     k = PeriodicKernel(ell)
-    assert (len(k.shifts), len(k.kvecs)) == (81, 775)
+    assert (len(k.shifts), len(k.kvecs)) == (57, 775)
     full, coef = _full_ball(k)
     # the kept half and its mirror image are the whole ball, each k once
     both = np.concatenate([k.kvecs, -k.kvecs])
@@ -287,8 +287,9 @@ def _table_k_space(k, pos):
 
 
 def _broadcast_energy_and_gradient(k, pos, q, k_space=_direct_k_space):
-    """Reference: the real-space sum over one (pairs, shifts, 3) array, and
-    the k-space sum by ``k_space``."""
+    """Reference: the real-space sum over one (pairs, shifts, 3) array, with
+    the kernel's rule that erfc is zero at r >= rcut, and the k-space sum by
+    ``k_space``."""
     n = len(pos)
     grad = np.zeros_like(pos)
     iu, ju = np.triu_indices(n, k=1)
@@ -297,7 +298,7 @@ def _broadcast_energy_and_gradient(k, pos, q, k_space=_direct_k_space):
     d = dx[:, None, :] - k.shifts[None, :, :]
     r = np.linalg.norm(d, axis=-1)
     sa = np.sqrt(k.alpha)
-    screened = erfc(sa * r)
+    screened = np.where(sa * r < sa * k.rcut, erfc(sa * r), 0.0)
     real = np.sum(screened / r)
     mag = screened / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-k.alpha * r**2) / r
     gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)
@@ -324,8 +325,8 @@ def _block_regime(npair, nshift):
 
 # every regime of the block rule, bit for bit: the real-space sum against the
 # broadcast formula, the k-space sum against the test-local phase tables.
-# The cases without a suffix use alpha = pi/ell^2 (389 shifts), the
-# "default" cases the default alpha (81 shifts).
+# The cases without a suffix use alpha = pi/ell^2 (251 shifts), the
+# "default" cases the default alpha (57 shifts).
 @pytest.mark.parametrize(
     "n, regime, default_alpha",
     [
@@ -347,7 +348,7 @@ def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, regime, defau
     q = rng.uniform(0.2, 3.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
     k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
-    assert len(k.shifts) == (81 if default_alpha else 389)
+    assert len(k.shifts) == (57 if default_alpha else 251)
     assert _block_regime(n * (n - 1) // 2, len(k.shifts)) == regime
     e, g = k.energy_and_gradient(pts, q)
     e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q, _table_k_space)
@@ -370,6 +371,30 @@ def test_energy_and_gradient_matches_direct_structure_factor(n, default_alpha):
     bound = 1e-12 * max(1.0, abs(e_ref))
     assert abs(e - e_ref) <= bound
     assert np.abs(g - g_ref).max() <= bound
+
+
+@pytest.mark.parametrize("default_alpha", [True, False], ids=["default", "pi-over-ell2"])
+@pytest.mark.parametrize("n", [2, 16, 54, 128])
+def test_truncation_error_bounds_the_error_against_a_tol_1e20_kernel(n, default_alpha):
+    # the real-space sum stops at rcut and the k-space sum at kcut; against
+    # a kernel summed to tol = 1e-20, one pair errs by at most the estimate,
+    # a configuration by at most the estimate per pair, and the estimate
+    # meets tol.  Points lie up to 3 ell outside the cell.
+    rng = np.random.default_rng(900 + n)
+    ell = n ** (1.0 / 3.0)
+    alpha = None if default_alpha else np.pi / ell**2
+    configs = [rng.uniform(-3.0, 4.0, (n, 3)) * ell for _ in range(64 if n == 2 else 2)]
+    exact = PeriodicKernel(ell, alpha=alpha, tol=1e-20)
+    refs = [exact.energy_and_gradient(pos) for pos in configs]
+    npairs = n * (n - 1) // 2
+    for tol in (1e-6, 1e-8, 1e-10, 1e-13):
+        k = PeriodicKernel(ell, alpha=alpha, tol=tol)
+        assert 0.0 < k.truncation_error <= tol
+        for pos, (e_ref, g_ref) in zip(configs, refs):
+            e, g = k.energy_and_gradient(pos)
+            assert abs(e - e_ref) <= npairs * k.truncation_error
+            if tol == 1e-13:
+                assert np.abs(g - g_ref).max() <= 1e-12
 
 
 def test_energy_and_gradient_peak_memory_n128():

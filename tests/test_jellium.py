@@ -1,10 +1,13 @@
 """Point charges in a neutralizing background: torus and scaled tetrahedron."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import liqdrop.jellium as jellium
 from liqdrop.coulomb import PeriodicKernel, domain_pair_coulomb
+from liqdrop.coulomb.ewald import CoincidentPointsError
 from liqdrop.geom import Tetrahedron, regular_tetrahedron
 from liqdrop.jellium import (
     PointConfiguration,
@@ -149,6 +152,34 @@ def test_minimize_local_evaluates_energy_and_gradient_once(monkeypatch):
     _, trace = minimize_local(pts, kern)
     assert len(objective) >= 2
     assert len(fused) == len(objective) == len(trace)
+
+
+def test_minimize_local_guard_returns_huge_value_and_zero_gradient(monkeypatch):
+    # a pair closer than 1e-10 cells through the minimum image: the kernel
+    # raises, and the objective returns (1e12, 0) and records no trace row
+    calls = []
+
+    def one_call(fun, x0, **kwargs):
+        calls.append(fun(x0))
+        return SimpleNamespace(x=x0)
+
+    monkeypatch.setattr(jellium, "minimize", one_call)
+    kern = PeriodicKernel(2.0)
+    pts = np.random.default_rng(12).random((6, 3)) * 2.0
+    pts[4] = pts[1] + np.array([2.0, -2.0, 0.5e-10])
+    with pytest.raises(CoincidentPointsError):
+        kern.energy_and_gradient(pts)
+    _, trace = minimize_local(pts, kern)
+    [(energy, grad)] = calls
+    assert energy == 1e12
+    assert grad.shape == (18,) and not grad.any()
+    assert len(trace) == 0
+    # just outside the threshold the kernel evaluates
+    pts[4] = pts[1] + np.array([2.0, -2.0, 2e-10])
+    calls.clear()
+    _, trace = minimize_local(pts, kern)
+    assert calls[0][0] < 1e12
+    assert len(trace) == 1
 
 
 def test_basin_hop_deterministic_and_thread_invariant():

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from liqdrop.coulomb import potential_box
 from liqdrop.geom import Ball, Cube
@@ -348,50 +347,47 @@ def _classify_subcells(domain, boundary_tiles, eps: float, k: int):
     return ext[_lexsort_rows(ext)], bnd[_lexsort_rows(bnd)]
 
 
-# the two stages of host ranking in _assemble_hosts: query sizes and the
-# stage-1 certification margin
-_STAGE1_HOSTS = 12
-_STAGE1_MARGIN = 1.0 - 1e-12
-_STAGE2_HOSTS = 48
+# Chebyshev reach, in tiles, of the host window of every subcell class
+_HOST_REACH = 3
 
 
-def _rank_hosts(tree, tile_centers, half_sum: float, p, kq: int, margin: float):
-    """Candidate hosts of the points ``p``: the nearest ``kq`` tile centers
-    (``tree`` holds ``tile_centers``), re-ranked by the distance between the
-    closed boxes (half sides summing to ``half_sum``) with lexicographic
-    (= positional) tie-breaks.
+def _axis_gaps(m, o, k: int):
+    """Box gap, per axis and in units of eps / (2k), between a subcell of
+    class ``m`` in tile ``z`` and the tile ``z + o``:
+    ``max(|2m + 1 - k - 2ko| - (k + 1), 0)``, an even integer."""
+    return np.where(
+        o == 0, 0, 2 * k * (np.abs(o) - 1) + 2 * np.where(o < 0, m, k - 1 - m)
+    )
 
-    Candidate r is certified, i.e. no non-candidate can be closer, when its
-    box distance plus ``sqrt(3) half_sum`` is at most ``margin`` times the
-    largest center distance of the query.  Returns the ranking, the length
-    of its certified prefix and the smallest box distance per point, in
-    batches of 150,000 points.
+
+def _host_windows(k: int, reach: int):
+    """The first host window of every subcell class, in exact order.
+
+    A subcell with key ``K`` lies in tile ``z = K // k`` and has class
+    ``m = K - k z``; its box distance to tile ``z + o`` depends on ``(m, o)``
+    only.  Returns ``(offsets, gaps, cut)``: per class (flattened
+    ``(m0 k + m1) k + m2``), the offsets with ``|o|_inf <= reach`` sorted by
+    squared integer gap, ties by lexicographic offset (= tile index); their
+    squared gaps; and the cut, the smallest squared gap of any offset beyond
+    the reach.  The window is the prefix with squared gaps strictly below
+    the cut: no tile outside the reach can precede it.
     """
-    n_pool = len(tile_centers)
-    pad = math.sqrt(3.0) * half_sum
-    order = np.empty((len(p), kq), dtype=np.int32)
-    certified = np.empty(len(p), dtype=np.int32)
-    d_first = np.empty(len(p))
-    batch = 150_000
-    for start in range(0, len(p), batch):
-        q = p[start : start + batch]
-        sl = slice(start, start + len(q))
-        d_center, cand = tree.query(q, k=kq)
-        if kq == 1:
-            d_center = d_center[:, None]
-            cand = cand[:, None]
-        gap = np.abs(tile_centers[cand] - q[:, None, :]) - half_sum
-        d_set = np.linalg.norm(np.maximum(gap, 0.0), axis=2)
-        ind = np.lexsort((cand, d_set), axis=1)
-        rows = np.arange(len(q))[:, None]
-        d_sorted = d_set[rows, ind]
-        order[sl] = cand[rows, ind]
-        d_first[sl] = d_sorted[:, 0]
-        if kq == n_pool:
-            certified[sl] = kq
-        else:
-            certified[sl] = (d_sorted + pad <= margin * d_center[:, -1:]).sum(axis=1)
-    return order, certified, d_first
+    o = np.arange(-reach, reach + 1)
+    m = np.arange(k)
+    g2 = _axis_gaps(m[:, None], o[None, :], k) ** 2  # (class coordinate, offset)
+    sq = (
+        g2[:, None, None, :, None, None]
+        + g2[None, :, None, None, :, None]
+        + g2[None, None, :, None, None, :]
+    ).reshape(k**3, -1)
+    order = np.argsort(sq, axis=1, kind="stable")  # offsets are lex ordered
+    offsets = np.stack(np.meshgrid(o, o, o, indexing="ij"), axis=-1).reshape(-1, 3)
+    # beyond the reach every axis gap grows with |o|, so the nearest outside
+    # offset has |o|_inf = reach + 1 on one axis and 0 on the others
+    near = np.minimum(m, k - 1 - m)
+    mm = np.stack(np.meshgrid(near, near, near, indexing="ij"), axis=-1)
+    cut = (2 * k * reach + 2 * mm.reshape(-1, 3).min(axis=1)) ** 2
+    return offsets[order], np.take_along_axis(sq, order, axis=1), cut
 
 
 def _assemble_hosts(
@@ -404,29 +400,22 @@ def _assemble_hosts(
     """Attach each boundary subcell to the nearest host tile that can still
     absorb it, keeping every inner cube strictly inside its host.
 
-    Hosts are fully-exterior tiles (nearest preferred, by distance between
-    the closed boxes, ties by lexicographic tile index); a subcell spills
+    Hosts are fully-exterior tiles, nearest preferred by distance between
+    the closed boxes, ties by lexicographic tile index; a subcell spills
     over to the next-nearest host whenever the addition would push the
-    host's inner cube out of its tile.  When no certified candidate can take
-    it, hosts are scanned in growing neighborhoods (6 and 12 tile sizes),
-    then all of them, each pass skipping the hosts that already refused it.
-    Returns the per-tile subcell counts and member lists.  Raises
-    ``ValueError`` when a subcell cannot be placed at all (subdivision too
-    coarse).
+    host's inner cube out of its tile.  Returns the per-tile subcell counts
+    and member lists.  Raises ``ValueError`` when a subcell cannot be placed
+    at all (subdivision too coarse).
 
-    The certified candidates come in two stages.  The rule is the same in
-    both: of the k nearest tile centers (largest center distance D_k), a
-    candidate at box distance d is certified when d + pad <= D_k, with pad
-    the largest gap between center distance and box distance.  Such a tile
-    has center distance <= D_k, so the certified list at k is every tile
-    with d + pad <= D_k, in (d, index) order.  Stage 1 ranks the 12 nearest
-    of every subcell, certifying only below (1 - 1e-12) D_12, so that a tile
-    tied with the 12th nearest is never certified while the query left it
-    out.  Since D_12 <= D_48, its certified list is then a prefix of the
-    48-nearest one, and the greedy tries it first.  Only a subcell that
-    every host of that prefix refuses needs the 48 ranking (stage 2); it
-    goes on from where the prefix ended, so the sequence of hosts tried is
-    the same as with the 48 ranking alone.
+    The order is exact.  Per axis, the gap between a subcell of class ``m``
+    (key ``K = k z + m``) and tile ``z + o`` is an integer in units of
+    ``eps / (2k)`` (:func:`_axis_gaps`), so each class sorts its offsets
+    within a Chebyshev reach of 3 tiles once, by (squared gap, offset), and
+    cuts the list below the smallest squared gap beyond the reach.  Each
+    subcell walks its class window, skipping tiles not in the pool.  Subcells
+    are scheduled by the squared gap of their first pool tile, ties in
+    lexicographic subcell order.  A subcell that every pool tile of its
+    window refuses goes on with all the other pool tiles in the same order.
     """
     n_pool = len(pool_tiles)
     if n_pool == 0:
@@ -434,28 +423,40 @@ def _assemble_hosts(
             "no fully-exterior tile available to absorb boundary subcells; "
             "decrease the tile size"
         )
-    reserve = 1e-3 * eps
-    cell_vol = (eps / k) ** 3
-    tile_vol = eps**3
-    tile_centers = eps * pool_tiles.astype(float)
-    tx, ty, tz = (tile_centers[:, j].tolist() for j in range(3))
     count = [0] * n_pool
-    mx, my, mz = [0.0] * n_pool, [0.0] * n_pool, [0.0] * n_pool
     members: list = [[] for _ in range(n_pool)]
     ns = len(sub_keys)
     if ns == 0:
         return count, members
+    reserve = 1e-3 * eps
+    half_eps = eps / 2.0
+    cell_vol = (eps / k) ** 3
+    tile_vol = eps**3
+    tile_centers = eps * pool_tiles.astype(float)
+    tx, ty, tz = (tile_centers[:, j].tolist() for j in range(3))
+    mx, my, mz = [0.0] * n_pool, [0.0] * n_pool, [0.0] * n_pool
+    # per host count c: the weight of the next subcell and the inner half
+    # side once it joins, for the host volume tile_vol + (c + 1) cell_vol;
+    # no host grows past the first count whose inner cube alone cannot fit
+    weights: list = []
+    halves: list = []
+    for c in range(ns):
+        vol = tile_vol + (c + 1) * cell_vol
+        weights.append(cell_vol / vol)
+        halves.append((rho * vol) ** (1.0 / 3.0) / 2.0)
+        if half_eps - halves[c] < reserve:
+            break
 
     def place(i, s: int, pt) -> bool:
         # add subcell s (center pt) to host i if its inner cube stays inside
+        c = count[i]
         ox, oy, oz = pt[0] - tx[i], pt[1] - ty[i], pt[2] - tz[i]
-        vol = tile_vol + (count[i] + 1) * cell_vol
-        w = cell_vol / vol
+        w = weights[c]
         shift = max(
             abs((mx[i] + ox) * w), abs((my[i] + oy) * w), abs((mz[i] + oz) * w)
         )
-        if eps / 2.0 - shift - (rho * vol) ** (1.0 / 3.0) / 2.0 >= reserve:
-            count[i] += 1
+        if half_eps - shift - halves[c] >= reserve:
+            count[i] = c + 1
             mx[i] += ox
             my[i] += oy
             mz[i] += oz
@@ -463,67 +464,83 @@ def _assemble_hosts(
             return True
         return False
 
-    centers = _subcell_center(sub_keys, eps, k)
-    half_sum = eps / 2.0 + eps / (2.0 * k)
-    tree = cKDTree(tile_centers)
+    tiles = sub_keys // k
+    cls_m = sub_keys - k * tiles
+    cls = (cls_m[:, 0] * k + cls_m[:, 1]) * k + cls_m[:, 2]
+    offsets, gaps, cut = _host_windows(k, _HOST_REACH)
+    lengths = (gaps < cut[:, None]).sum(axis=1)
 
-    def rank(p, kq: int, margin: float):
-        return _rank_hosts(tree, tile_centers, half_sum, p, kq, margin)
+    # pool index of every tile a window reaches (-1: not in the pool)
+    lo = np.minimum(pool_tiles.min(axis=0), tiles.min(axis=0) - _HOST_REACH)
+    hi = np.maximum(pool_tiles.max(axis=0), tiles.max(axis=0) + _HOST_REACH)
+    shape = hi - lo + 1
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    grid = np.full(int(np.prod(shape)), -1, dtype=np.int32)
+    grid[(pool_tiles - lo) @ strides] = np.arange(n_pool, dtype=np.int32)
+    bases = (tiles - lo) @ strides
+    flat = offsets @ strides
 
-    # stage 1 for every subcell; stage 2 up front where stage 1 certified
-    # nothing (its first box distance sets the schedule), else on demand
-    kq = min(n_pool, _STAGE2_HOSTS)
-    first, first_certified, d_pref = rank(
-        centers, min(n_pool, _STAGE1_HOSTS), _STAGE1_MARGIN
-    )
-    full = np.empty((ns, kq), dtype=np.int32)
-    full_certified = np.full(ns, -1, dtype=np.int32)  # -1: not ranked yet
-    late = np.nonzero(first_certified == 0)[0]
-    full[late], full_certified[late], d_pref[late] = rank(centers[late], kq, 1.0)
+    # squared axis gap of class coordinate m to a tile d steps away, at
+    # column d + span: every pool tile is within span steps of every subcell
+    span = int(shape.max())
+    d = np.arange(-span, span + 1)
+    sq_table = _axis_gaps(np.arange(k)[:, None], d[None, :], k) ** 2
+    pool_cols = (pool_tiles + span).T
 
-    # nearest-first greedy: subcells in order of increasing distance to
-    # their preferred host, ties in lexicographic subcell order; place() runs
-    # on Python floats and ints, not numpy scalars.  Stage 2 ranks the next
-    # 4096 subcells of the schedule at once.
-    sched = np.lexsort((np.arange(ns), d_pref))
-    pts, certified = centers.tolist(), first_certified.tolist()
-    refused_by = np.full(n_pool, -1)  # the last subcell each host refused
-    for pos, s in enumerate(sched.tolist()):
-        pt = pts[s]
-        c1 = certified[s]
-        if c1 and any(place(i, s, pt) for i in first[s, :c1].tolist()):
-            continue
-        if full_certified[s] < 0:
-            ahead = sched[pos : pos + 4096]
-            ahead = ahead[full_certified[ahead] < 0]
-            full[ahead], full_certified[ahead], _ = rank(centers[ahead], kq, 1.0)
-        rest = full[s, c1 : max(1, int(full_certified[s]))]
-        if any(place(i, s, pt) for i in rest.tolist()):
-            continue
-        # a host that refused s keeps refusing it (place() changes state
-        # only on success), so each fallback pass skips the refused ones
-        refused_by[first[s, :c1]] = s
-        refused_by[rest] = s
-        for radius in (6.0 * eps, 12.0 * eps, None):
-            if radius is None:
-                idx = np.arange(n_pool)
-            else:
-                idx = np.asarray(sorted(tree.query_ball_point(pt, radius)), dtype=int)
-            idx = idx[refused_by[idx] != s]
-            if len(idx) == 0:
-                continue
-            gap = np.abs(tile_centers[idx] - pt) - half_sum
-            d_all = np.linalg.norm(np.maximum(gap, 0.0), axis=1)
-            if any(place(int(idx[j]), s, pt) for j in np.lexsort((idx, d_all))):
+    def beyond(s: int):
+        # the pool tiles outside the window of s, in (squared gap, index)
+        # order, sorted as the single key squared gap * n_pool + index
+        z = sub_keys[s] // k
+        m = sub_keys[s] - k * z
+        sq = (
+            sq_table[m[0], pool_cols[0] - z[0]]
+            + sq_table[m[1], pool_cols[1] - z[1]]
+            + sq_table[m[2], pool_cols[2] - z[2]]
+        )
+        c = (m[0] * k + m[1]) * k + m[2]
+        keys = np.sort((sq * n_pool + np.arange(n_pool))[sq >= cut[c]])
+        return keys % n_pool, keys // n_pool
+
+    # the squared gap of each subcell's first pool tile is its schedule key.
+    # Each column pass covers all subcells (on the benchmark layers the first
+    # pool tile is within 18 entries): passes over a shrinking remainder
+    # left many small arrays behind and raised the peak memory of `checks`
+    d_pref = np.full(ns, -1)
+    for j in range(int(lengths.max())):
+        hit = (
+            (d_pref < 0) & (j < lengths[cls]) & (grid[bases + flat[cls, j]] >= 0)
+        )
+        d_pref[hit] = gaps[cls[hit], j]
+        if d_pref.min() >= 0:
+            break
+    todo = np.flatnonzero(d_pref < 0)
+    for s in todo.tolist():
+        d_pref[s] = beyond(s)[1][0]
+
+    # nearest-first greedy; place() runs on Python floats and ints, not
+    # numpy scalars.  The setup arrays are freed first, so that the greedy's
+    # lists reuse their memory: kept alive, they raised the peak memory of
+    # `checks`, which builds three layers
+    sched = np.lexsort((np.arange(ns), d_pref)).tolist()
+    grid_l = grid.tolist()
+    windows = [flat[c, : lengths[c]].tolist() for c in range(k**3)]
+    cls_l, bases_l = cls.tolist(), bases.tolist()
+    del tiles, cls_m, cls, offsets, gaps, lengths, grid, bases, flat, d_pref, todo
+    pts = _subcell_center(sub_keys, eps, k).tolist()
+    for s in sched:
+        pt, b = pts[s], bases_l[s]
+        for off in windows[cls_l[s]]:
+            i = grid_l[b + off]
+            if i >= 0 and place(i, s, pt):
                 break
-            refused_by[idx] = s
         else:
-            key = tuple(int(v) for v in sub_keys[s])
-            raise ValueError(
-                f"no host tile can absorb the boundary subcell at index {key} "
-                f"without its inner cube escaping; increase the subdivision "
-                f"or use coarser tiles"
-            )
+            if not any(place(i, s, pt) for i in beyond(s)[0].tolist()):
+                key = tuple(int(v) for v in sub_keys[s])
+                raise ValueError(
+                    f"no host tile can absorb the boundary subcell at index "
+                    f"{key} without its inner cube escaping; increase the "
+                    f"subdivision or use coarser tiles"
+                )
     return count, members
 
 
@@ -542,13 +559,22 @@ def quadrupole_layer(domain, eps: float, subdiv: int, rho: float) -> BoundaryLay
     piece's center of mass, so the signed density carries no charge and no
     dipole moment.
 
-    Raises ``ValueError`` when some subcell cannot be absorbed by any host
-    (subdivision too coarse), naming the offending subcell.
+    "Nearest" is exact for every tile size.  The box gap between a subcell
+    and a tile is, per axis, an integer multiple of ``eps/(2 subdiv)`` that
+    depends only on the subcell's position in its tile (its class) and the
+    tile offset.  Each class orders the offsets within three tiles once, by
+    squared gap and then tile index, and cuts the list where a tile beyond
+    that reach could come first; a subcell refused by every pool tile of
+    its window tries all the other fully-exterior tiles in the same order.
+
+    Raises ``ValueError`` for a tile size that is not positive and finite,
+    and when some subcell cannot be absorbed by any host (subdivision too
+    coarse), naming the offending subcell.
     """
     if not 0.0 < rho <= 0.5:
         raise ValueError("background fraction must lie in (0, 1/2]")
-    if eps <= 0.0:
-        raise ValueError("tile size must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("tile size must be positive and finite")
     scale = _regularity_scale(domain)
     if eps > scale * (1.0 + 1e-12):
         raise ValueError(

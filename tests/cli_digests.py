@@ -78,6 +78,10 @@ RUNS = (
     ("quadlayer-ball-light", ["quadlayer", "--rho", "0.1", "--probes", "1"]),
     ("quadlayer-cube", ["quadlayer", "--cube-side", "4", "--eps", "0.25",
                         "--subdiv", "4", "--rho", "0.3", "--probes", "1"]),
+    # a non-dyadic tile size, where the host order rests on exact integer
+    # box distances, not on float ones
+    ("quadlayer-cube-nondyadic", ["quadlayer", "--cube-side", "1.6", "--eps", "0.1",
+                                  "--subdiv", "5", "--rho", "0.45", "--probes", "1"]),
     # the benchmark's checks workload at seed 0: its CLI commands that no run
     # above repeats (its zeta and madelung commands are the ones above)
     ("checks-gs-check", ["gs-check", "--samples", "1000000", "--configs", "6",

@@ -1,19 +1,18 @@
 """Boundary screening layers, ball-packing schedules, averaged limits."""
 
 import hashlib
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from liqdrop.appendixlab import (
-    _STAGE1_HOSTS,
-    _STAGE1_MARGIN,
-    _STAGE2_HOSTS,
+    _HOST_REACH,
     _classify_subcells,
     _enumerate_layer_tiles,
-    _rank_hosts,
+    _host_windows,
     _subcell_center,
     far_field_exponent,
     piece_potential,
@@ -157,9 +156,10 @@ def test_merged_piece_quadrupole_is_symmetric_and_trace_free(small_layer):
 
 
 def test_fallback_placement_is_pinned():
-    # at the densest background 93 boundary subcells find no certified
-    # candidate host and are placed by the widening fallback scan; the
-    # digests pin which host receives every subcell
+    # at the densest background 93 boundary subcells are refused by every
+    # host among their 48 nearest tiles and are placed farther out, still
+    # inside their three-tile window; the digests pin which host receives
+    # every subcell
     layer = quadrupole_layer(Ball(radius=2.0, center=(0.0, 0.0, 0.0)), 0.25, 8, 0.5)
     assert len(layer) == 323896
     assert layer.counts() == {"merged": 2048, "exterior-cube": 0, "subcell": 321848}
@@ -177,21 +177,22 @@ def test_fallback_placement_is_pinned():
 
 
 def test_fallback_heavy_cube_layer_is_pinned():
-    # an off-center cube at a dense background sends 3,099 boundary subcells
-    # through the widening fallback scan, which skips the hosts that already
-    # refused the subcell; the digests pin which host receives every subcell
+    # an off-center cube at a dense background: 537 boundary subcells are
+    # refused by every host of their window and go on through all the other
+    # pool tiles in the exact order; the digests pin which host receives
+    # every subcell
     layer = quadrupole_layer(Cube(side=1.6, center=(0.02, 0.01, -0.03)), 0.1, 5, 0.45)
-    assert len(layer) == 92117
-    assert layer.counts() == {"merged": 1984, "exterior-cube": 888, "subcell": 89245}
+    assert len(layer) == 92124
+    assert layer.counts() == {"merged": 1991, "exterior-cube": 888, "subcell": 89245}
     digests = {
         name: hashlib.sha256(getattr(layer, name)().tobytes()).hexdigest()
         for name in ("volumes", "dipoles", "containment_margins")
     }
     assert digests == {
-        "volumes": "d8914479c30e65ee857a5729da66e5ae9086957c2cd9283ae3bba800c23d6a47",
-        "dipoles": "677c2428a1c903543fe13a5e54de5d1103c8ff3f122bc58515099dfb715bd26d",
+        "volumes": "555880f6be9660dbf255c368f725fc083014c4ab8d6266b124dc09358a8af79e",
+        "dipoles": "4feb1163add308391258a3844e05914c27fe67c0c8670381f3064a8b64b81fad",
         "containment_margins": (
-            "25e21f452c0904942a569072f98236a3e4513b472d2b72b1e9dcbc9533588137"
+            "2b74e402d9898e428cf634732852738cde6c2ef170da9a46932bf9d086501967"
         ),
     }
 
@@ -234,6 +235,18 @@ def test_default_ball_layers_are_pinned(rho, size, counts, digests):
     } == digests
 
 
+def _exact_gaps(pool, key, k):
+    """Squared box distance from the subcell ``key`` to every pool tile, in
+    units of (eps / (2k))^2, from doubled integer coordinates: the subcell
+    center is 2 key + 1 - k, a tile center 2k z, and the half sides sum to
+    k + 1."""
+    sq = 0
+    for axis in range(3):
+        g = np.abs(2 * k * pool[:, axis] - (2 * key[axis] + 1 - k)) - (k + 1)
+        sq = sq + np.maximum(g, 0) ** 2
+    return sq
+
+
 @pytest.mark.parametrize(
     "domain, eps, subdiv",
     [
@@ -242,31 +255,77 @@ def test_default_ball_layers_are_pinned(rho, size, counts, digests):
         (Ball(radius=1.3, center=(0.11, -0.07, 0.05)), 0.16, 6),
     ],
 )
-def test_stage_one_hosts_are_a_prefix_of_the_full_ranking(domain, eps, subdiv):
-    # every subcell's certified stage-1 list must be the start of its
-    # certified stage-2 list, with the same first box distance, or the
-    # greedy would try hosts in another order.  The ranking depends on the
-    # geometry only, not on the background fraction, so one build covers
-    # every rho.
+def test_walk_order_is_the_exact_box_distance_order(domain, eps, subdiv):
+    # each subcell walks the window of its class; the pool tiles it meets,
+    # in walk order, must be the start of a brute-force sort of all pool
+    # tiles by exact box distance and tile index, and the window must hold
+    # every pool tile below its cut.  The order depends on the geometry
+    # only, not on the background fraction.
+    k = subdiv
     pool, _, boundary = _enumerate_layer_tiles(domain, eps)
-    _, bnd_keys = _classify_subcells(domain, boundary, eps, subdiv)
-    centers = _subcell_center(bnd_keys, eps, subdiv)
-    tile_centers = eps * pool.astype(float)
-    tree = cKDTree(tile_centers)
-    half_sum = eps / 2.0 + eps / (2.0 * subdiv)
-    first, c1, d1 = _rank_hosts(
-        tree, tile_centers, half_sum, centers, _STAGE1_HOSTS, _STAGE1_MARGIN
-    )
-    full, c2, d2 = _rank_hosts(
-        tree, tile_centers, half_sum, centers, _STAGE2_HOSTS, 1.0
-    )
-    assert np.all(c1 <= c2)
-    in_prefix = np.arange(_STAGE1_HOSTS) < c1[:, None]
-    assert np.array_equal(
-        np.where(in_prefix, first, -1), np.where(in_prefix, full[:, :_STAGE1_HOSTS], -1)
-    )
-    assert np.array_equal(d1[c1 > 0], d2[c1 > 0])
-    assert np.mean(c1 > 0) > 0.5  # stage 1 certifies a host for most subcells
+    _, bnd_keys = _classify_subcells(domain, boundary, eps, k)
+    index = {tuple(t): i for i, t in enumerate(pool.tolist())}
+    offsets, gaps, cut = _host_windows(k, _HOST_REACH)
+    walked = 0
+    for key in bnd_keys[:: max(1, len(bnd_keys) // 400)]:
+        z, m = key // k, key % k
+        c = (m[0] * k + m[1]) * k + m[2]
+        window = offsets[c][gaps[c] < cut[c]]
+        walk = [index[t] for t in map(tuple, (z + window).tolist()) if t in index]
+        sq = _exact_gaps(pool, key, k)
+        brute = np.lexsort((np.arange(len(pool)), sq))
+        assert walk == [i for i in brute.tolist() if sq[i] < cut[c]]
+        far = np.abs(pool - z).max(axis=1) > _HOST_REACH
+        assert np.all(sq[far] >= cut[c])
+        walked += len(walk) > 0
+    assert walked > 300  # most subcells find a pool tile in their window
+
+
+def _greedy_members(domain, eps, k, rho):
+    """Test-local host assignment: every subcell ranks all pool tiles by
+    exact box distance, ties by index; subcells go in order of their
+    nearest pool tile's distance, ties by subcell order, and join the
+    first host whose inner cube stays inside with the layer's reserve."""
+    pool, _, boundary = _enumerate_layer_tiles(domain, eps)
+    _, keys = _classify_subcells(domain, boundary, eps, k)
+    pool = np.asfortranarray(pool)  # contiguous columns for _exact_gaps
+    n = len(pool)
+    nearest = [_exact_gaps(pool, key, k).min() for key in keys]
+    sched = np.lexsort((np.arange(len(keys)), nearest))
+    centers = _subcell_center(keys, eps, k).tolist()
+    tiles = (eps * pool.astype(float)).tolist()
+    cell_vol, tile_vol = (eps / k) ** 3, eps**3
+    count, moment = [0] * n, [[0.0, 0.0, 0.0] for _ in range(n)]
+    members = [[] for _ in range(n)]
+    for s in sched.tolist():
+        for i in np.sort(_exact_gaps(pool, keys[s], k) * n + np.arange(n)) % n:
+            off = [p - t for p, t in zip(centers[s], tiles[i])]
+            vol = tile_vol + (count[i] + 1) * cell_vol
+            w = cell_vol / vol
+            shift = max(abs((a + o) * w) for a, o in zip(moment[i], off))
+            if eps / 2.0 - shift - (rho * vol) ** (1.0 / 3.0) / 2.0 >= 1e-3 * eps:
+                count[i] += 1
+                moment[i] = [a + o for a, o in zip(moment[i], off)]
+                members[i].append(s)
+                break
+        else:
+            raise AssertionError(f"subcell {s} found no host")
+    return pool, keys, members
+
+
+def test_layer_matches_a_test_local_greedy():
+    # a small non-dyadic layer where 24 subcells exhaust their window: the
+    # brute-force greedy puts every subcell in the same host as the layer
+    domain, eps, k, rho = Ball(radius=0.6, center=(0.03, 0.02, -0.01)), 0.07, 3, 0.2
+    layer = quadrupole_layer(domain, eps, k, rho)
+    pool, keys, members = _greedy_members(domain, eps, k, rho)
+    index = {tuple(t): i for i, t in enumerate(pool.tolist())}
+    ptr = layer._host_sub_ptr
+    assert sum(map(len, members)) == ptr[-1] == len(keys)
+    for h, z in enumerate(layer._host_index.tolist()):
+        got = layer._host_sub_centers[ptr[h] : ptr[h + 1]]
+        want = _subcell_center(keys[sorted(members[index[tuple(z)]])], eps, k)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_commensurate_cube_has_no_merged_pieces(cube_layer):
@@ -306,6 +365,14 @@ def test_quadrupole_layer_validates_inputs():
         quadrupole_layer(BALL, eps=0.125, subdiv=1, rho=0.2)
     with pytest.raises(TypeError):
         quadrupole_layer(BALL, eps=0.125, subdiv=4.5, rho=0.2)
+
+
+def test_non_finite_tile_size_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tile size must be positive"):
+                quadrupole_layer(Ball(radius=2.0), eps, 8, 0.3)
 
 
 def test_absorption_failure_raises_with_remedy():

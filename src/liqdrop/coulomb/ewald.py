@@ -84,7 +84,7 @@ class PeriodicKernel:
     3 % at 6 pi / ell^2 and up to 60 % below pi / ell^2.  The estimate
     scales as 1 / ell at fixed alpha ell^2, so it exceeds tol for ell well
     below 1.  Where it holds, the pair energy of a configuration errs by at
-    most q^2 times the estimate per pair.
+    most the estimate per pair.
 
     Its real-space sum runs over blocks of shifts, each a ``(shifts, 3,
     pairs)`` array contiguous along the pair axis, and every elementwise pass
@@ -216,8 +216,9 @@ class PeriodicKernel:
 
     # -- many-body sums -----------------------------------------------------
 
-    def energy_and_gradient(self, positions, q: float = 1.0):
-        """(q^2 * sum_{j<k} G_ell(x_j - x_k), its gradient in every position).
+    def energy_and_gradient(self, positions):
+        """(sum_{j<k} G_ell(x_j - x_k), its gradient in every position), for
+        unit charges.
 
         One minimum-image reduction, one erfc pass and one structure factor
         serve both results.
@@ -268,7 +269,7 @@ class PeriodicKernel:
         cross = np.multiply(eik.imag, self.kcoef, out=self._buffer("terms", shape))
         grad += np.negative(cross, out=cross) @ self.kvecs
         npairs = n * (n - 1) / 2.0
-        return q**2 * (real + recip - npairs * self.self_const), q**2 * grad
+        return real + recip - npairs * self.self_const, grad
 
     def _real_space(self, dxt):
         """Real-space image sum over the pairs of ``dxt``, shape (3, pairs).
@@ -322,13 +323,13 @@ class PeriodicKernel:
             blk[0] = np.sum(rows, axis=0)
         return terms, blk[0]
 
-    def pair_energy(self, positions, q: float = 1.0) -> float:
-        """q^2 * sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""
-        return self.energy_and_gradient(positions, q)[0]
+    def pair_energy(self, positions) -> float:
+        """sum_{j<k} G_ell(x_j - x_k) via one structure-factor pass."""
+        return self.energy_and_gradient(positions)[0]
 
-    def pair_gradient(self, positions, q: float = 1.0) -> np.ndarray:
+    def pair_gradient(self, positions) -> np.ndarray:
         """Gradient of ``pair_energy`` with respect to every position."""
-        return self.energy_and_gradient(positions, q)[1]
+        return self.energy_and_gradient(positions)[1]
 
 
 def madelung_z3(ell: float = 1.0) -> float:

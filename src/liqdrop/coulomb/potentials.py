@@ -292,7 +292,8 @@ def potential_domain(domain, pts) -> np.ndarray:
 
 
 def potential_domain_gradient(domain, pts) -> np.ndarray:
-    """Gradient of the unit-density potential (the field, up to sign)."""
+    """Gradient of the unit-density potential (the field, up to sign) of a
+    ``Ball`` or a ``Cube``; ``tetra_field`` gives a tetrahedron's."""
     pts_arr = np.asarray(pts, dtype=float)
     single = pts_arr.ndim == 1
     p = np.atleast_2d(pts_arr)
@@ -302,8 +303,6 @@ def potential_domain_gradient(domain, pts) -> np.ndarray:
         q, R = domain.volume, domain.radius
         mag = np.where(r < R, -q * r / R**3, -q / r**2)
         out = (mag / r)[:, None] * d
-    elif isinstance(domain, Tetrahedron):
-        _, out = tetra_field(domain, p)
     elif isinstance(domain, Cube):
         out = _box_gradient(domain, p)
     else:

@@ -22,21 +22,11 @@ from scipy.optimize import minimize, minimize_scalar
 
 from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
-    TetraBody,
     domain_pair_coulomb,
     potential_domain,
     potential_domain_gradient,
-    tetra_field,
 )
-from liqdrop.geom import (
-    Ball,
-    BallUnion,
-    Cube,
-    Tetrahedron,
-    VoxelSet,
-    sample_in_domain,
-    voxelize_domain,
-)
+from liqdrop.geom import Ball, BallUnion, Cube, VoxelSet, sample_in_domain
 
 __all__ = [
     "DropletConstants",
@@ -169,15 +159,8 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
 
 def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
     h = omega.h
-    if isinstance(lam, Cube):
-        # voxelize_domain rounds a fractional cell count up, so the side is
-        # checked first: only then is the cube its voxel set exactly
-        n = lam.side / h
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("container side must be a multiple of the voxel pitch")
-        lam = voxelize_domain(lam, h)
-    elif not isinstance(lam, VoxelSet):
-        raise TypeError("voxel droplets need a cube or voxel-set container")
+    if not isinstance(lam, VoxelSet):
+        raise TypeError("voxel droplets need a voxel-set container")
     if abs(lam.h - h) > 1e-12 * h:
         raise ValueError("droplet and container voxel grids disagree")
     shift = (np.asarray(omega.origin) - np.asarray(lam.origin)) / h
@@ -226,7 +209,8 @@ def liquid_drop_energy(
 
     Disjoint ball unions use exact closed forms throughout (spherical
     droplets interact like point charges at their centers); voxel sets use
-    the free-space grid solver and a voxel perimeter estimate.
+    the free-space grid solver and a voxel perimeter estimate, and need a
+    voxel-set container on the same grid (``voxelize_domain``).
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("background density must lie in [0, 1]")
@@ -256,11 +240,6 @@ class GrandCanonicalDropReport:
 
 def _gc_objective_factory(lam, rho, penalty, k):
     mu = OPT_ENERGY_PER_VOLUME
-    if isinstance(lam, Tetrahedron):
-        normals, offsets = lam.face_planes()
-        body = TetraBody(lam)  # set up once; one closed-form pass per call
-    else:
-        normals = offsets = body = None
 
     def objective(x):
         c = x[: 3 * k].reshape(k, 3)
@@ -283,30 +262,20 @@ def _gc_objective_factory(lam, rho, penalty, k):
             np.add.at(gq, ju, q[iu] / dist)
             gr += gq * dq
         if rho > 0.0:
-            if body is not None:
-                phi, dphi = tetra_field(body, c)
-            else:
-                phi = potential_domain(lam, c)
-                dphi = potential_domain_gradient(lam, c)
+            phi = potential_domain(lam, c)
+            dphi = potential_domain_gradient(lam, c)
             e -= rho * float(np.sum(q * (phi - (2.0 * np.pi / 5.0) * r**2)))
             gc -= rho * q[:, None] * dphi
             gr -= rho * (dq * (phi - (2.0 * np.pi / 5.0) * r**2)
                          - q * (4.0 * np.pi / 5.0) * r)
         # containment and disjointness penalties
-        if normals is not None:
-            s = c @ normals.T - offsets - r[:, None]
-            viol = np.minimum(s, 0.0)
-            e += penalty * float(np.sum(viol**2))
-            gc += 2.0 * penalty * (viol @ normals)
-            gr += -2.0 * penalty * np.sum(viol, axis=1)
-        else:
-            s = lam.inner_distance(c) - r
-            viol = np.minimum(s, 0.0)
-            e += penalty * float(np.sum(viol**2))
-            # gradient of inner distance: radial for balls, axis for cubes
-            gdist = _inner_distance_gradient(lam, c)
-            gc += 2.0 * penalty * viol[:, None] * gdist
-            gr += -2.0 * penalty * viol
+        s = lam.inner_distance(c) - r
+        viol = np.minimum(s, 0.0)
+        e += penalty * float(np.sum(viol**2))
+        # gradient of inner distance: radial for balls, axis for cubes
+        gdist = _inner_distance_gradient(lam, c)
+        gc += 2.0 * penalty * viol[:, None] * gdist
+        gr += -2.0 * penalty * viol
         if k >= 2:
             gap = dist - (r[iu] + r[ju])
             violp = np.minimum(gap, 0.0)
@@ -324,18 +293,15 @@ def _gc_objective_factory(lam, rho, penalty, k):
 
 
 def _inner_distance_gradient(lam, pts):
+    d = pts - np.asarray(lam.center)
     if isinstance(lam, Ball):
-        d = pts - np.asarray(lam.center)
         n = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-12)
         return -d / n
-    if isinstance(lam, Cube):
-        d = pts - np.asarray(lam.center)
-        g = np.zeros_like(pts)
-        worst = np.argmax(np.abs(d), axis=1)
-        rows = np.arange(len(pts))
-        g[rows, worst] = -np.sign(d[rows, worst])
-        return g
-    raise TypeError("unsupported container for penalty gradients")
+    g = np.zeros_like(pts)  # a Cube
+    worst = np.argmax(np.abs(d), axis=1)
+    rows = np.arange(len(pts))
+    g[rows, worst] = -np.sign(d[rows, worst])
+    return g
 
 
 def grand_canonical_F(
@@ -347,11 +313,15 @@ def grand_canonical_F(
 ) -> GrandCanonicalDropReport:
     """Upper bound on the grand-canonical droplet energy: the droplet energy
     minus (energy-per-volume constant) * |droplet|, minimized over unions of
-    0..kmax disjoint balls with free centers and radii inside ``lam``.
+    0..kmax disjoint balls with free centers and radii inside ``lam``, a
+    ``Ball`` or a ``Cube``.
 
     The optimal value over the nested ansatz families is non-increasing in
     ``kmax`` by construction (the scan keeps the best over all counts).
+    Raises ``TypeError`` for any other container.
     """
+    if not isinstance(lam, (Ball, Cube)):
+        raise TypeError(f"the container must be a Ball or a Cube, not {type(lam).__name__}")
     if not 0.0 <= rho <= 0.5:
         raise ValueError("background density must lie in [0, 1/2]")
     if starts < 1:

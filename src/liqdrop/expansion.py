@@ -32,10 +32,9 @@ from liqdrop.droplet import (
     OPT_ENERGY_PER_VOLUME,
     OPT_MASS,
     OPT_RADIUS,
-    grand_canonical_F,
     liquid_drop_energy,
 )
-from liqdrop.geom import BallUnion, Cube, Tetrahedron, regular_tetrahedron
+from liqdrop.geom import BallUnion, Cube, regular_tetrahedron
 from liqdrop.jellium import basin_hop, crystal_positions
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "PerimeterIdentityReport",
     "gs_coulomb_inequality_check",
     "CoulombLocalizationReport",
-    "lower_simplex_rhs",
-    "LowerSimplexReport",
 ]
 
 
@@ -112,7 +109,7 @@ def upper_bound_e(rho: float, n: int, points: np.ndarray) -> ExpansionReport:
         raise ValueError(f"points must have shape ({n}, 3), got {np.shape(points)}")
     cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
     kernel = PeriodicKernel(cell)
-    pair = kernel.pair_energy(points, q=1.0)
+    pair = kernel.pair_energy(points)
     return _assemble_report(rho, n, cell, pair, kernel.madelung())
 
 
@@ -148,7 +145,7 @@ def expansion_sweep(
     )
     unit_pos = result.best_positions.copy()
     unit_pos -= unit_pos.mean(axis=0)  # zero total displacement in the centered cell
-    unit_pair = unit_kernel.pair_energy(unit_pos, q=1.0)
+    unit_pair = unit_kernel.pair_energy(unit_pos)
     unit_madelung = unit_kernel.madelung()
     reports = []
     for rho in rhos:
@@ -490,55 +487,3 @@ def gs_coulomb_inequality_check(
         margin_in_sigmas=float(margin),
         passed=bool(lhs >= rhs - 3.0 * sigma),
     )
-
-
-# ---------------------------------------------------------------------------
-# simplex lower-bound bracket
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowerSimplexReport:
-    value: float
-    grand_canonical_value: float
-    cell: float
-    a_scale: float
-    rho: float
-    note: str
-
-
-def lower_simplex_rhs(
-    rho: float,
-    a_scale: float,
-    depth: int = 4,
-    seed: int = 0,
-    starts: int = 2,
-) -> LowerSimplexReport:
-    """The simplex-cell bracket appearing in the matching lower bound:
-    (grand-canonical value on the tetra cell of side scale A rho^(-1/3))
-    divided by (rho^(1/3) A^3).
-
-    Computed with the ball-ansatz minimizer, so the returned number is an
-    upper bound on the true bracket; the order-1/A correction with its
-    non-explicit constant is reported as unquantified.
-    """
-    if rho < 0.0 or rho > 1e-2:
-        raise ValueError("density must lie in [0, 1e-2]")
-    if not 2.0 <= a_scale <= 6.0:
-        raise ValueError("cell scale must lie in [2, 6]")
-    if rho == 0.0:
-        return LowerSimplexReport(0.0, 0.0, np.inf, a_scale, 0.0,
-                                  "empty optimum at zero density")
-    ell = a_scale * rho ** (-1.0 / 3.0)
-    tet = Tetrahedron(vertices=regular_tetrahedron().vertices * ell)
-    report = grand_canonical_F(tet, rho, kmax=depth, seed=seed, starts=starts)
-    value = report.value / (rho ** (1.0 / 3.0) * a_scale**3)
-    return LowerSimplexReport(
-        value=value,
-        grand_canonical_value=report.value,
-        cell=ell,
-        a_scale=a_scale,
-        rho=rho,
-        note="ansatz upper bound; order-1/A correction constant unquantified",
-    )
-

@@ -244,16 +244,19 @@ def regular_tetrahedron(volume: float = 1.0, center=(0.0, 0.0, 0.0)) -> Tetrahed
 def sample_in_domain(rng, domain, n: int) -> np.ndarray:
     """n uniform points in a Tetrahedron, Ball or Cube, by rejection from its
     bounding box in batches of 4 n + 16 draws of ``rng``.  Raises
-    ``ValueError`` when that box is empty, which no draw could fill."""
+    ``ValueError`` when that box is empty, which no draw could fill, and
+    ``TypeError`` for any other domain type."""
     if isinstance(domain, Tetrahedron):
         lo = domain.vertices.min(axis=0)
         hi = domain.vertices.max(axis=0)
     elif isinstance(domain, Ball):
         c = np.asarray(domain.center)
         lo, hi = c - domain.radius, c + domain.radius
-    else:
+    elif isinstance(domain, Cube):
         c = np.asarray(domain.center)
         lo, hi = c - domain.side / 2.0, c + domain.side / 2.0
+    else:
+        raise TypeError(f"cannot sample from a {type(domain).__name__}")
     if not np.all(lo <= hi):
         raise ValueError(f"cannot sample from a domain with empty bounding box: {domain}")
     out = np.empty((0, 3))

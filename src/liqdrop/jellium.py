@@ -63,16 +63,14 @@ class PeriodicEnergyReport:
     per_particle: float
 
 
-def periodic_energy(
-    positions, kernel: PeriodicKernel, q: float = 1.0
-) -> PeriodicEnergyReport:
-    """Total torus energy: pair sum of the zero-mean kernel plus the
-    self-image term n q^2 M / 2 that completes each charge's interaction
+def periodic_energy(positions, kernel: PeriodicKernel) -> PeriodicEnergyReport:
+    """Total torus energy of unit charges: pair sum of the zero-mean kernel
+    plus the self-image term n M / 2 that completes each charge's interaction
     with its own periodic copies."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = len(pos)
-    pair = kernel.pair_energy(pos, q=q)
-    mad = n * q**2 * kernel.madelung() / 2.0
+    pair = kernel.pair_energy(pos)
+    mad = n * kernel.madelung() / 2.0
     total = pair + mad
     return PeriodicEnergyReport(
         pair=pair, madelung_self=mad, total=total, per_particle=total / max(n, 1)
@@ -84,13 +82,8 @@ def periodic_energy(
 # ---------------------------------------------------------------------------
 
 
-def minimize_local(
-    positions,
-    kernel: PeriodicKernel,
-    q: float = 1.0,
-    gtol: float = 1e-8,
-):
-    """L-BFGS descent of the periodic pair energy.
+def minimize_local(positions, kernel: PeriodicKernel, gtol: float = 1e-8):
+    """L-BFGS descent of the periodic pair energy of unit charges.
 
     Returns (positions, trace); the trace rows are (eval index, energy,
     gradient max-norm) recorded at every objective call.  Coincidence is
@@ -106,7 +99,7 @@ def minimize_local(
 
     def objective(x):
         try:
-            e, g = kernel.energy_and_gradient(x.reshape(n, 3), q=q)
+            e, g = kernel.energy_and_gradient(x.reshape(n, 3))
         except CoincidentPointsError:
             # off-manifold guard: huge value, zero gradient
             return 1e12, np.zeros_like(x)
@@ -135,15 +128,15 @@ class BasinHopResult:
 
 
 def _one_restart(args):
-    idx, seed, n, kernel, q, hops, gtol, start = args
+    idx, seed, n, kernel, hops, gtol, start = args
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 3)) * kernel.ell if start is None else np.array(start)
-    pos, _ = minimize_local(pos, kernel, q=q, gtol=gtol)
-    best = kernel.pair_energy(pos, q=q)
+    pos, _ = minimize_local(pos, kernel, gtol=gtol)
+    best = kernel.pair_energy(pos)
     for _ in range(hops):
         trial = pos + rng.normal(scale=0.12 * kernel.ell, size=pos.shape)
-        trial, _ = minimize_local(trial, kernel, q=q, gtol=gtol)
-        e = kernel.pair_energy(trial, q=q)
+        trial, _ = minimize_local(trial, kernel, gtol=gtol)
+        e = kernel.pair_energy(trial)
         if e < best:
             best, pos = e, trial
     return idx, best, pos
@@ -152,7 +145,6 @@ def _one_restart(args):
 def basin_hop(
     n: int,
     kernel: PeriodicKernel,
-    q: float = 1.0,
     restarts: int = 20,
     hops: int = 4,
     seed: int = 0,
@@ -160,7 +152,8 @@ def basin_hop(
     gtol: float = 1e-8,
     initial_configs=None,
 ) -> BasinHopResult:
-    """Monotone basin hopping with independent seeded restarts.
+    """Monotone basin hopping of n unit charges with independent seeded
+    restarts.
 
     Each restart draws from its own spawned RNG stream and the reduction is
     by restart index, so results are identical for any thread count.
@@ -178,19 +171,19 @@ def basin_hop(
         raise ValueError("restarts plus initial configurations must be at least 1, "
                          f"got {restarts} + {len(extras)}")
     seeds = np.random.SeedSequence(seed).spawn(total)
-    jobs = [(i, seeds[i], n, kernel, q, hops, gtol, None) for i in range(restarts)]
-    jobs += [(restarts + j, seeds[restarts + j], n, kernel, q, hops, gtol, extras[j])
+    jobs = [(i, seeds[i], n, kernel, hops, gtol, None) for i in range(restarts)]
+    jobs += [(restarts + j, seeds[restarts + j], n, kernel, hops, gtol, extras[j])
              for j in range(len(extras))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(_one_restart, jobs))
     mad = kernel.madelung()
-    table = np.array([(i, (e + n * q**2 * mad / 2.0) / n) for i, e, _ in results])
+    table = np.array([(i, (e + n * mad / 2.0) / n) for i, e, _ in results])
     best_idx = int(np.argmin([e for _, e, _ in results]))
     _, best_e, best_pos = results[best_idx]
     return BasinHopResult(
         best_positions=best_pos,
         best_energy=best_e,
-        best_per_particle=(best_e + n * q**2 * mad / 2.0) / n,
+        best_per_particle=float(table[best_idx, 1]),
         restart_table=table,
     )
 

@@ -20,10 +20,14 @@ where L-BFGS would land on the same bytes.  The next line digests the
 cube containers of sides 6 and 8, the ``simplex`` body and the unit ball,
 each with itself) and on one disjoint ball pair, so a rewrite of its
 dispatch shows even where the CLI output rounds to the same bytes.  The
-last line digests ``PeriodicKernel.energy_and_gradient`` (the energy's
-``repr`` and the gradient's bytes) on seeded configurations at n = 2, 16, 54
-and 128, at the default alpha and at pi / ell^2, so a change to the kernel's
-arithmetic shows even where L-BFGS would land on the same bytes.
+next line digests ``grand_canonical_F`` (the ``repr`` of ``value`` and
+``values_by_count`` and the bytes of ``radii``) in the demo's ball of radius
+2 and in a cube of side 6, so its ball-container branch, which no CLI run
+takes, shows too.  The last line digests
+``PeriodicKernel.energy_and_gradient`` (the energy's ``repr`` and the
+gradient's bytes) on seeded configurations at n = 2, 16, 54 and 128, at the
+default alpha and at pi / ell^2, so a change to the kernel's arithmetic shows
+even where L-BFGS would land on the same bytes.
 This is a script, not a pytest module; the whole listing takes about half a
 minute on a 2-core box.
 """
@@ -39,7 +43,7 @@ import numpy as np
 
 from liqdrop.cli import main
 from liqdrop.coulomb import PeriodicKernel, domain_pair_coulomb, tetra_field
-from liqdrop.droplet import liquid_drop_energy
+from liqdrop.droplet import grand_canonical_F, liquid_drop_energy
 from liqdrop.geom import (
     Ball,
     BallUnion,
@@ -143,9 +147,20 @@ def pair_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def gc_digest() -> str:
+    """Digest of ``grand_canonical_F`` at rho = 0.05, kmax = 2, seed 0 and two
+    starts, in Ball(radius=2.0) and in Cube(side=6.0)."""
+    digest = hashlib.sha256()
+    for lam in (Ball(radius=2.0), Cube(side=6.0)):
+        rep = grand_canonical_F(lam, 0.05, kmax=2, seed=0, starts=2)
+        digest.update(repr((rep.value, rep.values_by_count)).encode())
+        digest.update(rep.radii.tobytes())
+    return digest.hexdigest()
+
+
 def ewald_digest() -> str:
-    """Digest of ``energy_and_gradient`` at q = 1 on uniform seeded points in
-    the unit-density cell, for n = 2, 16, 54 and 128 and both alphas."""
+    """Digest of ``energy_and_gradient`` on uniform seeded points in the
+    unit-density cell, for n = 2, 16, 54 and 128 and both alphas."""
     digest = hashlib.sha256()
     for n in (2, 16, 54, 128):
         ell = n ** (1.0 / 3.0)
@@ -177,6 +192,7 @@ def main_listing() -> int:
     print(f"{voxel_digest(0.0)}  voxel-energy@rho=0/breakdown")
     print(f"{tetra_digest()}  simplex-body/tetra_field")
     print(f"{pair_digest()}  pair-integrals")
+    print(f"{gc_digest()}  grand-canonical-F")
     print(f"{ewald_digest()}  ewald")
     return 1 if failed else 0
 

@@ -174,7 +174,7 @@ def test_half_space_k_sum_equals_full_ball():
     e, g = k.energy_and_gradient(pos)
     ball = PeriodicKernel(ell)
     ball.kvecs, ball.kcoef = full, coef
-    e_ref, g_ref = _broadcast_energy_and_gradient(ball, pos, 1.0)
+    e_ref, g_ref = _broadcast_energy_and_gradient(ball, pos)
     assert e == pytest.approx(e_ref, rel=1e-14, abs=1e-14)
     np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-13)
     x = np.array([[0.31, 0.12, 0.44], [0.5, 0.5, 0.5]]) * ell
@@ -235,13 +235,13 @@ def test_energy_and_gradient_invariances(n):
     k = PeriodicKernel(ell)
     rng = np.random.default_rng(100 + n)
     pts = rng.random((n, 3)) * ell
-    e, g = k.energy_and_gradient(pts, q=1.3)
+    e, g = k.energy_and_gradient(pts)
     # the wrappers return exactly the fused results
-    assert k.pair_energy(pts, q=1.3) == e
-    np.testing.assert_array_equal(k.pair_gradient(pts, q=1.3), g)
+    assert k.pair_energy(pts) == e
+    np.testing.assert_array_equal(k.pair_gradient(pts), g)
 
     def check(moved, order):
-        e2, g2 = k.energy_and_gradient(moved, q=1.3)
+        e2, g2 = k.energy_and_gradient(moved)
         assert e2 == pytest.approx(e, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(g2, g[order], rtol=1e-9, atol=1e-11)
 
@@ -286,7 +286,7 @@ def _table_k_space(k, pos):
     return recip, -cross @ k.kvecs
 
 
-def _broadcast_energy_and_gradient(k, pos, q, k_space=_direct_k_space):
+def _broadcast_energy_and_gradient(k, pos, k_space=_direct_k_space):
     """Reference: the real-space sum over one (pairs, shifts, 3) array, with
     the kernel's rule that erfc is zero at r >= rcut, and the k-space sum by
     ``k_space``."""
@@ -307,7 +307,7 @@ def _broadcast_energy_and_gradient(k, pos, q, k_space=_direct_k_space):
     recip, kgrad = k_space(k, pos)
     grad += kgrad
     npairs = n * (n - 1) / 2.0
-    return q**2 * (real + recip - npairs * k.self_const), q**2 * grad
+    return real + recip - npairs * k.self_const, grad
 
 
 def _block_regime(npair, nshift):
@@ -345,13 +345,12 @@ def _block_regime(npair, nshift):
 def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, regime, default_alpha):
     rng = np.random.default_rng(500 + n)
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
-    q = rng.uniform(0.2, 3.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
     k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
     assert len(k.shifts) == (57 if default_alpha else 251)
     assert _block_regime(n * (n - 1) // 2, len(k.shifts)) == regime
-    e, g = k.energy_and_gradient(pts, q)
-    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q, _table_k_space)
+    e, g = k.energy_and_gradient(pts)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, _table_k_space)
     assert e == e_ref
     np.testing.assert_array_equal(g, g_ref)
 
@@ -363,11 +362,10 @@ def test_energy_and_gradient_matches_direct_structure_factor(n, default_alpha):
     # points up to 3 ell outside the cell
     rng = np.random.default_rng(700 + n)
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
-    q = rng.uniform(0.2, 3.0)
     pts = rng.uniform(-3.0, 4.0, (n, 3)) * ell
     k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
-    e, g = k.energy_and_gradient(pts, q)
-    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, q)
+    e, g = k.energy_and_gradient(pts)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts)
     bound = 1e-12 * max(1.0, abs(e_ref))
     assert abs(e - e_ref) <= bound
     assert np.abs(g - g_ref).max() <= bound
@@ -455,13 +453,13 @@ def test_kernel_buffers_are_per_thread_and_follow_n():
     ell = 3.1
     rng = np.random.default_rng(11)
     configs = [rng.random((n, 3)) * ell for n in (7, 60, 2, 33, 60, 7)]
-    fresh = [PeriodicKernel(ell).energy_and_gradient(p, 1.1) for p in configs]
+    fresh = [PeriodicKernel(ell).energy_and_gradient(p) for p in configs]
     k = PeriodicKernel(ell)
     for p, ref in zip(configs, fresh):
-        _assert_bitwise(k.energy_and_gradient(p, 1.1), ref)
+        _assert_bitwise(k.energy_and_gradient(p), ref)
     with ThreadPoolExecutor(2) as pool:
         for _ in range(3):
-            results = pool.map(lambda p: k.energy_and_gradient(p, 1.1), configs)
+            results = pool.map(k.energy_and_gradient, configs)
             for res, ref in zip(results, fresh):
                 _assert_bitwise(res, ref)
 
@@ -472,10 +470,9 @@ def test_energy_and_gradient_split_stress_many_switches():
     # n = 200 among them, gives the bits of a serial call on a fresh kernel
     rng = np.random.default_rng(1100)
     ell = 200 ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
-    q = rng.uniform(0.2, 3.0)
     configs = [rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
                for n in (200, 7, 200, 60, 200, 2, 200, 33)]
-    fresh = [PeriodicKernel(ell).energy_and_gradient(p, q) for p in configs]
+    fresh = [PeriodicKernel(ell).energy_and_gradient(p) for p in configs]
     k = PeriodicKernel(ell)
     interval = sys.getswitchinterval()
     t0 = time.perf_counter()
@@ -483,7 +480,7 @@ def test_energy_and_gradient_split_stress_many_switches():
     try:
         with ThreadPoolExecutor(8) as pool:
             for _ in range(2):
-                results = pool.map(lambda p: k.energy_and_gradient(p, q), configs)
+                results = pool.map(k.energy_and_gradient, configs)
                 for res, ref in zip(results, fresh):
                     _assert_bitwise(res, ref)
     finally:

@@ -13,7 +13,14 @@ from liqdrop.droplet import (
     liquid_drop_energy,
     mass_bound_check,
 )
-from liqdrop.geom import Ball, BallUnion, Cube, voxelize, voxelize_domain
+from liqdrop.geom import (
+    Ball,
+    BallUnion,
+    Cube,
+    regular_tetrahedron,
+    voxelize,
+    voxelize_domain,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +126,8 @@ def test_breakdown_validates_inputs():
 
 def test_voxel_breakdown_approximates_closed_forms():
     R = 1.0
-    lam = Cube(side=4.0)
     vox = voxelize_domain(Ball(radius=R, center=(0.0, 0.0, 0.0)), h=0.05)
-    br = liquid_drop_energy(vox, lam, 0.0)
+    br = liquid_drop_energy(vox, voxelize_domain(Cube(side=4.0), 0.05), 0.0)
     q = 4.0 * np.pi / 3.0
     assert br.droplet_droplet == pytest.approx(0.6 * q**2 / R, rel=2e-2)
     assert br.perimeter == pytest.approx(4.0 * np.pi * R**2, rel=2e-2)
@@ -151,12 +157,16 @@ def test_voxel_breakdown_is_pinned():
 
 def test_voxel_breakdown_requires_containment_and_alignment():
     vox = voxelize_domain(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), h=0.25)
-    small = Cube(side=1.0)
-    with pytest.raises(ValueError):
+    small = voxelize_domain(Cube(side=1.0), 0.25)
+    with pytest.raises(ValueError, match="not contained"):
         liquid_drop_energy(vox, small, 0.0)
-    odd = Cube(side=4.1)  # not a multiple of the voxel pitch
-    with pytest.raises(ValueError):
-        liquid_drop_energy(vox, odd, 0.0)
+    # a side of 4.1 puts the cube's grid 0.2 cells off the droplet's
+    misaligned = voxelize_domain(Cube(side=4.1), 0.25)
+    with pytest.raises(ValueError, match="not aligned"):
+        liquid_drop_energy(vox, misaligned, 0.0)
+    # the container is voxelized by the caller
+    with pytest.raises(TypeError, match="voxel-set container"):
+        liquid_drop_energy(vox, Cube(side=4.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +219,16 @@ def test_grand_canonical_rejects_empty_container_and_negative_kmax():
             grand_canonical_F(lam, 0.01, kmax=1, starts=1)
     with pytest.raises(ValueError, match="at least 0"):
         grand_canonical_F(Cube(side=6.0), 0.01, kmax=-1)
+
+
+@pytest.mark.parametrize("lam", [
+    BallUnion(centers=np.zeros((1, 3)), radii=np.array([2.0])),
+    regular_tetrahedron(100.0),
+], ids=["BallUnion", "Tetrahedron"])
+def test_grand_canonical_rejects_unsupported_containers(lam):
+    # only a Ball or a Cube has the inner-distance gradient of the penalty
+    with pytest.raises(TypeError, match=type(lam).__name__):
+        grand_canonical_F(lam, 0.0, kmax=1, starts=1)
 
 
 # ---------------------------------------------------------------------------

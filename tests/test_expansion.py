@@ -15,7 +15,6 @@ from liqdrop.expansion import (
     extract_coefficients,
     gs_coulomb_inequality_check,
     gs_perimeter_identity_check,
-    lower_simplex_rhs,
     upper_bound_e,
 )
 from liqdrop.geom import Ball, BallUnion, Cube, regular_tetrahedron
@@ -334,28 +333,8 @@ def test_window_checks_reject_meaningless_inputs(check, kwargs):
 
 
 # ---------------------------------------------------------------------------
-# lower-bound bracket and cell decay
+# cell decay
 # ---------------------------------------------------------------------------
-
-
-def test_lower_simplex_rhs_smoke():
-    rep = lower_simplex_rhs(1e-4, 3.0, depth=2, seed=0, starts=1)
-    assert np.isfinite(rep.value)
-    assert rep.cell == pytest.approx(3.0 * (1e-4) ** (-1.0 / 3.0), rel=1e-12)
-    assert rep.rho == 1e-4
-    assert rep.value == pytest.approx(
-        rep.grand_canonical_value / ((1e-4) ** (1.0 / 3.0) * 27.0), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        lower_simplex_rhs(1e-1, 3.0)
-    with pytest.raises(ValueError):
-        lower_simplex_rhs(1e-4, 10.0)
-
-
-def test_lower_simplex_rhs_zero_density():
-    rep = lower_simplex_rhs(0.0, 3.0)
-    assert rep.value == 0.0
-    assert "empty" in rep.note
 
 
 def _cube_pair_integral(cell, offset, order=10):

@@ -207,3 +207,10 @@ def test_sample_in_domain_rejects_empty_bounding_box():
             sample_in_domain(rng, domain, 3)
     # a degenerate but nonempty box still yields its one point
     assert np.array_equal(sample_in_domain(rng, Cube(side=0.0), 2), np.zeros((2, 3)))
+
+
+def test_sample_in_domain_rejects_other_domain_types():
+    # a ball union has no single centre or side to bound the draws by
+    union = BallUnion(centers=np.zeros((1, 3)), radii=np.array([1.0]))
+    with pytest.raises(TypeError, match="BallUnion"):
+        sample_in_domain(np.random.default_rng(0), union, 3)

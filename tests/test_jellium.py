@@ -74,28 +74,26 @@ def test_supercell_energy_is_size_independent():
 def test_periodic_energy_report_consistency():
     kern = PeriodicKernel(2.0)
     pts = np.array([[0.1, 0.2, 0.3], [1.0, 1.5, 0.2], [0.4, 1.1, 1.8]])
-    rep = periodic_energy(pts, kern, q=1.5)
+    rep = periodic_energy(pts, kern)
     assert rep.total == pytest.approx(rep.pair + rep.madelung_self, rel=1e-14)
     assert rep.per_particle == pytest.approx(rep.total / 3.0, rel=1e-14)
-    # self-image term: n q^2 M / 2 with the kernel's own constant
-    assert rep.madelung_self == pytest.approx(
-        3 * 1.5**2 * kern.madelung() / 2.0, rel=1e-13
-    )
+    # self-image term: n M / 2 with the kernel's own constant
+    assert rep.madelung_self == pytest.approx(3 * kern.madelung() / 2.0, rel=1e-13)
 
 
 def test_periodic_gradient_matches_finite_differences():
     kern = PeriodicKernel(1.7)
     rng = np.random.default_rng(5)
     pts = rng.random((4, 3)) * 1.7
-    grad = kern.pair_gradient(pts, q=1.2)
+    grad = kern.pair_gradient(pts)
     h = 1e-6
     for i in (0, 2):
         for k in range(3):
             shifted = pts.copy()
             shifted[i, k] += h
-            ep = kern.pair_energy(shifted, q=1.2)
+            ep = kern.pair_energy(shifted)
             shifted[i, k] -= 2 * h
-            em = kern.pair_energy(shifted, q=1.2)
+            em = kern.pair_energy(shifted)
             fd = (ep - em) / (2 * h)
             assert grad[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 

@@ -31,8 +31,7 @@ def main() -> None:
           "(inner surface area vs rho^(2/3) eps^2 scaling)")
     print(f"  piece count constant {layer.piece_count_constant():.3f}")
 
-    kinds = layer.kinds()
-    merged = np.nonzero(kinds == "merged")[0]
+    merged = np.flatnonzero(layer.kind_masks()["merged"])
     print("\nMeasured far-field decay |potential| ~ r^(-p):")
     for i in merged[:3]:
         p = far_field_exponent(layer[int(i)])

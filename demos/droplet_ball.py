@@ -2,9 +2,9 @@
 
 A single ball of unit charge density pays perimeter (surface tension) plus
 its own Coulomb energy.  Per unit volume that is 3/R + (4 pi / 5) R^2, so a
-unique best radius exists.  We locate it numerically, compare with the closed
-forms, scan the energy curve, and evaluate the full energy breakdown of a
-droplet sitting in a finite neutralizing container.
+unique best radius exists, with closed forms for it, its energy per volume
+and its mass.  We print them, scan the energy curve, and evaluate the full
+energy breakdown of a droplet sitting in a finite neutralizing container.
 """
 
 import numpy as np
@@ -20,13 +20,10 @@ from liqdrop.geom import Ball, BallUnion
 
 def main() -> None:
     opt = ball_optimum()
-    r_exact = (15.0 / (8.0 * np.pi)) ** (1.0 / 3.0)
-    e_exact = 9.0 * (np.pi / 15.0) ** (1.0 / 3.0)
     print("Best single-ball droplet:")
-    print(f"  radius            {opt.best_radius:.12f}  (closed form {r_exact:.12f})")
-    print(f"  energy per volume {opt.best_energy_per_volume:.12f}  "
-          f"(closed form {e_exact:.12f})")
-    print(f"  mass              {opt.best_mass:.12f}  (closed form 5/2)")
+    print(f"  radius            {opt.best_radius:.12f}  = (15/(8 pi))^(1/3)")
+    print(f"  energy per volume {opt.best_energy_per_volume:.12f}  = 9 (pi/15)^(1/3)")
+    print(f"  mass              {opt.best_mass:.12f}  = 5/2")
 
     print("\nEnergy-per-volume curve (minimum sits between the two regimes):")
     for r in (0.3, 0.6, opt.best_radius, 1.2, 1.8):

@@ -220,13 +220,15 @@ class BoundaryLayer:
             "subcell": len(self._sub_index),
         }
 
-    def kinds(self) -> np.ndarray:
-        """Piece kind for every piece, in sequence order."""
-        nsub = np.diff(self._host_sub_ptr)
-        host = np.where(nsub > 0, "merged", "exterior-cube")
-        return np.concatenate(
-            [host, np.full(len(self._sub_index), "subcell")]
-        )
+    def kind_masks(self) -> dict:
+        """A boolean mask over the pieces, in sequence order, for each kind."""
+        merged = np.diff(self._host_sub_ptr) > 0
+        no_sub = np.zeros(len(self._sub_index), dtype=bool)
+        return {
+            "merged": np.concatenate([merged, no_sub]),
+            "exterior-cube": np.concatenate([~merged, no_sub]),
+            "subcell": np.concatenate([np.zeros_like(merged), ~no_sub]),
+        }
 
     def volumes(self) -> np.ndarray:
         """Support volume of every piece, in sequence order."""

@@ -157,7 +157,6 @@ def _build_parser():
 
         for flag, typ, dv, h in (
             ("--seed", int, 0, "master RNG seed"),
-            ("--tol", _positive, 1e-8, "gradient tolerance (jellium-opt; others echo it)"),
             ("--config", str, None, "key=value file merged under flags (flags win)"),
             ("--out", str, ".", "output directory"),
             ("--prefix", str, None, "output basename (default: subcommand)"),
@@ -177,6 +176,7 @@ def _build_parser():
     add("--density", type=_positive, default=1.0, help="points per unit volume")
     add("--restarts", type=_at_least_one, default=4, help="independent random restarts")
     add("--hops", type=_non_negative, default=2, help="perturbation hops per restart")
+    add("--tol", type=_positive, default=1e-8, help="L-BFGS gradient tolerance")
     add("--threads", type=_at_least_one, default=1, help=_THREADS_HELP)
 
     sp, add = sub("jellium-gc", "grand-canonical point-charge energy in a scaled simplex")
@@ -528,14 +528,13 @@ def _cmd_quadlayer(ns):
     else:
         domain = Ball(radius=ns.radius, center=(0.0, 0.0, 0.0))
     layer = quadrupole_layer(domain, ns.eps, ns.subdiv, ns.rho)
-    kinds = layer.kinds()
+    masks = layer.kind_masks()
     charges = np.abs(layer.charges())
     dips = np.linalg.norm(layer.dipoles(), axis=1)
     perims = layer.inner_perimeters()
     margins = layer.containment_margins()
     rows = []
-    for kind in ("merged", "exterior-cube", "subcell"):
-        mask = kinds == kind
+    for kind, mask in masks.items():
         if not mask.any():
             rows.append((kind, 0, 0.0, 0.0, 0.0, math.nan))
             continue
@@ -550,7 +549,7 @@ def _cmd_quadlayer(ns):
             )
         )
     probes = []
-    merged_idx = np.nonzero(kinds == "merged")[0][: ns.probes]
+    merged_idx = np.flatnonzero(masks["merged"])[: ns.probes]
     for i in merged_idx:
         piece = layer[int(i)]
         probes.append(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma as _gamma
+from scipy.special import exp1, gamma as _gamma, gammaincc
 
 from liqdrop.geom import Lattice, lattice_vectors
 
@@ -39,10 +39,9 @@ _TAIL = 1e-12
 def upper_gamma(a: float, x) -> np.ndarray:
     """Upper incomplete gamma Gamma(a, x) for real a (may be <= 0) and x > 0.
 
-    Continued fraction for x >= a + 1 (modified Lentz), series for the lower
-    function otherwise; non-positive ``a`` is lifted by the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a.  Accuracy is uniform over
-    the modest ranges used by the zeta representation (|a| <= 3, x > 0).
+    scipy's regularized ``gammaincc`` times Gamma(a) for a > 0, ``exp1`` at
+    a = 0; negative ``a`` is lifted by the recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -53,49 +52,7 @@ def upper_gamma(a: float, x) -> np.ndarray:
     if a < 0.0:
         # climb to positive a; depth is at most a few steps for our range
         return (upper_gamma(a + 1.0, x) - x**a * np.exp(-x)) / a
-    out = np.empty_like(x)
-    cf = x >= a + 1.0
-    if np.any(cf):
-        out[cf] = _upper_gamma_cf(a, x[cf])
-    if np.any(~cf):
-        out[~cf] = _gamma(a) - _lower_gamma_series(a, x[~cf])
-    return out
-
-
-def _upper_gamma_cf(a: float, x: np.ndarray, itmax: int = 300) -> np.ndarray:
-    # Gamma(a,x) = e^{-x} x^a / (x + 1 - a - 1(1-a)/(x + 3 - a - ...))
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, itmax + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-16):
-            break
-    return np.exp(-x + a * np.log(x)) * h
-
-
-def _lower_gamma_series(a: float, x: np.ndarray, itmax: int = 300) -> np.ndarray:
-    # gamma(a,x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n))
-    ap = a
-    total = np.full_like(x, 1.0 / a)
-    term = total.copy()
-    for _ in range(itmax):
-        ap += 1.0
-        term = term * x / ap
-        total += term
-        if np.all(np.abs(term) < np.abs(total) * 1e-17):
-            break
-    return total * np.exp(-x + a * np.log(x))
+    return gammaincc(a, x) * _gamma(a)
 
 
 @dataclass(frozen=True)

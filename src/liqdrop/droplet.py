@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from liqdrop.coulomb.grid import grid_potential
 from liqdrop.coulomb.potentials import (
@@ -71,38 +71,21 @@ class DropletConstants:
     ball_optimality_conjectured: bool = True
 
 
-# closed forms used as cross-checks and by downstream modules
+# the ball optimum in closed form; OPT_RADIUS solves -3/R^2 + (8 pi / 5) R = 0
 OPT_RADIUS = (15.0 / (8.0 * np.pi)) ** (1.0 / 3.0)
 OPT_ENERGY_PER_VOLUME = 9.0 * (np.pi / 15.0) ** (1.0 / 3.0)
 OPT_MASS = 2.5
 
 
 def ball_optimum() -> DropletConstants:
-    """Minimize the one-variable ball energy-per-volume numerically.
-
-    A bracketing scalar minimization is polished by Newton iteration on the
-    stationarity equation -3/R^2 + (8 pi / 5) R = 0, converging to machine
-    precision; the returned values agree with the closed forms
-    (15/(8 pi))^(1/3) and 9 (pi/15)^(1/3) to 1e-12.
-    """
-    res = minimize_scalar(
-        ball_energy_per_volume, bounds=(0.1, 10.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    r = float(res.x)
-    for _ in range(60):
-        d1 = -3.0 / r**2 + (8.0 * np.pi / 5.0) * r
-        d2 = 6.0 / r**3 + 8.0 * np.pi / 5.0
-        step = d1 / d2
-        r -= step
-        if abs(step) < 1e-16 * r:
-            break
-    mass = 4.0 * np.pi * r**3 / 3.0
+    """The optimal single-ball droplet: radius (15/(8 pi))^(1/3), energy per
+    volume 9 (pi/15)^(1/3) and mass 5/2, the stationary point of
+    3/R + (4 pi / 5) R^2."""
     return DropletConstants(
-        best_radius=r,
-        best_energy_per_volume=float(ball_energy_per_volume(r)),
-        best_mass=mass,
-        smallest_minimizer_mass=mass,
+        best_radius=OPT_RADIUS,
+        best_energy_per_volume=OPT_ENERGY_PER_VOLUME,
+        best_mass=OPT_MASS,
+        smallest_minimizer_mass=OPT_MASS,
     )
 
 

@@ -1,13 +1,12 @@
 """JSON and CSV serialization for geometry, configurations, and reports.
 
-JSON encoding is type-tagged: ``encode`` writes ``Lattice``, ``Cube``,
-``Ball``, ``Tetrahedron``, ``BallUnion``, ``VoxelSet`` and
-``PointConfiguration`` as a ``"type"`` key plus their defining data, every
-float at full ``repr`` precision, so the values read back from the JSON text
-are the object's own; report dataclasses serialize field by field.  Nothing
-reads JSON back into objects.  CSV output uses RFC-4180 quoting.
-All emitters are deterministic: keys are sorted and no timestamps or
-environment-dependent values are written.
+JSON encoding is type-tagged: ``encode`` writes ``Cube``, ``Ball`` and
+``PointConfiguration`` (the objects the CLI writes) as a ``"type"`` key plus
+their defining data, every float at full ``repr`` precision, so the values
+read back from the JSON text are the object's own; report dataclasses
+serialize field by field.  Nothing reads JSON back into objects.  CSV output
+uses RFC-4180 quoting.  All emitters are deterministic: keys are sorted and
+no timestamps or environment-dependent values are written.
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from liqdrop.geom import (
-    Ball,
-    BallUnion,
-    Cube,
-    Lattice,
-    Tetrahedron,
-    VoxelSet,
-)
+from liqdrop.geom import Ball, Cube
 from liqdrop.jellium import PointConfiguration
 
 __all__ = [
@@ -55,18 +47,7 @@ def to_jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(
-        obj,
-        (
-            Lattice,
-            Cube,
-            Ball,
-            Tetrahedron,
-            BallUnion,
-            VoxelSet,
-            PointConfiguration,
-        ),
-    ):
+    if isinstance(obj, (Cube, Ball, PointConfiguration)):
         return encode(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
@@ -81,14 +62,7 @@ def to_jsonable(obj):
 
 
 def encode(obj) -> dict:
-    """Type-tagged JSON encoding of geometric objects and configurations."""
-    if isinstance(obj, Lattice):
-        return {
-            "type": "Lattice",
-            "kind": obj.kind,
-            "density": float(obj.density),
-            "basis": np.asarray(obj.basis, dtype=float).tolist(),
-        }
+    """Type-tagged JSON encoding of a cube, a ball or a point configuration."""
     if isinstance(obj, Cube):
         return {
             "type": "Cube",
@@ -100,27 +74,6 @@ def encode(obj) -> dict:
             "type": "Ball",
             "radius": float(obj.radius),
             "center": np.asarray(obj.center, dtype=float).tolist(),
-        }
-    if isinstance(obj, Tetrahedron):
-        return {
-            "type": "Tetrahedron",
-            "vertices": np.asarray(obj.vertices, dtype=float).tolist(),
-        }
-    if isinstance(obj, BallUnion):
-        return {
-            "type": "BallUnion",
-            "centers": np.asarray(obj.centers, dtype=float).tolist(),
-            "radii": np.asarray(obj.radii, dtype=float).tolist(),
-        }
-    if isinstance(obj, VoxelSet):
-        occ = np.asarray(obj.occ, dtype=bool)
-        idx = np.argwhere(occ)
-        return {
-            "type": "VoxelSet",
-            "h": float(obj.h),
-            "origin": np.asarray(obj.origin, dtype=float).tolist(),
-            "shape": list(occ.shape),
-            "occupied": idx.tolist(),
         }
     if isinstance(obj, PointConfiguration):
         return {

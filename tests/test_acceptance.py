@@ -199,8 +199,7 @@ def test_acceptance_7_boundary_screening_layer():
         worst_dipole = max(worst_dipole, float(np.abs(layer.dipoles()).max()))
         worst_margin = min(worst_margin, float(layer.containment_margins().min()))
         worst_perim = max(worst_perim, layer.perimeter_constant())
-        kinds = layer.kinds()
-        for i in np.nonzero(kinds == "merged")[0][:3]:
+        for i in np.flatnonzero(layer.kind_masks()["merged"])[:3]:
             p = far_field_exponent(layer[int(i)])
             decay_lo, decay_hi = min(decay_lo, p), max(decay_hi, p)
     ok = (

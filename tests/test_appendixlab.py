@@ -65,10 +65,15 @@ def test_layer_counts_are_consistent(small_layer):
     assert counts["merged"] + counts["exterior-cube"] + counts["subcell"] == len(
         small_layer
     )
-    kinds = small_layer.kinds()
-    assert len(kinds) == len(small_layer)
-    for key in ("merged", "exterior-cube", "subcell"):
-        assert int((kinds == key).sum()) == counts[key]
+    masks = small_layer.kind_masks()
+    assert sorted(masks) == sorted(counts)
+    for key, mask in masks.items():
+        assert mask.shape == (len(small_layer),)
+        assert int(mask.sum()) == counts[key]
+    # every piece has exactly one kind, the one its materialized piece reports
+    assert (sum(m.astype(int) for m in masks.values()) == 1).all()
+    for i in range(0, len(small_layer), 7):
+        assert masks[small_layer[i].kind][i]
     assert counts["merged"] > 0
     assert counts["subcell"] > 0
 
@@ -108,7 +113,8 @@ def test_layer_build_is_deterministic():
     b = quadrupole_layer(BALL, eps=0.125, subdiv=4, rho=0.2)
     assert a.volumes().tobytes() == b.volumes().tobytes()
     assert a.dipoles().tobytes() == b.dipoles().tobytes()
-    assert list(a.kinds()) == list(b.kinds())
+    for key, mask in a.kind_masks().items():
+        assert mask.tobytes() == b.kind_masks()[key].tobytes()
 
 
 def test_bulk_charges_and_dipoles_match_the_moment_oracle(small_layer, cube_layer):
@@ -124,8 +130,7 @@ def test_bulk_charges_and_dipoles_match_the_moment_oracle(small_layer, cube_laye
 
 
 def test_merged_pieces_decay_like_quadrupoles(small_layer):
-    kinds = small_layer.kinds()
-    for i in np.nonzero(kinds == "merged")[0][:3]:
+    for i in np.flatnonzero(small_layer.kind_masks()["merged"])[:3]:
         charge, dipole, _ = _moments(small_layer[i])
         assert abs(charge) < 1e-15
         assert np.abs(dipole).max() < 1e-15
@@ -135,8 +140,7 @@ def test_merged_pieces_decay_like_quadrupoles(small_layer):
 def test_exterior_cubes_decay_faster(cube_layer):
     # a centered cube-in-box piece has no charge, dipole, or quadrupole and
     # its potential falls off one power faster than the quadrupole rate
-    kinds = cube_layer.kinds()
-    ext = np.nonzero(kinds == "exterior-cube")[0]
+    ext = np.flatnonzero(cube_layer.kind_masks()["exterior-cube"])
     assert len(ext) > 0
     charge, dipole, quadrupole = _moments(cube_layer[ext[0]])
     assert charge == 0.0
@@ -146,8 +150,7 @@ def test_exterior_cubes_decay_faster(cube_layer):
 
 
 def test_merged_piece_quadrupole_is_symmetric_and_trace_free(small_layer):
-    kinds = small_layer.kinds()
-    for i in np.nonzero(kinds == "merged")[0][:3]:
+    for i in np.flatnonzero(small_layer.kind_masks()["merged"])[:3]:
         _, _, q = _moments(small_layer[i])
         scale = np.abs(q).max()
         assert scale > 0.0
@@ -337,8 +340,7 @@ def test_commensurate_cube_has_no_merged_pieces(cube_layer):
 def test_piece_potential_matches_multipole_neutrality(small_layer):
     # far from a piece the potential of the signed density is orders of
     # magnitude below the bare inner-cube potential
-    kinds = small_layer.kinds()
-    i = int(np.nonzero(kinds == "merged")[0][0])
+    i = int(np.flatnonzero(small_layer.kind_masks()["merged"])[0])
     piece = small_layer[i]
     r = 16.0 * small_layer.eps
     pt = piece.inner_center + np.array([r, 0.0, 0.0])

@@ -123,7 +123,7 @@ def test_jellium_gc_output_is_pinned(tmp_path):
     }
     assert digests == {
         "csv": "0097a7000983986a28d0de710688ac0336a2392c5a92c8b7a57e4d160169b88c",
-        "json": "a0ef25c13fbb1b17713ae6ed94a5629468d7b23cfb2eff42d3872b60d58c24fc",
+        "json": "0b202c1123787ca960fb57db37ccdb2d1a7643148d50fc467557fdc19c6eb883",
     }
 
 
@@ -299,6 +299,28 @@ def test_threads_only_where_a_pool_runs(tmp_path):
     assert not (tmp_path / "zeta.csv").exists()
 
 
+def test_tol_only_on_jellium_opt(tmp_path):
+    # only jellium-opt reads --tol (its L-BFGS gradient tolerance); the other
+    # subcommands reject it like any unknown flag, before writing anything
+    for command in ("zeta", "madelung", "jellium-gc", "droplet", "fgc",
+                    "expansion", "gs-check", "cheese", "quadlayer"):
+        out = tmp_path / command
+        assert run(command, "--tol", "1e-6", "--out", str(out)) == EXIT_BAD_ARGS
+        assert not out.exists()
+    # an unknown flag whatever its value, and an unknown config key
+    assert run("madelung", "--tol", "nan", "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 1e-6\n")
+    assert run("madelung", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not any(tmp_path.glob("*.csv"))
+    out = tmp_path / "jellium-opt"
+    argv = ("jellium-opt", "--n", "2", "--restarts", "1", "--hops", "0")
+    assert run(*argv, "--tol", "1e-6", "--out", str(out)) == EXIT_OK
+    doc = json.loads((out / "jellium-opt.json").read_text())
+    assert doc["provenance"]["config"]["tol"] == 1e-6
+    assert doc["summary"]["gradient_tolerance"] == 1e-6
+
+
 def test_threads_below_one_exit_one(tmp_path):
     # rejected while parsing, before any pool or thread exists
     for value in ("0", "-1", "-1000000000"):
@@ -359,7 +381,6 @@ def test_jellium_gc_and_fgc_reject_meaningless_inputs_exit_one(tmp_path):
         ("jellium-opt", "--n", "4", "--tol", "nan"),
         ("jellium-opt", "--n", "4", "--tol", "0"),
         ("jellium-opt", "--n", "4", "--tol", "-1"),
-        ("madelung", "--tol", "nan"),
         ("expansion", "--n", "2", "--restarts", "-1"),
         ("expansion", "--n", "2", "--hops", "-1"),
         ("expansion", "--n", "-3", "--restarts", "0", "--hops", "0"),

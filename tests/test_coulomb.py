@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import fft as scipy_fft
-from scipy.special import erfc, gamma as _gamma, gammaincc
+from scipy.special import erfc
 
 from liqdrop.coulomb import (
     CUBE_SELF_INTEGRAL,
@@ -63,11 +63,13 @@ TETRA_PROBE_POTENTIAL = 2.1663728273038916  # unit regular tetra at (0.1,-0.05,0
 # ---------------------------------------------------------------------------
 
 
-def test_upper_gamma_matches_scipy_for_positive_order():
-    x = np.array([0.1, 0.7, 2.3, 9.0])
-    for a in (0.25, 1.0, 2.5):
-        expected = _gamma(a) * gammaincc(a, x)
-        np.testing.assert_allclose(upper_gamma(a, x), expected, rtol=1e-12)
+def test_upper_gamma_matches_mpmath():
+    # the orders the zeta command meets: s/2 and (3 - s)/2 at s = 0.5, 1, 2.5, 5
+    x = np.linspace(1.0, 50.0, 50)
+    for a in (-1.0, 0.25, 0.5, 1.0, 1.25, 2.5):
+        with mpmath.workdps(30):
+            expected = [float(mpmath.gammainc(a, mpmath.mpf(float(v)))) for v in x]
+        np.testing.assert_allclose(upper_gamma(a, x), expected, rtol=1e-13)
 
 
 def test_upper_gamma_recurrence_at_negative_order():

@@ -1,9 +1,11 @@
 """The demo scripts use only names and keyword arguments that the package
-defines; read with ``ast``, nothing in a demo is run."""
+defines, read with ``ast``; the demos over the boundary layer, the ball
+optimum and the lattice sums also run end to end."""
 
 import ast
 import importlib
 import inspect
+import runpy
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,11 @@ def test_demo_imports_and_keywords_exist(path):
         for kw in node.keywords:
             if kw.arg is not None:
                 assert kw.arg in params, f"{node.func.id}({kw.arg}=...)"
+
+
+@pytest.mark.parametrize("name", ["boundary_layer.py", "droplet_ball.py", "lattice_sums.py"])
+def test_demo_runs_end_to_end(name, capsys):
+    # demos over the boundary-layer masks, the ball optimum and the zeta
+    # sums; under a second each
+    runpy.run_path(str(DEMOS[0].parent / name), run_name="__main__")
+    assert capsys.readouterr().out

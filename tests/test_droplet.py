@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from liqdrop.droplet import (
     OPT_ENERGY_PER_VOLUME,
@@ -42,21 +43,32 @@ def test_ball_energy_per_volume_closed_form():
         ball_energy_per_volume([-1.0, 1.0])
 
 
+def _ball_optimum_by_search():
+    """Minimize 3/R + (4 pi / 5) R^2 numerically: a bounded scalar search
+    polished by Newton iteration on -3/R^2 + (8 pi / 5) R = 0."""
+    r = float(minimize_scalar(
+        ball_energy_per_volume, bounds=(0.1, 10.0), method="bounded",
+        options={"xatol": 1e-12},
+    ).x)
+    for _ in range(60):
+        step = (-3.0 / r**2 + (8.0 * np.pi / 5.0) * r) / (6.0 / r**3 + 8.0 * np.pi / 5.0)
+        r -= step
+        if abs(step) < 1e-16 * r:
+            break
+    return r, float(ball_energy_per_volume(r)), 4.0 * np.pi * r**3 / 3.0
+
+
 def test_ball_optimum_matches_closed_forms():
     opt = ball_optimum()
-    assert opt.best_radius == pytest.approx(
-        (15.0 / (8.0 * np.pi)) ** (1.0 / 3.0), abs=1e-12
-    )
-    assert opt.best_energy_per_volume == pytest.approx(
-        9.0 * (np.pi / 15.0) ** (1.0 / 3.0), abs=1e-12
-    )
-    assert opt.best_mass == pytest.approx(2.5, abs=1e-12)
-    assert opt.smallest_minimizer_mass == pytest.approx(2.5, abs=1e-12)
+    assert opt.best_radius == OPT_RADIUS
+    assert opt.best_energy_per_volume == OPT_ENERGY_PER_VOLUME
+    assert opt.best_mass == opt.smallest_minimizer_mass == OPT_MASS == 2.5
     assert opt.ball_family_only and opt.ball_optimality_conjectured
-    # module-level constants agree with the optimizer output
-    assert OPT_RADIUS == pytest.approx(opt.best_radius, abs=1e-13)
-    assert OPT_ENERGY_PER_VOLUME == pytest.approx(opt.best_energy_per_volume, abs=1e-12)
-    assert OPT_MASS == 2.5
+    # the closed forms are the numerical minimizer of the ball energy
+    radius, energy, mass = _ball_optimum_by_search()
+    assert OPT_RADIUS == pytest.approx(radius, abs=1e-12)
+    assert OPT_ENERGY_PER_VOLUME == pytest.approx(energy, abs=1e-12)
+    assert OPT_MASS == pytest.approx(mass, abs=1e-12)
 
 
 def test_optimal_radius_is_stationary():

@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from liqdrop.appendixlab import swiss_cheese
-from liqdrop.geom import (
-    Ball,
-    BallUnion,
-    Cube,
-    Tetrahedron,
-    VoxelSet,
-    make_lattice,
-    regular_tetrahedron,
-)
+from liqdrop.geom import Ball, Cube, make_lattice
 from liqdrop.jellium import PointConfiguration
 from liqdrop.serialize import (
     dump_json,
@@ -44,38 +36,14 @@ def _encoded(obj):
     return json.loads(json.dumps(encode(obj)))
 
 
-def test_lattice_roundtrip():
-    lat = make_lattice("bcc", density=2.0)
-    assert _encoded(lat) == {
-        "type": "Lattice",
-        "kind": "bcc",
-        "density": 2.0,
-        "basis": lat.basis.tolist(),
-    }
-
-
 def test_domain_roundtrips():
     cube = Cube(side=2.5, center=(0.5, -1.0, 0.0))
     assert _encoded(cube) == {"type": "Cube", "side": 2.5, "center": [0.5, -1.0, 0.0]}
     ball = Ball(radius=1.2, center=(0.0, 0.1, -0.2))
     assert _encoded(ball) == {"type": "Ball", "radius": 1.2, "center": [0.0, 0.1, -0.2]}
-    tet = regular_tetrahedron(2.0)
-    data = _encoded(tet)
-    assert data == {"type": "Tetrahedron", "vertices": tet.vertices.tolist()}
-    assert Tetrahedron(vertices=data["vertices"]).volume == tet.volume
 
 
-def test_ball_union_and_points_roundtrip():
-    bu = BallUnion(
-        centers=np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
-        radii=np.array([1.0, 0.5]),
-    )
-    assert _encoded(bu) == {
-        "type": "BallUnion",
-        "centers": [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]],
-        "radii": [1.0, 0.5],
-    }
-
+def test_point_configuration_roundtrip():
     cfg = PointConfiguration(
         positions=np.array([[0.0, 1.0, 2.0]]),
         charge=2.5,
@@ -89,24 +57,12 @@ def test_ball_union_and_points_roundtrip():
     }
 
 
-def test_voxelset_roundtrip_is_sparse():
-    occ = np.zeros((4, 5, 6), dtype=bool)
-    occ[1, 2, 3] = occ[0, 0, 0] = True
-    vs = VoxelSet(h=0.25, origin=(1.0, -1.0, 0.0), occ=occ)
-    data = _encoded(vs)
-    assert data == {
-        "type": "VoxelSet",
-        "h": 0.25,
-        "origin": [1.0, -1.0, 0.0],
-        "shape": [4, 5, 6],
-        "occupied": [[0, 0, 0], [1, 2, 3]],
-    }
-    assert len(data["occupied"]) * data["h"] ** 3 == vs.measure
-
-
 def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError):
         encode(object())
+    # no program writes a lattice, so it has no encoding
+    with pytest.raises(TypeError):
+        encode(make_lattice("bcc"))
     with pytest.raises(TypeError):
         encode({"type": "Cube", "side": 1.0})
 

@@ -19,7 +19,7 @@ RESIDUAL_REFERENCE = -2.6602957899652124  # (5/2)^(2/3) * bcc lattice sum
 def main() -> None:
     rhos = (1e-3, 3e-4, 1e-4, 3e-5)
     # 16 droplets per cell keeps this demo fast; the acceptance run uses 54
-    pp = expansion_sweep(rhos, n=16, seed=0, restarts=2, hops=1, threads=4)
+    pp, _ = expansion_sweep(rhos, n=16, seed=0, restarts=2, hops=1, threads=4)
 
     print("Upper-bound energy per volume:")
     print("  rho         e(rho)          e/rho      residual after c1*rho")

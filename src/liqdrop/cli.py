@@ -7,7 +7,9 @@ involved, a two-column whitespace data file for offline plotting.  Runs with
 the same configuration produce byte-identical outputs, independent of
 ``--threads`` (``jellium-opt`` and ``expansion``, the subcommands that run
 optimizer restarts side by side on a thread pool); ``--threads`` must be at
-least 1.
+least 1.  Their JSON summaries list per restart whether every L-BFGS run
+converged and how many evaluations it took, and count the
+``unconverged_restarts``.
 
 Exit codes: 0 ok, 1 bad arguments, 2 numeric failure, 3 I/O failure.
 """
@@ -284,6 +286,14 @@ def _ewald_summary(kernel):
     }
 
 
+def _restart_summary(search):
+    """Per-restart convergence of a basin-hopping search, for the JSON summaries."""
+    restarts = [{"restart": i, "converged": s.converged, "evaluations": s.evaluations}
+                for i, s in enumerate(search.restart_status)]
+    return {"restarts": restarts,
+            "unconverged_restarts": sum(not s["converged"] for s in restarts)}
+
+
 def _cmd_jellium_opt(ns):
     ell = (ns.n / ns.density) ** (1.0 / 3.0)
     kernel = PeriodicKernel(ell)
@@ -314,6 +324,7 @@ def _cmd_jellium_opt(ns):
             "gradient_tolerance": ns.tol,
             "best_configuration": encode(best),
             "ewald": _ewald_summary(kernel),
+            **_restart_summary(res),
         },
     }
 
@@ -400,7 +411,7 @@ def _cmd_fgc(ns):
 
 
 def _cmd_expansion(ns):
-    reports = expansion_sweep(
+    reports, search = expansion_sweep(
         ns.rho,
         n=ns.n,
         seed=ns.seed,
@@ -439,7 +450,8 @@ def _cmd_expansion(ns):
         "rows": rows,
         # the sweep minimizes in the unit-density cell with this kernel
         "summary": {"n": ns.n, "fits": fits,
-                    "ewald": _ewald_summary(PeriodicKernel(ns.n ** (1.0 / 3.0)))},
+                    "ewald": _ewald_summary(PeriodicKernel(ns.n ** (1.0 / 3.0))),
+                    **_restart_summary(search)},
         "plot": ("rho upper_bound", [(rep.rho, rep.upper_bound) for rep in reports]),
     }
 

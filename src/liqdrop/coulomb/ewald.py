@@ -47,9 +47,9 @@ class PeriodicKernel:
     ``pair_energy`` and ``pair_gradient`` return one of the two.
 
     The default alpha = 4 pi / ell^2 balances the two sums: at the default
-    tolerance they run over 57 real-space shifts and 775 k-vectors for every
-    ell (alpha = pi / ell^2 needs 251 shifts and 256 k-vectors, the whole
-    cutoff ball).  The k-vectors cover half of k-space, those whose first
+    tolerance they run over 29 real-space shifts and 775 k-vectors for every
+    ell (alpha = pi / ell^2 needs 178 shifts and 256 k-vectors).  The
+    k-vectors cover half of k-space, those whose first
     nonzero integer component is positive.  The terms of k and -k are equal
     in the energy, the gradient, ``green`` and ``madelung``, so ``kcoef``
     carries the factor 2 and every formula is the full-ball one.
@@ -64,11 +64,18 @@ class PeriodicKernel:
 
     The real-space sum stops at ``rcut`` = sqrt(ln(1/tol) / alpha), where
     erfc(sqrt(alpha) rcut) is about tol / sqrt(pi ln(1/tol)).  Displacements
-    are reduced to the centered cell, so the shifts within
-    rcut / ell + sqrt(3) / 2 cells hold every image inside the cutoff.  At
-    the images beyond it, which those shifts include too, no ``erfc`` is
-    evaluated: the energy term is zero and the force keeps only its
-    Gaussian part.  The reciprocal cutoff is padded by 2 pi / ell.
+    are reduced to the centered cell and then folded into one octant: the
+    lattice is symmetric under each axis reflection, so the images of dx
+    lie at the distances of those of |dx|, taken componentwise, and each
+    pair force takes the sign of dx back per component.  ``shifts`` holds
+    the lattice shifts within rcut of the box [0, ell/2]^3, which reach
+    every image inside the cutoff of a folded displacement: 29 of the 57
+    shifts within rcut / ell + sqrt(3) / 2 cells that the unfolded sum
+    needs (178 of 251 at alpha = pi / ell^2).  ``green`` and ``madelung``
+    sum over those 57.  At the images beyond the cutoff, which the shifts
+    include too, no ``erfc`` is evaluated: the energy term is zero and the
+    force keeps only its Gaussian part.  The reciprocal cutoff is padded by
+    2 pi / ell.
 
     ``truncation_error`` estimates the error of one kernel value: the
     real-space tail beyond rcut, as the continuum integral
@@ -133,13 +140,17 @@ class PeriodicKernel:
         sa = np.sqrt(self.alpha)
         self.rcut = float(np.sqrt(np.log(1.0 / tol)) / sa)
         # displacements are reduced to the centered cell, so images within
-        # rcut + half the cell diagonal are enough
+        # rcut + half the cell diagonal are enough; the 1e-9 covers a
+        # reduced displacement an ulp beyond the half cell
         reach = self.rcut / ell + np.sqrt(3.0) / 2.0 + 1e-9
         m = int(np.ceil(reach))
         rng = np.arange(-m, m + 1)
         shifts = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
-        keep = np.linalg.norm(shifts, axis=1) <= reach
-        self.shifts = shifts[keep].astype(float) * ell
+        self._ball_shifts = shifts[np.linalg.norm(shifts, axis=1) <= reach] * ell
+        # the many-body sums fold displacements into [0, 1/2]^3 cells, so
+        # they need the shifts within rcut of that octant box only
+        gap = shifts - np.clip(shifts, 0.0, 0.5)
+        self.shifts = shifts[np.linalg.norm(gap, axis=1) <= self.rcut / ell + 1e-9] * ell
 
         # reciprocal cutoff: exp(-k^2/(4 alpha)) / k^2 below tol, padded
         kcut = 2.0 * np.sqrt(self.alpha * np.log(1.0 / tol)) + 2.0 * np.pi / ell
@@ -196,7 +207,7 @@ class PeriodicKernel:
         squeeze = x.ndim == 1
         pts = np.atleast_2d(x)
         pts = pts - self.ell * np.round(pts / self.ell)
-        d = pts[:, None, :] - self.shifts[None, :, :]
+        d = pts[:, None, :] - self._ball_shifts[None, :, :]
         r = np.linalg.norm(d, axis=-1)
         if np.any(r == 0.0):
             raise ValueError("kernel evaluated at a lattice point")
@@ -208,8 +219,7 @@ class PeriodicKernel:
 
     def madelung(self) -> float:
         """lim_{x->0} (G_ell(x) - 1/|x|): self-image energy scale, < 0."""
-        s = self.shifts
-        r = np.linalg.norm(s, axis=1)
+        r = np.linalg.norm(self._ball_shifts, axis=1)
         real = np.sum(erfc(np.sqrt(self.alpha) * r[r > 0.0]) / r[r > 0.0])
         recip = float(np.sum(self.kcoef))
         return real + recip - self.self_const - 2.0 * np.sqrt(self.alpha / np.pi)
@@ -225,9 +235,8 @@ class PeriodicKernel:
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 3)
         n = len(pos)
-        grad = np.zeros_like(pos)
         if n < 2:
-            return 0.0, grad
+            return 0.0, np.zeros_like(pos)
         pairs = getattr(self._buffers, "pairs", None)
         if pairs is None or pairs[0] != n:
             pairs = self._buffers.pairs = (n, *np.triu_indices(n, k=1))
@@ -237,11 +246,18 @@ class PeriodicKernel:
         # every image lies at least as far away as the minimum image
         if np.linalg.norm(dx, axis=1).min() < 1e-10 * self.ell:
             raise CoincidentPointsError("coincident points in pair energy")
-        terms, forces = self._real_space(np.ascontiguousarray(dx.T))
+        # each axis reflection maps the images of dx onto those of its
+        # mirror, so the real-space pass sums at |dx| and the sign of dx
+        # returns in the forces
+        dxt = np.ascontiguousarray(dx.T)
+        sign = np.copysign(1.0, dxt)
+        terms, forces = self._real_space(np.abs(dxt, out=dxt))
         real = np.sum(terms)
-        gpair = -forces.T
-        np.add.at(grad, iu, gpair)
-        np.add.at(grad, ju, -gpair)
+        forces *= sign
+        # pair (i, j) adds -forces to the gradient at x_i and +forces at x_j
+        grad = np.empty_like(pos)
+        for a, f in enumerate(forces):
+            grad[:, a] = np.bincount(ju, f, n) - np.bincount(iu, f, n)
         # table[a, j, _nmax + m] = e^{i m theta_a} at x_j for |m| <= _nmax
         nm = self._nmax
         mtheta = np.multiply.outer(pos.T * (2.0 * np.pi / self.ell), np.arange(nm + 1.0),
@@ -272,12 +288,14 @@ class PeriodicKernel:
         return real + recip - npairs * self.self_const, grad
 
     def _real_space(self, dxt):
-        """Real-space image sum over the pairs of ``dxt``, shape (3, pairs).
+        """Real-space image sum over the pairs of ``dxt``, shape (3, pairs),
+        folded displacements with every component in [0, ell/2].
 
         Returns the pair-major ``(pairs, shifts)`` terms erfc(s r)/r, zero at
         r >= rcut, and the ``(3, pairs)`` pair forces, -(grad wrt x_i of
-        pair (i, j)), summed in shift order.  Both are views of the calling thread's buffers; the
-        terms hold until the structure-factor pass reuses their buffer."""
+        pair (i, j)) at the folded displacements, summed in shift order.  Both are views of the calling
+        thread's buffers; the terms hold until the structure-factor pass
+        reuses their buffer."""
         npair, nshift = dxt.shape[1], len(self.shifts)
         sa = np.sqrt(self.alpha)
         srcut = sa * self.rcut

@@ -129,7 +129,7 @@ def expansion_sweep(
     (the kernel obeys green(cell * u; cell) = green(u; 1) / cell, so the
     scaled configuration stays optimal and its energies scale by 1/cell);
     this makes the sweep O(one optimization) instead of O(grid size).
-    Returns one report per density.
+    Returns (one report per density, the ``BasinHopResult`` of the search).
     """
     rhos = [float(r) for r in rhos]
     unit_side = n ** (1.0 / 3.0)
@@ -153,7 +153,7 @@ def expansion_sweep(
         scale = unit_side / cell  # energies scale like inverse length
         reports.append(_assemble_report(rho, n, cell, unit_pair * scale,
                                         unit_madelung * scale))
-    return reports
+    return reports, result
 
 
 def extract_coefficients(rhos, values):

@@ -33,6 +33,7 @@ __all__ = [
     "minimize_local",
     "basin_hop",
     "BasinHopResult",
+    "RestartStatus",
     "crystal_positions",
     "grand_canonical_point_jellium",
     "GrandCanonicalPointReport",
@@ -85,8 +86,9 @@ def periodic_energy(positions, kernel: PeriodicKernel) -> PeriodicEnergyReport:
 def minimize_local(positions, kernel: PeriodicKernel, gtol: float = 1e-8):
     """L-BFGS descent of the periodic pair energy of unit charges.
 
-    Returns (positions, trace); the trace rows are (eval index, energy,
-    gradient max-norm) recorded at every objective call.  Coincidence is
+    Returns (positions, trace, converged); the trace rows are (eval index,
+    energy, gradient max-norm) recorded at every objective call, and
+    ``converged`` is scipy's ``success`` flag of the run.  Coincidence is
     already an infinite barrier of the energy itself, so the only guard
     needed is against overlapping points during line search: where the
     kernel raises ``CoincidentPointsError`` (a pair closer than 1e-10 cell
@@ -116,7 +118,13 @@ def minimize_local(positions, kernel: PeriodicKernel, gtol: float = 1e-8):
     )
     pos = res.x.reshape(n, 3)
     pos -= kernel.ell * np.floor(pos / kernel.ell)  # canonical cell reps
-    return pos, np.array(trace)
+    return pos, np.array(trace), bool(res.success)
+
+
+@dataclass(frozen=True)
+class RestartStatus:
+    converged: bool  # every L-BFGS run of the restart succeeded
+    evaluations: int  # energy-and-gradient evaluations over those runs
 
 
 @dataclass
@@ -125,21 +133,24 @@ class BasinHopResult:
     best_energy: float  # pair energy (no Madelung term)
     best_per_particle: float  # with Madelung self term
     restart_table: np.ndarray  # rows: (restart, per-particle energy)
+    restart_status: list  # one RestartStatus per row of restart_table
 
 
 def _one_restart(args):
     idx, seed, n, kernel, hops, gtol, start = args
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 3)) * kernel.ell if start is None else np.array(start)
-    pos, _ = minimize_local(pos, kernel, gtol=gtol)
+    pos, trace, converged = minimize_local(pos, kernel, gtol=gtol)
+    evals = len(trace)
     best = kernel.pair_energy(pos)
     for _ in range(hops):
         trial = pos + rng.normal(scale=0.12 * kernel.ell, size=pos.shape)
-        trial, _ = minimize_local(trial, kernel, gtol=gtol)
+        trial, trace, ok = minimize_local(trial, kernel, gtol=gtol)
+        converged, evals = converged and ok, evals + len(trace)
         e = kernel.pair_energy(trial)
         if e < best:
             best, pos = e, trial
-    return idx, best, pos
+    return idx, best, pos, RestartStatus(converged, evals)
 
 
 def basin_hop(
@@ -177,14 +188,15 @@ def basin_hop(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(_one_restart, jobs))
     mad = kernel.madelung()
-    table = np.array([(i, (e + n * mad / 2.0) / n) for i, e, _ in results])
-    best_idx = int(np.argmin([e for _, e, _ in results]))
-    _, best_e, best_pos = results[best_idx]
+    table = np.array([(i, (e + n * mad / 2.0) / n) for i, e, _, _ in results])
+    best_idx = int(np.argmin([e for _, e, _, _ in results]))
+    _, best_e, best_pos, _ = results[best_idx]
     return BasinHopResult(
         best_positions=best_pos,
         best_energy=best_e,
         best_per_particle=float(table[best_idx, 1]),
         restart_table=table,
+        restart_status=[s for _, _, _, s in results],
     )
 
 

@@ -25,9 +25,10 @@ next line digests ``grand_canonical_F`` (the ``repr`` of ``value`` and
 2 and in a cube of side 6, so its ball-container branch, which no CLI run
 takes, shows too.  The last line digests
 ``PeriodicKernel.energy_and_gradient`` (the energy's ``repr`` and the
-gradient's bytes) on seeded configurations at n = 2, 16, 54 and 128, at the
-default alpha and at pi / ell^2, so a change to the kernel's arithmetic shows
-even where L-BFGS would land on the same bytes.
+gradient's bytes) on seeded configurations at n = 2, 16, 54 and 128, and on
+eight points whose displacements have components of exactly 0 and +-ell/2,
+each at the default alpha and at pi / ell^2, so a change to the kernel's
+arithmetic shows even where L-BFGS would land on the same bytes.
 This is a script, not a pytest module; the whole listing takes about half a
 minute on a 2-core box.
 """
@@ -160,11 +161,20 @@ def gc_digest() -> str:
 
 def ewald_digest() -> str:
     """Digest of ``energy_and_gradient`` on uniform seeded points in the
-    unit-density cell, for n = 2, 16, 54 and 128 and both alphas."""
-    digest = hashlib.sha256()
+    unit-density cell, for n = 2, 16, 54 and 128, and on eight points of the
+    ell / 4 grid in a cell of side 2, some moved by whole cells, whose
+    displacements have components of exactly 0 and +-ell/2; both alphas."""
+    grid = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 2], [2, 2, 2],
+                     [1, 0, 3], [3, 1, 0], [0, 3, 1], [1, 1, 2]]) * 0.5
+    cells = np.array([[0, 0, 0], [3, 0, 0], [-3, 1, 0], [0, 0, -2],
+                      [1, -3, 3], [0, 2, 0], [-1, -1, 3], [2, 0, -3]]) * 2.0
+    configs = []
     for n in (2, 16, 54, 128):
         ell = n ** (1.0 / 3.0)
-        pos = np.random.default_rng(n).random((n, 3)) * ell
+        configs.append((ell, np.random.default_rng(n).random((n, 3)) * ell))
+    configs.append((2.0, grid + cells))
+    digest = hashlib.sha256()
+    for ell, pos in configs:
         for alpha in (None, np.pi / ell**2):
             energy, grad = PeriodicKernel(ell, alpha=alpha).energy_and_gradient(pos)
             digest.update(repr(energy).encode())

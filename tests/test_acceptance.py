@@ -134,8 +134,8 @@ def test_acceptance_4_global_optimization_bracket():
 
 def test_acceptance_5_dilute_expansion_coefficients():
     t0 = time.time()
-    pp = expansion_sweep(RHO_GRID, n=54, seed=0, restarts=6, hops=2,
-                         threads=THREADS)
+    pp, _ = expansion_sweep(RHO_GRID, n=54, seed=0, restarts=6, hops=2,
+                            threads=THREADS)
     c1_pp, c2_pp, _ = extract_coefficients(RHO_GRID, pp)
     e_exact = 9.0 * (np.pi / 15.0) ** (1.0 / 3.0)
     ok = abs(c1_pp - e_exact) <= 5e-3 * e_exact

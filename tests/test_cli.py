@@ -221,10 +221,26 @@ def test_expansion_small_grid(tmp_path):
     assert doc["summary"]["ewald"] == {
         "alpha": kernel.alpha,
         "real_cutoff": kernel.rcut,
-        "shifts": 57,
+        "shifts": 29,
         "kvectors": 775,
         "truncation_error": kernel.truncation_error,
     }
+    # one random restart and the fcc crystal start, both converged
+    assert [r["restart"] for r in doc["summary"]["restarts"]] == [0, 1]
+    assert all(r["converged"] for r in doc["summary"]["restarts"])
+    assert doc["summary"]["unconverged_restarts"] == 0
+
+
+def test_jellium_opt_reports_each_restart(tmp_path):
+    argv = ("--n", "8", "--restarts", "2", "--hops", "1", "--seed", "5")
+    assert run("jellium-opt", *argv, "--out", str(tmp_path)) == EXIT_OK
+    header, rows = read_csv(tmp_path / "jellium-opt.csv")
+    assert header == ["restart", "per_particle_energy"] and len(rows) == 2
+    summary = json.loads((tmp_path / "jellium-opt.json").read_text())["summary"]
+    assert [(r["restart"], r["converged"]) for r in summary["restarts"]] == [
+        (0, True), (1, True)]
+    assert all(r["evaluations"] >= 4 for r in summary["restarts"])
+    assert summary["unconverged_restarts"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_half_space_k_sum_equals_full_ball():
     n = 16
     ell = n ** (1.0 / 3.0)
     k = PeriodicKernel(ell)
-    assert (len(k.shifts), len(k.kvecs)) == (57, 775)
+    assert (len(k.shifts), len(k.kvecs)) == (29, 775)
     full, coef = _full_ball(k)
     # the kept half and its mirror image are the whole ball, each k once
     both = np.concatenate([k.kvecs, -k.kvecs])
@@ -288,24 +288,50 @@ def _table_k_space(k, pos):
     return recip, -cross @ k.kvecs
 
 
-def _broadcast_energy_and_gradient(k, pos, k_space=_direct_k_space):
+def _full_shift_ball(k):
+    """Every lattice shift within rcut / ell + sqrt(3) / 2 cells: all images
+    inside rcut of any displacement in the centered cell, in both signs of
+    every axis."""
+    reach = k.rcut / k.ell + np.sqrt(3.0) / 2.0 + 1e-9
+    m = int(np.ceil(reach))
+    rng = np.arange(-m, m + 1)
+    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+    return grid[np.linalg.norm(grid, axis=1) <= reach] * k.ell
+
+
+def _broadcast_energy_and_gradient(k, pos, k_space=_direct_k_space, folded=False):
     """Reference: the real-space sum over one (pairs, shifts, 3) array, with
     the kernel's rule that erfc is zero at r >= rcut, and the k-space sum by
-    ``k_space``."""
+    ``k_space``.
+
+    By default the sum runs at the minimum-image displacement dx over the
+    full ball of shifts (``_full_shift_ball``), which shares nothing with the
+    kernel's fold, and ``np.add.at`` scatters the pair forces.  ``folded``
+    repeats the kernel's own steps instead: the sum at |dx| over
+    ``k.shifts``, the sign of dx on the forces, and a ``np.bincount``
+    scatter."""
     n = len(pos)
-    grad = np.zeros_like(pos)
     iu, ju = np.triu_indices(n, k=1)
     dx = pos[iu] - pos[ju]
     dx -= k.ell * np.round(dx / k.ell)
-    d = dx[:, None, :] - k.shifts[None, :, :]
+    if folded:
+        d = np.abs(dx)[:, None, :] - k.shifts[None, :, :]
+    else:
+        d = dx[:, None, :] - _full_shift_ball(k)[None, :, :]
     r = np.linalg.norm(d, axis=-1)
     sa = np.sqrt(k.alpha)
     screened = np.where(sa * r < sa * k.rcut, erfc(sa * r), 0.0)
     real = np.sum(screened / r)
     mag = screened / r**2 + (2.0 * sa / np.sqrt(np.pi)) * np.exp(-k.alpha * r**2) / r
-    gpair = -np.sum((mag / r)[:, :, None] * d, axis=1)
-    np.add.at(grad, iu, gpair)
-    np.add.at(grad, ju, -gpair)
+    forces = np.sum((mag / r)[:, :, None] * d, axis=1)
+    if folded:
+        forces *= np.copysign(1.0, dx)
+        grad = np.stack([np.bincount(ju, f, n) - np.bincount(iu, f, n)
+                         for f in forces.T], axis=1)
+    else:
+        grad = np.zeros_like(pos)
+        np.add.at(grad, iu, -forces)
+        np.add.at(grad, ju, forces)
     recip, kgrad = k_space(k, pos)
     grad += kgrad
     npairs = n * (n - 1) / 2.0
@@ -325,10 +351,12 @@ def _block_regime(npair, nshift):
     return "2^14 blocks, partial last"
 
 
-# every regime of the block rule, bit for bit: the real-space sum against the
-# broadcast formula, the k-space sum against the test-local phase tables.
-# The cases without a suffix use alpha = pi/ell^2 (251 shifts), the
-# "default" cases the default alpha (57 shifts).
+# every regime of the block rule, bit for bit: the folded real-space sum
+# against the broadcast formula in the kernel's shift order, the k-space sum
+# against the test-local phase tables.  The cases without a suffix use
+# alpha = pi/ell^2 (178 folded shifts), the "default" cases the default
+# alpha (29 folded shifts, fewer than the 32-shift floor, so only one block
+# or the 2^16 cap).
 @pytest.mark.parametrize(
     "n, regime, default_alpha",
     [
@@ -339,8 +367,8 @@ def _block_regime(npair, nshift):
         pytest.param(54, "32-shift floor", False, id="54"),
         pytest.param(200, "2^16 cap", False, id="200"),
         pytest.param(16, "one block", True, id="16-default"),
-        pytest.param(27, "2^14 blocks, partial last", True, id="27-default"),
-        pytest.param(54, "32-shift floor", True, id="54-default"),
+        pytest.param(27, "one block", True, id="27-default"),
+        pytest.param(54, "one block", True, id="54-default"),
         pytest.param(200, "2^16 cap", True, id="200-default"),
     ],
 )
@@ -349,10 +377,10 @@ def test_energy_and_gradient_bitwise_equal_to_broadcast_formula(n, regime, defau
     ell = n ** (1.0 / 3.0) * rng.uniform(0.5, 2.0)
     pts = rng.random((n, 3)) * ell * rng.uniform(0.5, 3.0)
     k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
-    assert len(k.shifts) == (57 if default_alpha else 251)
+    assert len(k.shifts) == (29 if default_alpha else 178)
     assert _block_regime(n * (n - 1) // 2, len(k.shifts)) == regime
     e, g = k.energy_and_gradient(pts)
-    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, _table_k_space)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts, _table_k_space, folded=True)
     assert e == e_ref
     np.testing.assert_array_equal(g, g_ref)
 
@@ -371,6 +399,55 @@ def test_energy_and_gradient_matches_direct_structure_factor(n, default_alpha):
     bound = 1e-12 * max(1.0, abs(e_ref))
     assert abs(e - e_ref) <= bound
     assert np.abs(g - g_ref).max() <= bound
+
+
+def _fold_edge_points(ell):
+    """Eight points on the ell / 4 grid, each moved by whole cells up to
+    3 ell outside the cell, so that displacement components of exactly 0 and
+    +-ell/2 remain after the minimum-image reduction."""
+    q = ell / 4.0
+    base = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 2], [2, 2, 2],
+                     [1, 0, 3], [3, 1, 0], [0, 3, 1], [1, 1, 2]]) * q
+    cells = np.array([[0, 0, 0], [3, 0, 0], [-3, 1, 0], [0, 0, -2],
+                      [1, -3, 3], [0, 2, 0], [-1, -1, 3], [2, 0, -3]])
+    return base + cells * ell
+
+
+@pytest.mark.parametrize("default_alpha", [True, False], ids=["default", "pi-over-ell2"])
+@pytest.mark.parametrize("ell", [2.0, 3.0, 16.0 ** (1.0 / 3.0)])
+def test_fold_matches_the_full_shift_ball_at_zero_and_half_cell(ell, default_alpha):
+    # components 0 and +-ell/2 are the edges of the fold: at 0 the sign of
+    # dx is a choice, at ell/2 the image pair s and s - ell tie
+    pts = _fold_edge_points(ell)
+    k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    dx = pts[iu] - pts[ju]
+    dx -= ell * np.round(dx / ell)
+    assert np.any(dx == 0.0) and np.any(dx == ell / 2) and np.any(dx == -ell / 2)
+    e, g = k.energy_and_gradient(pts)
+    e_ref, g_ref = _broadcast_energy_and_gradient(k, pts)
+    bound = 1e-12 * max(1.0, abs(e_ref))
+    assert abs(e - e_ref) <= bound
+    assert np.abs(g - g_ref).max() <= bound
+
+
+@pytest.mark.parametrize("default_alpha", [True, False], ids=["default", "pi-over-ell2"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_energy_and_gradient_under_an_axis_reflection(axis, default_alpha):
+    # x -> -x on one axis maps the configuration onto its mirror image: the
+    # energy stays and that column of the gradient flips sign
+    n = 54
+    ell = n ** (1.0 / 3.0)
+    pts = np.random.default_rng(1300 + axis).uniform(-3.0, 4.0, (n, 3)) * ell
+    k = PeriodicKernel(ell, alpha=None if default_alpha else np.pi / ell**2)
+    e, g = k.energy_and_gradient(pts)
+    mirror = pts.copy()
+    mirror[:, axis] *= -1.0
+    e2, g2 = k.energy_and_gradient(mirror)
+    assert abs(e2 - e) <= 1e-13 * abs(e)
+    flip = np.ones(3)
+    flip[axis] = -1.0
+    np.testing.assert_allclose(g2, g * flip, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("default_alpha", [True, False], ids=["default", "pi-over-ell2"])

@@ -99,7 +99,7 @@ def test_upper_bound_rejects_points_that_do_not_match_n():
 
 def test_expansion_sweep_scales_exactly():
     rhos = [1e-3, 1e-4, 1e-5]
-    pp = expansion_sweep(rhos, n=8, seed=0, restarts=2, hops=1)
+    pp, _ = expansion_sweep(rhos, n=8, seed=0, restarts=2, hops=1)
     assert len(pp) == 3
     # the same unit-cell minimizer is rescaled, so the residual coefficient
     # (before the quadratic term) is exactly density-independent

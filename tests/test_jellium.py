@@ -116,11 +116,12 @@ def test_minimize_local_descends_and_reaches_stationarity():
     rng = np.random.default_rng(11)
     pts0 = rng.random((8, 3)) * 2.0
     e0 = kern.pair_energy(pts0)
-    pts, trace = minimize_local(pts0, kern)
+    pts, trace, converged = minimize_local(pts0, kern)
     e1 = kern.pair_energy(pts)
     assert e1 < e0
     assert np.abs(kern.pair_gradient(pts)).max() < 1e-6
     assert len(trace) >= 2
+    assert converged is True
 
 
 def test_minimize_local_evaluates_energy_and_gradient_once(monkeypatch):
@@ -147,7 +148,7 @@ def test_minimize_local_evaluates_energy_and_gradient_once(monkeypatch):
     monkeypatch.setattr(jellium, "minimize", counted_minimize)
     kern = PeriodicKernel(2.0)
     pts = np.random.default_rng(11).random((8, 3)) * 2.0
-    _, trace = minimize_local(pts, kern)
+    _, trace, _ = minimize_local(pts, kern)
     assert len(objective) >= 2
     assert len(fused) == len(objective) == len(trace)
 
@@ -159,7 +160,7 @@ def test_minimize_local_guard_returns_huge_value_and_zero_gradient(monkeypatch):
 
     def one_call(fun, x0, **kwargs):
         calls.append(fun(x0))
-        return SimpleNamespace(x=x0)
+        return SimpleNamespace(x=x0, success=False)
 
     monkeypatch.setattr(jellium, "minimize", one_call)
     kern = PeriodicKernel(2.0)
@@ -167,15 +168,16 @@ def test_minimize_local_guard_returns_huge_value_and_zero_gradient(monkeypatch):
     pts[4] = pts[1] + np.array([2.0, -2.0, 0.5e-10])
     with pytest.raises(CoincidentPointsError):
         kern.energy_and_gradient(pts)
-    _, trace = minimize_local(pts, kern)
+    _, trace, converged = minimize_local(pts, kern)
     [(energy, grad)] = calls
     assert energy == 1e12
     assert grad.shape == (18,) and not grad.any()
     assert len(trace) == 0
+    assert converged is False
     # just outside the threshold the kernel evaluates
     pts[4] = pts[1] + np.array([2.0, -2.0, 2e-10])
     calls.clear()
-    _, trace = minimize_local(pts, kern)
+    _, trace, _ = minimize_local(pts, kern)
     assert calls[0][0] < 1e12
     assert len(trace) == 1
 
@@ -189,6 +191,34 @@ def test_basin_hop_deterministic_and_thread_invariant():
     assert a.restart_table.tobytes() == b.restart_table.tobytes()
     assert a.best_positions.tobytes() == c.best_positions.tobytes()
     assert a.restart_table.tobytes() == c.restart_table.tobytes()
+
+
+def test_basin_hop_reports_each_restart_status(monkeypatch):
+    # a restart counts as converged only when each of its L-BFGS runs
+    # succeeded, and its evaluations are the kernel calls of those runs
+    runs, fused = [], []
+    scipy_minimize = jellium.minimize
+    fused_call = PeriodicKernel.energy_and_gradient
+
+    def second_run_fails(fun, x0, **kwargs):
+        res = scipy_minimize(fun, x0, **kwargs)
+        runs.append(res.nfev)
+        if len(runs) == 2:
+            res.success = False
+        return res
+
+    def counted_fused(self, *args, **kwargs):
+        fused.append(1)
+        return fused_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(jellium, "minimize", second_run_fails)
+    monkeypatch.setattr(PeriodicKernel, "energy_and_gradient", counted_fused)
+    res = basin_hop(8, PeriodicKernel(2.0), restarts=2, hops=1, seed=3, threads=1)
+    assert [s.converged for s in res.restart_status] == [False, True]
+    assert [s.evaluations for s in res.restart_status] == [runs[0] + runs[1],
+                                                            runs[2] + runs[3]]
+    # besides L-BFGS, each run's result is scored by one pair_energy call
+    assert len(fused) == sum(runs) + len(runs)
 
 
 def test_basin_hop_large_n_thread_invariant():

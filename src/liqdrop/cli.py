@@ -9,7 +9,8 @@ the same configuration produce byte-identical outputs, independent of
 optimizer restarts side by side on a thread pool); ``--threads`` must be at
 least 1.  Their JSON summaries list per restart whether every L-BFGS run
 converged and how many evaluations it took, and count the
-``unconverged_restarts``.
+``unconverged_restarts``; the ``jellium-gc`` and ``fgc`` summaries list the
+same per count and count the ``unconverged_runs``.
 
 Exit codes: 0 ok, 1 bad arguments, 2 numeric failure, 3 I/O failure.
 """
@@ -350,6 +351,8 @@ def _cmd_jellium_gc(ns):
             "averaging_bounds": to_jsonable(rep.averaging_bounds),
             "interpolation_bound": rep.interpolation_bound,
             "background_self": rep.background_self,
+            "status_by_n": to_jsonable(rep.status_by_n),
+            "unconverged_runs": sum(not s.converged for s in rep.status_by_n.values()),
         },
     }
 
@@ -400,12 +403,15 @@ def _cmd_fgc(ns):
             "value": rep.value,
             "ball_count": rep.ball_count,
             "values_by_count": to_jsonable(rep.values_by_count),
+            "status_by_count": to_jsonable(rep.status_by_count),
             "converged": bool(rep.converged),
         }
     return {
         "header": ("rho", "value", "ball_count", "converged"),
         "rows": rows,
-        "summary": {"container_side": ns.side, "kmax": ns.kmax, "by_rho": per_rho},
+        "summary": {"container_side": ns.side, "kmax": ns.kmax, "by_rho": per_rho,
+                    "unconverged_runs": sum(not s["converged"] for v in per_rho.values()
+                                            for s in v["status_by_count"].values())},
         "plot": ("rho value", [(r[0], r[1]) for r in rows]),
     }
 

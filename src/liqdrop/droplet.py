@@ -27,6 +27,7 @@ from liqdrop.coulomb.potentials import (
     potential_domain_gradient,
 )
 from liqdrop.geom import Ball, BallUnion, Cube, VoxelSet, sample_in_domain
+from liqdrop.jellium import RestartStatus
 
 __all__ = [
     "DropletConstants",
@@ -212,16 +213,21 @@ def liquid_drop_energy(
 
 @dataclass
 class GrandCanonicalDropReport:
+    """Result of ``grand_canonical_F``: per count, a ``RestartStatus`` over
+    its SLSQP starts; ``converged`` when every start succeeded and kept every
+    radius positive."""
+
     value: float
     ball_count: int
     centers: np.ndarray
     radii: np.ndarray
     values_by_count: dict
+    status_by_count: dict
     background_self: float
     converged: bool
 
 
-def _gc_objective_factory(lam, rho, penalty, k):
+def _gc_objective_factory(lam, rho, k):
     mu = OPT_ENERGY_PER_VOLUME
 
     def objective(x):
@@ -251,40 +257,24 @@ def _gc_objective_factory(lam, rho, penalty, k):
             gc -= rho * q[:, None] * dphi
             gr -= rho * (dq * (phi - (2.0 * np.pi / 5.0) * r**2)
                          - q * (4.0 * np.pi / 5.0) * r)
-        # containment and disjointness penalties
-        s = lam.inner_distance(c) - r
-        viol = np.minimum(s, 0.0)
-        e += penalty * float(np.sum(viol**2))
-        # gradient of inner distance: radial for balls, axis for cubes
-        gdist = _inner_distance_gradient(lam, c)
-        gc += 2.0 * penalty * viol[:, None] * gdist
-        gr += -2.0 * penalty * viol
-        if k >= 2:
-            gap = dist - (r[iu] + r[ju])
-            violp = np.minimum(gap, 0.0)
-            e += penalty * float(np.sum(violp**2))
-            u = d / dist[:, None]
-            gpen = 2.0 * penalty * violp[:, None] * u
-            np.add.at(gc, iu, gpen)
-            np.add.at(gc, ju, -gpen)
-            gpr = -2.0 * penalty * violp
-            np.add.at(gr, iu, gpr)
-            np.add.at(gr, ju, gpr)
         return e, np.concatenate([gc.ravel(), gr])
 
     return objective
 
 
-def _inner_distance_gradient(lam, pts):
-    d = pts - np.asarray(lam.center)
+def _gc_margins(lam, k, x):
+    """Wall margins (per axis in a ``Cube``, radial in a ``Ball``) and pair
+    gaps of the union ``x`` (centers, then radii); all >= 0 iff it is feasible."""
+    c = x[: 3 * k].reshape(k, 3)
+    r = x[3 * k:]
+    d = c - np.asarray(lam.center)
     if isinstance(lam, Ball):
-        n = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-12)
-        return -d / n
-    g = np.zeros_like(pts)  # a Cube
-    worst = np.argmax(np.abs(d), axis=1)
-    rows = np.arange(len(pts))
-    g[rows, worst] = -np.sign(d[rows, worst])
-    return g
+        wall = lam.radius - np.linalg.norm(d, axis=1) - r
+    else:
+        wall = (lam.side / 2.0 - np.abs(d) - r[:, None]).ravel()
+    iu, ju = np.triu_indices(k, 1)
+    gaps = np.linalg.norm(c[iu] - c[ju], axis=1) - r[iu] - r[ju]
+    return np.concatenate([wall, gaps])
 
 
 def grand_canonical_F(
@@ -298,6 +288,12 @@ def grand_canonical_F(
     minus (energy-per-volume constant) * |droplet|, minimized over unions of
     0..kmax disjoint balls with free centers and radii inside ``lam``, a
     ``Ball`` or a ``Cube``.
+
+    Each seeded start runs SLSQP with the wall margins (per axis in a
+    ``Cube``, radial in a ``Ball``) and the pair gaps as inequality
+    constraints; every radius then shrinks once by the worst violation left.
+    ``converged`` is true only when every start succeeded and kept every
+    radius positive; ``status_by_count`` says so per count.
 
     The optimal value over the nested ansatz families is non-increasing in
     ``kmax`` by construction (the scan keeps the best over all counts).
@@ -318,33 +314,34 @@ def grand_canonical_F(
         pair, _ = domain_pair_coulomb(lam, lam)
         bb = 0.5 * rho**2 * pair
     values = {0: bb}
+    status = {0: RestartStatus(True, 0)}
     best = (bb, 0, np.zeros((0, 3)), np.zeros(0))
-    converged = True
     radius_hi = min(3.0 * OPT_RADIUS, 0.45 * lam.diameter)
     seeds = np.random.SeedSequence(seed).spawn(kmax)
-    penalty_base = 1e4 * max(1.0, OPT_ENERGY_PER_VOLUME)
     for k in range(1, kmax + 1):
         rng = np.random.default_rng(seeds[k - 1])
-        obj = _gc_objective_factory(lam, rho, penalty_base * k, k)
-        value = _gc_objective_factory(lam, rho, 0.0, k)
-        best_k = np.inf
-        best_ck, best_rk = None, None
+        obj = _gc_objective_factory(lam, rho, k)
+        feasible = {"type": "ineq", "fun": lambda x, k=k: _gc_margins(lam, k, x)}
+        bounds = [(None, None)] * (3 * k) + [(1e-3, radius_hi)] * k
+        best_k, best_ck, best_rk = np.inf, None, None
+        ok_k, evals = True, 0
         for _ in range(starts):
             c0 = sample_in_domain(rng, lam, k)
             r0 = OPT_RADIUS * rng.uniform(0.8, 1.2, size=k)
             x0 = np.concatenate([c0.ravel(), r0])
-            bounds = [(None, None)] * (3 * k) + [(1e-3, radius_hi)] * k
-            res = minimize(obj, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 500, "gtol": 1e-9, "ftol": 1e-15})
+            res = minimize(obj, x0, jac=True, method="SLSQP", bounds=bounds,
+                           constraints=feasible,
+                           options={"maxiter": 500, "ftol": 1e-12})
+            evals += res.nfev
             c = res.x[: 3 * k].reshape(k, 3)
-            r = res.x[3 * k:]
-            c, r, feasible = _make_feasible(lam, c, r)
-            if not feasible:
-                converged = False
+            r = res.x[3 * k:] - max(0.0, -_gc_margins(lam, k, res.x).min())
+            ok_k = ok_k and bool(res.success) and bool(r.min() > 0.0)
+            if not r.min() > 0.0:
                 continue
-            e = bb + value(np.concatenate([c.ravel(), r]))[0]
+            e = bb + obj(np.concatenate([c.ravel(), r]))[0]
             if e < best_k:
                 best_k, best_ck, best_rk = e, c, r
+        status[k] = RestartStatus(ok_k, evals)
         if best_ck is not None:
             values[k] = best_k
             if best_k < best[0]:
@@ -355,34 +352,10 @@ def grand_canonical_F(
         centers=best[2],
         radii=best[3],
         values_by_count=values,
+        status_by_count=status,
         background_self=bb,
-        converged=converged,
+        converged=all(s.converged for s in status.values()),
     )
-
-
-def _make_feasible(lam, c, r, shrink=1.0 - 1e-9):
-    """Shrink radii slightly so containment/disjointness hold exactly."""
-    r = r.copy()
-    for _ in range(60):
-        ok = True
-        inner = lam.inner_distance(c)
-        over = r - inner
-        if np.any(over > 0.0):
-            r = np.minimum(r, np.maximum(inner, 0.0) * shrink)
-            ok = False
-        if len(r) >= 2:
-            iu, ju = np.triu_indices(len(r), 1)
-            d = np.linalg.norm(c[iu] - c[ju], axis=1)
-            overlap = r[iu] + r[ju] - d
-            if np.any(overlap > 0.0):
-                scale = np.min(np.where(overlap > 0.0, d / (r[iu] + r[ju]), 1.0))
-                r *= scale * shrink
-                ok = False
-        if np.any(r <= 1e-6):
-            return c, r, False
-        if ok:
-            return c, r, True
-    return c, r, False
 
 
 # ---------------------------------------------------------------------------

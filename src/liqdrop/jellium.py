@@ -123,7 +123,7 @@ def minimize_local(positions, kernel: PeriodicKernel, gtol: float = 1e-8):
 
 @dataclass(frozen=True)
 class RestartStatus:
-    converged: bool  # every L-BFGS run of the restart succeeded
+    converged: bool  # every optimizer run of the restart or count succeeded
     evaluations: int  # energy-and-gradient evaluations over those runs
 
 
@@ -234,6 +234,7 @@ class GrandCanonicalPointReport:
     averaging_bounds: dict  # n -> J_n, the uniform-i.i.d. upper bound
     interpolation_bound: float  # certified-negative convex combination value
     background_self: float  # (1/2) int int over the scaled tetra
+    status_by_n: dict  # n -> RestartStatus over its L-BFGS starts
 
 
 def _finite_energy(pos, pairs, q, body, planes, bb, penalty):
@@ -279,7 +280,9 @@ def grand_canonical_point_jellium(
     Also evaluates, for each n, the closed-form bound J_n obtained by
     averaging the energy over i.i.d. uniform positions, and the convex
     combination of J_N, J_{N+1} at N = floor(A^3/q) that certifies a
-    strictly negative optimum for every A with A^3 > q.
+    strictly negative optimum for every A with A^3 > q.  ``status_by_n``
+    says per n whether every L-BFGS start succeeded and how many
+    evaluations they took.
 
     Raises ValueError unless ``a_scale`` and ``charge`` are positive and
     finite, ``starts`` is at least 1 and ``window`` (lo, hi) has
@@ -311,17 +314,19 @@ def grand_canonical_point_jellium(
     penalty = 1e4 * energy_scale
 
     seeds = np.random.SeedSequence(seed).spawn(hi - lo + 1)
-    values, configs, jbounds = {}, {}, {}
+    values, configs, jbounds, status = {}, {}, {}, {}
     for n in range(lo, hi + 1):
         jbounds[n] = (n * (n - 1) * q**2 / (2.0 * a_scale**6 * base.volume**2)
                       - q * n / (a_scale**3 * base.volume) + 0.5) * bb_full
         if n == 0:
             values[0] = bb
             configs[0] = np.zeros((0, 3))
+            status[0] = RestartStatus(True, 0)
             continue
         rng = np.random.default_rng(seeds[n - lo])
         pairs = np.triu_indices(n, k=1)
         best_e, best_pos = np.inf, None
+        converged, evals = True, 0
         for _ in range(starts):
             x0 = sample_in_domain(rng, tet, n).ravel()
             res = minimize(
@@ -331,12 +336,14 @@ def grand_canonical_point_jellium(
                 x0, jac=True, method="L-BFGS-B",
                 options={"maxiter": 400, "gtol": 1e-7, "ftol": 1e-14},
             )
+            converged, evals = converged and bool(res.success), evals + int(res.nfev)
             pos = _project_into(planes, res.x.reshape(n, 3))
             e, _ = _finite_energy(pos, pairs, q, body, planes, bb, 0.0)
             if e < best_e:
                 best_e, best_pos = e, pos
         values[n] = best_e
         configs[n] = best_pos
+        status[n] = RestartStatus(converged, evals)
 
     best_n = min(values, key=lambda k: values[k])
     nfloor = int(np.floor(nstar))
@@ -352,6 +359,7 @@ def grand_canonical_point_jellium(
         averaging_bounds=jbounds,
         interpolation_bound=interp,
         background_self=bb,
+        status_by_n=status,
     )
 
 

@@ -20,10 +20,10 @@ where L-BFGS would land on the same bytes.  The next line digests the
 cube containers of sides 6 and 8, the ``simplex`` body and the unit ball,
 each with itself) and on one disjoint ball pair, so a rewrite of its
 dispatch shows even where the CLI output rounds to the same bytes.  The
-next line digests ``grand_canonical_F`` (the ``repr`` of ``value`` and
-``values_by_count`` and the bytes of ``radii``) in the demo's ball of radius
-2 and in a cube of side 6, so its ball-container branch, which no CLI run
-takes, shows too.  The last line digests
+next line digests ``grand_canonical_F`` (the ``repr`` of ``value``,
+``values_by_count`` and ``status_by_count`` and the bytes of ``radii``) in
+the demo's ball of radius 2 and in a cube of side 6, so its ball-container
+branch, which no CLI run takes, shows too.  The last line digests
 ``PeriodicKernel.energy_and_gradient`` (the energy's ``repr`` and the
 gradient's bytes) on seeded configurations at n = 2, 16, 54 and 128, and on
 eight points whose displacements have components of exactly 0 and +-ell/2,
@@ -154,7 +154,7 @@ def gc_digest() -> str:
     digest = hashlib.sha256()
     for lam in (Ball(radius=2.0), Cube(side=6.0)):
         rep = grand_canonical_F(lam, 0.05, kmax=2, seed=0, starts=2)
-        digest.update(repr((rep.value, rep.values_by_count)).encode())
+        digest.update(repr((rep.value, rep.values_by_count, rep.status_by_count)).encode())
         digest.update(rep.radii.tobytes())
     return digest.hexdigest()
 

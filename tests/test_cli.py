@@ -108,6 +108,10 @@ def test_jellium_gc_small_window(tmp_path):
     doc = json.loads((tmp_path / "jellium-gc.json").read_text())
     assert doc["summary"]["best_value"] < 0.0
     assert doc["summary"]["interpolation_bound"] < 0.0
+    status = doc["summary"]["status_by_n"]
+    assert sorted(status) == ["4", "5"]
+    assert all(s["converged"] and s["evaluations"] > 0 for s in status.values())
+    assert doc["summary"]["unconverged_runs"] == 0
 
 
 def test_jellium_gc_output_is_pinned(tmp_path):
@@ -123,7 +127,7 @@ def test_jellium_gc_output_is_pinned(tmp_path):
     }
     assert digests == {
         "csv": "0097a7000983986a28d0de710688ac0336a2392c5a92c8b7a57e4d160169b88c",
-        "json": "0b202c1123787ca960fb57db37ccdb2d1a7643148d50fc467557fdc19c6eb883",
+        "json": "252c2b111ee25a4076974ff3e0cda610e82e7be0e73297ee3aec50d671efdfc2",
     }
 
 
@@ -193,6 +197,13 @@ def test_fgc_plot_written(tmp_path):
     assert len(dat) == 3
     _, rows = read_csv(tmp_path / "fgc.csv")
     assert len(rows) == 2
+    summary = json.loads((tmp_path / "fgc.json").read_text())["summary"]
+    for entry in summary["by_rho"].values():
+        assert sorted(entry["status_by_count"]) == ["0", "1"]
+        assert entry["status_by_count"]["0"] == {
+            "type": "RestartStatus", "converged": True, "evaluations": 0}
+        assert entry["status_by_count"]["1"]["evaluations"] > 0
+    assert summary["unconverged_runs"] == 0
 
 
 def test_expansion_small_grid(tmp_path):

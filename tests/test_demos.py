@@ -1,6 +1,7 @@
 """The demo scripts use only names and keyword arguments that the package
 defines, read with ``ast``; the demos over the boundary layer, the ball
-optimum and the lattice sums also run end to end."""
+optimum, the grand-canonical searches and the lattice sums also run end to
+end."""
 
 import ast
 import importlib
@@ -42,9 +43,10 @@ def test_demo_imports_and_keywords_exist(path):
                 assert kw.arg in params, f"{node.func.id}({kw.arg}=...)"
 
 
-@pytest.mark.parametrize("name", ["boundary_layer.py", "droplet_ball.py", "lattice_sums.py"])
+@pytest.mark.parametrize("name", ["boundary_layer.py", "droplet_ball.py",
+                                  "grand_canonical.py", "lattice_sums.py"])
 def test_demo_runs_end_to_end(name, capsys):
-    # demos over the boundary-layer masks, the ball optimum and the zeta
-    # sums; under a second each
+    # demos over the boundary-layer masks, the ball optimum, the
+    # grand-canonical searches and the zeta sums; under two seconds each
     runpy.run_path(str(DEMOS[0].parent / name), run_name="__main__")
     assert capsys.readouterr().out

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import liqdrop.droplet as droplet
+from liqdrop.cli import main
 from liqdrop.droplet import (
     OPT_ENERGY_PER_VOLUME,
     OPT_MASS,
@@ -212,6 +214,72 @@ def test_grand_canonical_background_prefers_droplets():
     assert np.all(lam.inner_distance(rep.centers) >= rep.radii - 1e-9)
 
 
+def test_grand_canonical_finds_the_two_ball_optimum_at_the_checks_input():
+    # the benchmark's fgc input at rho = 0.02: two balls of radius 0.967394
+    # beat the best single ball (-4.110274); the value agrees with the
+    # closed-form breakdown of the returned union, which shares no code with
+    # the objective
+    lam = Cube(side=6.0)
+    rep = grand_canonical_F(lam, 0.02, kmax=2, seed=0, starts=2)
+    assert rep.ball_count == 2
+    assert rep.value <= -4.3419
+    union = BallUnion(centers=rep.centers, radii=rep.radii)
+    direct = liquid_drop_energy(union, lam, 0.02).total - OPT_ENERGY_PER_VOLUME * union.volume
+    assert abs(rep.value - direct) <= 1e-12
+    assert rep.converged
+    assert all(s.converged for s in rep.status_by_count.values())
+    assert set(rep.status_by_count) == {0, 1, 2}
+    assert [rep.status_by_count[k].evaluations > 0 for k in (0, 1, 2)] == [False, True, True]
+
+
+def _wall_margins_and_gaps(lam, centers, radii):
+    d = centers - np.asarray(lam.center)
+    if isinstance(lam, Ball):
+        wall = lam.radius - np.sqrt(np.sum(d**2, axis=1)) - radii
+    else:
+        wall = (lam.side / 2.0 - np.abs(d) - radii[:, None]).ravel()
+    gaps = [np.sqrt(np.sum((centers[i] - centers[j]) ** 2)) - radii[i] - radii[j]
+            for i in range(len(radii)) for j in range(i)]
+    return wall, np.array(gaps)
+
+
+@pytest.mark.parametrize("lam, rho", [(Cube(side=6.0), 0.02), (Cube(side=6.0), 0.0),
+                                      (Ball(radius=2.0), 0.05)],
+                         ids=["cube-0.02", "cube-0", "ball-0.05"])
+def test_grand_canonical_union_is_feasible_without_tolerance(lam, rho):
+    for seed in range(4):
+        rep = grand_canonical_F(lam, rho, kmax=2, seed=seed, starts=2)
+        wall, gaps = _wall_margins_and_gaps(lam, rep.centers, rep.radii)
+        assert np.all(wall >= 0.0) and np.all(gaps >= 0.0), seed
+        assert np.all(rep.radii > 0.0)
+        assert rep.converged, seed
+
+
+def test_grand_canonical_reports_a_failed_start(monkeypatch, tmp_path):
+    # one SLSQP result that says it failed makes its count, the report and
+    # the fgc CSV read unconverged
+    scipy_minimize = droplet.minimize
+    runs = []
+
+    def third_run_fails(fun, x0, **kwargs):
+        res = scipy_minimize(fun, x0, **kwargs)
+        runs.append(res.nfev)
+        if len(runs) == 3:
+            res.success = False
+        return res
+
+    monkeypatch.setattr(droplet, "minimize", third_run_fails)
+    rep = grand_canonical_F(Cube(side=6.0), 0.02, kmax=2, seed=0, starts=2)
+    assert not rep.converged
+    assert [rep.status_by_count[k].converged for k in (0, 1, 2)] == [True, True, False]
+    assert [rep.status_by_count[k].evaluations for k in (0, 1, 2)] == [
+        0, runs[0] + runs[1], runs[2] + runs[3]]
+    runs.clear()
+    argv = ["fgc", "--rho", "0.02", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "fgc.csv").read_text().splitlines()[1].endswith(",0")
+
+
 def test_grand_canonical_rejects_large_density():
     with pytest.raises(ValueError):
         grand_canonical_F(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), 0.7)
@@ -238,7 +306,7 @@ def test_grand_canonical_rejects_empty_container_and_negative_kmax():
     regular_tetrahedron(100.0),
 ], ids=["BallUnion", "Tetrahedron"])
 def test_grand_canonical_rejects_unsupported_containers(lam):
-    # only a Ball or a Cube has the inner-distance gradient of the penalty
+    # potential_domain_gradient has only Ball and Cube branches
     with pytest.raises(TypeError, match=type(lam).__name__):
         grand_canonical_F(lam, 0.0, kmax=1, starts=1)
 

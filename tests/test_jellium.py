@@ -303,11 +303,36 @@ def test_grand_canonical_point_jellium_small_cell():
     assert set(rep.values_by_n) == {4, 5}
 
 
+def test_grand_canonical_point_jellium_reports_each_count(monkeypatch):
+    # a count converges only when each of its L-BFGS starts succeeded, and
+    # its evaluations are scipy's nfev summed over them; values do not move
+    plain = grand_canonical_point_jellium(2.2246, window=(4, 5), starts=2, seed=0)
+    assert {n: s.converged for n, s in plain.status_by_n.items()} == {4: True, 5: True}
+    runs = []
+    scipy_minimize = jellium.minimize
+
+    def second_run_fails(fun, x0, **kwargs):
+        res = scipy_minimize(fun, x0, **kwargs)
+        runs.append(res.nfev)
+        if len(runs) == 2:
+            res.success = False
+        return res
+
+    monkeypatch.setattr(jellium, "minimize", second_run_fails)
+    rep = grand_canonical_point_jellium(2.2246, window=(4, 5), starts=2, seed=0)
+    assert {n: s.converged for n, s in rep.status_by_n.items()} == {4: False, 5: True}
+    assert [rep.status_by_n[n].evaluations for n in (4, 5)] == [runs[0] + runs[1],
+                                                                runs[2] + runs[3]]
+    assert rep.status_by_n[5] == plain.status_by_n[5]
+    assert rep.values_by_n == plain.values_by_n
+
+
 def test_grand_canonical_point_jellium_empty_window():
     rep = grand_canonical_point_jellium(1.2, charge=2.5, window=(0, 0), starts=1)
     assert rep.best_n == 0
     assert rep.best_value == pytest.approx(rep.background_self, rel=1e-14)
     assert rep.best_positions.shape == (0, 3)
+    assert rep.status_by_n == {0: jellium.RestartStatus(True, 0)}
 
 
 @pytest.mark.parametrize(

@@ -40,13 +40,7 @@ from liqdrop.jellium import (
     basin_hop,
     grand_canonical_point_jellium,
 )
-from liqdrop.serialize import (
-    dump_json,
-    encode,
-    schedule_rows,
-    to_jsonable,
-    write_csv,
-)
+from liqdrop.serialize import dump_json, write_csv
 
 __all__ = ["main"]
 
@@ -76,6 +70,8 @@ def _floats(text: str):
         raise argparse.ArgumentTypeError("empty number list")
     if not all(math.isfinite(v) for v in vals):
         raise argparse.ArgumentTypeError(f"not a list of finite numbers: {text!r}")
+    if len(set(vals)) != len(vals):
+        raise argparse.ArgumentTypeError(f"list repeats a value: {text!r}")
     return vals
 
 
@@ -323,7 +319,7 @@ def _cmd_jellium_opt(ns):
             "best_energy": res.best_energy,
             "best_per_particle": res.best_per_particle,
             "gradient_tolerance": ns.tol,
-            "best_configuration": encode(best),
+            "best_configuration": best,
             "ewald": _ewald_summary(kernel),
             **_restart_summary(res),
         },
@@ -348,10 +344,10 @@ def _cmd_jellium_gc(ns):
             "charge": rep.charge,
             "best_count": rep.best_n,
             "best_value": rep.best_value,
-            "averaging_bounds": to_jsonable(rep.averaging_bounds),
+            "averaging_bounds": rep.averaging_bounds,
             "interpolation_bound": rep.interpolation_bound,
             "background_self": rep.background_self,
-            "status_by_n": to_jsonable(rep.status_by_n),
+            "status_by_n": rep.status_by_n,
             "unconverged_runs": sum(not s.converged for s in rep.status_by_n.values()),
         },
     }
@@ -384,8 +380,8 @@ def _cmd_droplet(ns):
         "header": ("quantity", "value"),
         "rows": rows,
         "summary": {
-            "constants": to_jsonable(consts),
-            "breakdown": to_jsonable(breakdown),
+            "constants": consts,
+            "breakdown": breakdown,
             "droplet_radius": radius,
             "container_side": side,
             "rho": ns.rho,
@@ -395,23 +391,23 @@ def _cmd_droplet(ns):
 
 def _cmd_fgc(ns):
     lam = Cube(side=ns.side, center=(0.0, 0.0, 0.0))
-    rows, per_rho = [], {}
+    rows, per_rho, unconverged = [], {}, 0
     for rho in ns.rho:
         rep = grand_canonical_F(lam, rho, kmax=ns.kmax, seed=ns.seed, starts=ns.starts)
         rows.append((rho, rep.value, rep.ball_count, int(rep.converged)))
         per_rho[repr(float(rho))] = {
             "value": rep.value,
             "ball_count": rep.ball_count,
-            "values_by_count": to_jsonable(rep.values_by_count),
-            "status_by_count": to_jsonable(rep.status_by_count),
+            "values_by_count": rep.values_by_count,
+            "status_by_count": rep.status_by_count,
             "converged": bool(rep.converged),
         }
+        unconverged += sum(not s.converged for s in rep.status_by_count.values())
     return {
         "header": ("rho", "value", "ball_count", "converged"),
         "rows": rows,
         "summary": {"container_side": ns.side, "kmax": ns.kmax, "by_rho": per_rho,
-                    "unconverged_runs": sum(not s["converged"] for v in per_rho.values()
-                                            for s in v["status_by_count"].values())},
+                    "unconverged_runs": unconverged},
         "plot": ("rho value", [(r[0], r[1]) for r in rows]),
     }
 
@@ -514,7 +510,8 @@ def _cmd_gs_check(ns):
 
 def _cmd_cheese(ns):
     s = swiss_cheese(ns.k, growth=ns.growth)
-    rows = schedule_rows(s)
+    rows = [(j, s.radii[j], s.counts[j], s.leftover_ratios[j], s.perimeter_ratios[j])
+            for j in range(s.depth + 1)]
     spread = [
         max(float(x), 1.0 / float(x)) if float(x) > 0 else math.inf
         for x in (*s.leftover_ratios[2:], *s.perimeter_ratios[2:])
@@ -530,8 +527,8 @@ def _cmd_cheese(ns):
         "rows": rows,
         "summary": {
             "growth": s.growth,
-            "keep_fraction": to_jsonable(s.keep_fraction),
-            "shrink": to_jsonable(s.shrink),
+            "keep_fraction": s.keep_fraction,
+            "shrink": s.shrink,
             "depth": s.depth,
             "leftover_ratios": [float(x) for x in s.leftover_ratios],
             "perimeter_ratios": [float(x) for x in s.perimeter_ratios],
@@ -584,7 +581,7 @@ def _cmd_quadlayer(ns):
         ),
         "rows": rows,
         "summary": {
-            "domain": encode(domain),
+            "domain": domain,
             "counts": layer.counts(),
             "total_volume": layer.total_volume(),
             "perimeter_constant": layer.perimeter_constant(),
@@ -618,10 +615,10 @@ def _emit(ns, typemap: dict, payload: dict) -> str:
     write_csv(base + ".csv", payload["header"], payload["rows"])
     echo_keys = sorted(set(typemap[ns.subcommand]) - _NON_CONFIG)
     doc = {
-        "summary": to_jsonable(payload["summary"]),
+        "summary": payload["summary"],
         "provenance": {
             "command": ns.subcommand,
-            "config": {k: to_jsonable(getattr(ns, k)) for k in echo_keys},
+            "config": {k: getattr(ns, k) for k in echo_keys},
             "seed": ns.seed,
             "version": __version__,
         },

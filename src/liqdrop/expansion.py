@@ -89,6 +89,15 @@ def _assemble_report(rho, n, cell, pair, madelung_over_cell):
     )
 
 
+def _trial_cell(rho: float, n: int) -> float:
+    """Side of the periodic cell holding n optimal droplets at background
+    density rho; rho must lie in (0, 1e-2], the dilute range the trial state
+    is built for (denser cells make neighbouring droplets overlap)."""
+    if not 0.0 < rho <= 1e-2:
+        raise ValueError("density must lie in (0, 1e-2]")
+    return (OPT_MASS * n / rho) ** (1.0 / 3.0)
+
+
 def upper_bound_e(rho: float, n: int, points: np.ndarray) -> ExpansionReport:
     """Upper bound on the energy per unit volume at background density rho,
     from the given N points per periodic cell of side (mass N / rho)^(1/3).
@@ -101,13 +110,11 @@ def upper_bound_e(rho: float, n: int, points: np.ndarray) -> ExpansionReport:
     which matches the independent total-energy evaluation for commensurate
     crystals.
     """
-    if not 0.0 < rho <= 1e-2:
-        raise ValueError("density must lie in (0, 1e-2]")
+    cell = _trial_cell(rho, n)
     if n < 2:
         raise ValueError("need at least two points per cell")
     if np.shape(points) != (n, 3):
         raise ValueError(f"points must have shape ({n}, 3), got {np.shape(points)}")
-    cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
     kernel = PeriodicKernel(cell)
     pair = kernel.pair_energy(points)
     return _assemble_report(rho, n, cell, pair, kernel.madelung())
@@ -129,9 +136,12 @@ def expansion_sweep(
     (the kernel obeys green(cell * u; cell) = green(u; 1) / cell, so the
     scaled configuration stays optimal and its energies scale by 1/cell);
     this makes the sweep O(one optimization) instead of O(grid size).
+    Every density must lie in (0, 1e-2], as in ``upper_bound_e``; the grid
+    is checked before the search starts.
     Returns (one report per density, the ``BasinHopResult`` of the search).
     """
     rhos = [float(r) for r in rhos]
+    cells = [_trial_cell(rho, n) for rho in rhos]
     unit_side = n ** (1.0 / 3.0)
     unit_kernel = PeriodicKernel(unit_side)
     extras = []
@@ -148,8 +158,7 @@ def expansion_sweep(
     unit_pair = unit_kernel.pair_energy(unit_pos)
     unit_madelung = unit_kernel.madelung()
     reports = []
-    for rho in rhos:
-        cell = (OPT_MASS * n / rho) ** (1.0 / 3.0)
+    for rho, cell in zip(rhos, cells):
         scale = unit_side / cell  # energies scale like inverse length
         reports.append(_assemble_report(rho, n, cell, unit_pair * scale,
                                         unit_madelung * scale))

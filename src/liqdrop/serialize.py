@@ -1,12 +1,15 @@
-"""JSON and CSV serialization for geometry, configurations, and reports.
+"""JSON and CSV serialization of results.
 
-JSON encoding is type-tagged: ``encode`` writes ``Cube``, ``Ball`` and
-``PointConfiguration`` (the objects the CLI writes) as a ``"type"`` key plus
-their defining data, every float at full ``repr`` precision, so the values
-read back from the JSON text are the object's own; report dataclasses
-serialize field by field.  Nothing reads JSON back into objects.  CSV output
-uses RFC-4180 quoting.  All emitters are deterministic: keys are sorted and
-no timestamps or environment-dependent values are written.
+One recursive encoder, ``to_jsonable``, turns every object the CLI writes
+into plain JSON values: a dataclass (a ``Cube``, a ``Ball``, a
+``PointConfiguration``, a report) becomes a dict of its fields, field by
+field, plus a ``"type"`` key with its class name; a ``Fraction`` becomes
+``{"fraction": "p/q"}``; numpy scalars and arrays become Python numbers and
+lists; dict keys become strings.  Floats keep full ``repr`` precision, so
+the values read back from the JSON text are the object's own.  Nothing reads
+JSON back into objects.  CSV output uses RFC-4180 quoting.  All emitters are
+deterministic: keys are sorted as text and no timestamps or
+environment-dependent values are written.
 """
 
 from __future__ import annotations
@@ -18,16 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from liqdrop.geom import Ball, Cube
-from liqdrop.jellium import PointConfiguration
-
-__all__ = [
-    "to_jsonable",
-    "encode",
-    "dump_json",
-    "write_csv",
-    "schedule_rows",
-]
+__all__ = ["to_jsonable", "dump_json", "write_csv"]
 
 
 def to_jsonable(obj):
@@ -47,8 +41,6 @@ def to_jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (Cube, Ball, PointConfiguration)):
-        return encode(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):
@@ -59,30 +51,6 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def encode(obj) -> dict:
-    """Type-tagged JSON encoding of a cube, a ball or a point configuration."""
-    if isinstance(obj, Cube):
-        return {
-            "type": "Cube",
-            "side": float(obj.side),
-            "center": np.asarray(obj.center, dtype=float).tolist(),
-        }
-    if isinstance(obj, Ball):
-        return {
-            "type": "Ball",
-            "radius": float(obj.radius),
-            "center": np.asarray(obj.center, dtype=float).tolist(),
-        }
-    if isinstance(obj, PointConfiguration):
-        return {
-            "type": "PointConfiguration",
-            "positions": np.asarray(obj.positions, dtype=float).tolist(),
-            "charge": float(obj.charge),
-            "container": None if obj.container is None else encode(obj.container),
-        }
-    raise TypeError(f"cannot encode object of type {type(obj).__name__}")
 
 
 def dump_json(obj, path) -> None:
@@ -113,23 +81,3 @@ def _cell(v):
         return repr(v)
     return v
 
-
-def schedule_rows(schedule):
-    """CSV rows for a ball-packing schedule: one row per generation.
-
-    Columns: generation j, ball radius R_j (exact fraction), number of balls
-    of that generation inside the largest ball, leftover volume ratio and
-    boundary-area ratio at depth j (exact fractions).
-    """
-    rows = []
-    for j in range(schedule.depth + 1):
-        rows.append(
-            (
-                j,
-                schedule.radii[j],
-                schedule.counts[j],
-                schedule.leftover_ratios[j],
-                schedule.perimeter_ratios[j],
-            )
-        )
-    return rows

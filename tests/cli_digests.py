@@ -9,7 +9,11 @@ Run it from a source checkout, with that checkout's ``src`` on the path:
 Every subcommand runs in-process at small, fixed-seed settings, each into its
 own directory under a temporary one.  The listing has one line with the exit
 code of each run and one line per ``.csv``/``.json``/``.dat`` file it wrote,
-so an empty ``diff`` means two checkouts write the same bytes.  Two more
+so an empty ``diff`` means two checkouts write the same bytes.  The
+``jellium-gc-n10`` run reaches counts of 10 and more: the JSON writes its
+integer count keys as strings sorted as text ("10", "11", "9"), an order that
+an encoder sorting the integers first would change, and no other run has a
+count above 9.  Two more
 lines digest the ``repr`` of every field of the ``checks`` workload's voxel
 liquid-drop breakdown at seed 0, a library call with no CLI command, and of
 the same breakdown at rho = 0, which transforms the droplet field alone.  The
@@ -72,6 +76,8 @@ RUNS = (
     ("jellium-gc", ["jellium-gc", "--a", "2.2246", "--window", "4,5", "--starts", "2"]),
     # the benchmark's simplex workload at seed 0
     ("simplex", ["jellium-gc", "--a", "2.2246", "--window", "4,7", "--starts", "10"]),
+    # counts of 10 and more, whose JSON keys sort as text ("10" before "9")
+    ("jellium-gc-n10", ["jellium-gc", "--a", "3", "--window", "9,11", "--starts", "1"]),
     ("droplet", ["droplet", "--rho", "0.05"]),
     ("fgc", ["fgc", "--rho", "0.0,0.01,0.02", "--kmax", "2", "--starts", "2"]),
     ("expansion", ["expansion", "--rho", "1e-3,3e-4,1e-4,3e-5", "--n", "4",

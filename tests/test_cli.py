@@ -59,14 +59,35 @@ def test_zeta_multi_s_writes_plot(tmp_path):
     assert len(dat) == 3
 
 
-def test_zeta_repeated_s_pairs_each_value(tmp_path):
-    assert run("zeta", "--s", "1,1,2", "--out", str(tmp_path)) == EXIT_OK
+def test_zeta_plot_pairs_each_row(tmp_path):
+    assert run("zeta", "--s", "2,1,0.5", "--out", str(tmp_path)) == EXIT_OK
     _, rows = read_csv(tmp_path / "zeta.csv")
     dat = (tmp_path / "zeta.dat").read_text().splitlines()[1:]
     pairs = [tuple(float(v) for v in line.split()) for line in dat]
     assert pairs == [(float(r[1]), float(r[2])) for r in rows]
-    assert [s for s, _ in pairs] == [1.0, 1.0, 2.0]
-    assert pairs[0][1] == pytest.approx(ZETA_BCC_1, abs=1e-12)
+    assert [s for s, _ in pairs] == [2.0, 1.0, 0.5]
+    assert pairs[1][1] == pytest.approx(ZETA_BCC_1, abs=1e-12)
+
+
+def test_list_flags_reject_repeated_values_exit_one(tmp_path):
+    # a repeated value wrote one CSV row per entry but one JSON entry in all:
+    # fgc --rho 0.01,0.01 gave two rows, one by_rho entry, and counted the
+    # unconverged runs of one; zeta --s 1,1.0 gave two rows, one values entry
+    for argv in (
+        ("fgc", "--rho", "0.01,0.01", "--kmax", "1", "--starts", "1"),
+        ("zeta", "--s", "1,1.0"),
+        ("expansion", "--n", "4", "--rho", "1e-3,3e-4,1e-4,1e-3"),
+    ):
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    cfg = tmp_path / "bad.cfg"
+    for command, line in (
+        ("fgc", "rho = 0.01,0.010"),
+        ("zeta", "s = 2,2"),
+        ("expansion", "rho = 1e-3,1e-4,0.001,3e-5"),
+    ):
+        cfg.write_text(line + "\n")
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_BAD_ARGS
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
 def test_madelung_value(tmp_path):
@@ -85,7 +106,9 @@ def test_cheese_exact_fractions(tmp_path):
     assert run("cheese", "--k", "2", "--out", str(tmp_path)) == EXIT_OK
     header, rows = read_csv(tmp_path / "cheese.csv")
     assert header[0] == "generation"
+    assert [r[0] for r in rows] == ["0", "1", "2"]
     assert rows[0][1] == "1/2"  # base radius, exact
+    assert rows[1][1] == "53/2"  # 27 - 1/2, exact
     assert rows[1][2] == "729"  # first-generation count
     doc = json.loads((tmp_path / "cheese.json").read_text())
     assert doc["summary"]["two_sided_constant"] <= 50.0
@@ -474,6 +497,16 @@ def test_expansion_without_any_start_exits_two(tmp_path, capsys):
     assert run(*argv, "--out", str(tmp_path)) == EXIT_NUMERIC
     assert "restarts plus initial configurations must be at least 1" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+def test_expansion_above_the_dilute_range_exits_two(tmp_path, capsys):
+    # at rho = 0.9 the cell of side 2.231 put neighbouring droplets 1.578
+    # apart, below 2 R* = 1.684, and the sweep reported that as an upper
+    # bound with exit 0; upper_bound_e already rejected it
+    argv = ("expansion", "--n", "4", "--restarts", "1", "--rho", "0.9,0.1,0.01,0.001")
+    assert run(*argv, "--out", str(tmp_path)) == EXIT_NUMERIC
+    assert "density must lie in (0, 1e-2]" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_fgc_rejects_empty_container_and_negative_kmax_exit_one(tmp_path):

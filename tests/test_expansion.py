@@ -110,6 +110,18 @@ def test_expansion_sweep_scales_exactly():
     assert r0 == pytest.approx(RESIDUAL_PER_PARTICLE, rel=0.05)
 
 
+def test_expansion_sweep_checks_every_density_before_the_search(monkeypatch):
+    # the sweep shares upper_bound_e's dilute range; it used to minimize and
+    # report a bound at rho = 0.9, where neighbouring droplets overlap
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("liqdrop.expansion.basin_hop", no_search)
+    for rhos in ([0.9, 0.1, 0.01, 0.001], [1e-3, 1e-4, 0.0], [1e-3, -1e-4]):
+        with pytest.raises(ValueError, match=r"\(0, 1e-2\]"):
+            expansion_sweep(rhos, n=4, restarts=1, hops=0)
+
+
 # ---------------------------------------------------------------------------
 # coefficient extraction
 # ---------------------------------------------------------------------------

@@ -7,16 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liqdrop.appendixlab import swiss_cheese
-from liqdrop.geom import Ball, Cube, make_lattice
+from liqdrop.geom import Ball, Cube
 from liqdrop.jellium import PointConfiguration
-from liqdrop.serialize import (
-    dump_json,
-    encode,
-    schedule_rows,
-    to_jsonable,
-    write_csv,
-)
+from liqdrop.serialize import dump_json, to_jsonable, write_csv
 
 
 def read_csv(path):
@@ -27,13 +20,13 @@ def read_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# geometry encodings: the values read back from the JSON text are the
-# object's own, bit for bit
+# geometry encodings: dataclass fields under a "type" key, and the values
+# read back from the JSON text are the object's own, bit for bit
 # ---------------------------------------------------------------------------
 
 
 def _encoded(obj):
-    return json.loads(json.dumps(encode(obj)))
+    return json.loads(json.dumps(to_jsonable(obj)))
 
 
 def test_domain_roundtrips():
@@ -57,14 +50,12 @@ def test_point_configuration_roundtrip():
     }
 
 
-def test_encode_rejects_unknown_types():
+def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(TypeError):
-        encode(object())
-    # no program writes a lattice, so it has no encoding
+        to_jsonable(object())
+    # a set has no order, so it would not write deterministic JSON
     with pytest.raises(TypeError):
-        encode(make_lattice("bcc"))
-    with pytest.raises(TypeError):
-        encode({"type": "Cube", "side": 1.0})
+        to_jsonable({"values": {1.0, 2.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +102,21 @@ def test_dump_json_writes_the_encoding(tmp_path):
     p = tmp_path / "c.json"
     cfg = PointConfiguration(positions=[[0.1, 0.2, 0.3]], container=Cube(side=2.0))
     dump_json({"config": cfg}, p)
-    assert json.loads(p.read_bytes()) == {"config": encode(cfg)}
+    assert json.loads(p.read_bytes()) == {
+        "config": {
+            "type": "PointConfiguration",
+            "positions": [[0.1, 0.2, 0.3]],
+            "charge": 1.0,
+            "container": {"type": "Cube", "side": 2.0, "center": [0.0, 0.0, 0.0]},
+        }
+    }
+
+
+def test_dump_json_sorts_int_keys_as_text(tmp_path):
+    # counts become string keys first and sort as text, so 10 precedes 9
+    p = tmp_path / "k.json"
+    dump_json({9: "nine", 10: "ten"}, p)
+    assert p.read_text() == '{\n  "10": "ten",\n  "9": "nine"\n}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +145,3 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
     write_csv(p, ["v"], [[x]])
     _, rows = read_csv(p)
     assert float(rows[0][0]) == x
-
-
-def test_schedule_rows_are_exact_fractions(tmp_path):
-    s = swiss_cheese(2)
-    rows = schedule_rows(s)
-    assert len(rows) == 3
-    assert rows[0][0] == 0 and rows[1][0] == 1
-    assert rows[1][1] == Fraction(53, 2)  # 27 - 1/2
-    assert rows[1][2] == 729
-    p = tmp_path / "s.csv"
-    write_csv(p, ["j", "radius", "count", "leftover", "perimeter"], rows)
-    _, got = read_csv(p)
-    assert got[1][1] == "53/2"
-    assert got[1][2] == "729"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liqdrop.appendixlab import swiss_cheese
 from liqdrop.geom import Ball, Cube
 from liqdrop.jellium import PointConfiguration
 from liqdrop.serialize import dump_json, to_jsonable, write_csv
@@ -145,3 +146,19 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
     write_csv(p, ["v"], [[x]])
     _, rows = read_csv(p)
     assert float(rows[0][0]) == x
+
+
+def test_schedule_rows_are_exact_fractions(tmp_path):
+    # one row per generation, as the cheese command writes them
+    s = swiss_cheese(2)
+    rows = [(j, s.radii[j], s.counts[j], s.leftover_ratios[j], s.perimeter_ratios[j])
+            for j in range(s.depth + 1)]
+    assert len(rows) == 3
+    assert rows[0][0] == 0 and rows[1][0] == 1
+    assert rows[1][1] == Fraction(53, 2)  # 27 - 1/2
+    assert rows[1][2] == 729
+    p = tmp_path / "s.csv"
+    write_csv(p, ["j", "radius", "count", "leftover", "perimeter"], rows)
+    _, got = read_csv(p)
+    assert got[1][1] == "53/2"
+    assert got[1][2] == "729"

@@ -9,11 +9,11 @@ from liqdrop.coulomb.zeta import (
     upper_gamma,
 )
 from liqdrop.coulomb.potentials import (
+    domain_field,
     domain_pair_coulomb,
     potential_ball,
     potential_box,
     potential_cube,
-    potential_domain,
     potential_tetra,
     tetra_field,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "potential_cube",
     "potential_tetra",
     "tetra_field",
-    "potential_domain",
+    "domain_field",
     "domain_pair_coulomb",
     "CUBE_SELF_INTEGRAL",
 ]

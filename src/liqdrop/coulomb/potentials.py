@@ -41,8 +41,7 @@ __all__ = [
     "potential_tetra",
     "tetra_field",
     "TetraBody",
-    "potential_domain",
-    "potential_domain_gradient",
+    "domain_field",
     "domain_pair_coulomb",
 ]
 
@@ -270,54 +269,43 @@ def _tetra_self_integral(tetra: Tetrahedron | np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# containers
 # ---------------------------------------------------------------------------
 
 
-def potential_domain(domain, pts) -> np.ndarray:
-    """Unit-density potential of a supported domain at ``pts``."""
-    pts_arr = np.asarray(pts, dtype=float)
-    single = pts_arr.ndim == 1
-    p = np.atleast_2d(pts_arr)
-    if isinstance(domain, Ball):
-        r = np.linalg.norm(p - np.asarray(domain.center), axis=1)
-        out = potential_ball(domain.volume, domain.radius, r)
-    elif isinstance(domain, Cube):
-        out = potential_cube(domain.side, p, center=domain.center)
-    elif isinstance(domain, Tetrahedron):
-        out = potential_tetra(domain, p)
-    else:
-        raise TypeError(f"no potential rule for {type(domain).__name__}")
-    return out[0] if single else out
+def domain_field(domain, pts):
+    """(potential, gradient) of a unit-density ``Ball`` or ``Cube`` at
+    ``pts``; ``tetra_field`` gives a tetrahedron's.
 
-
-def potential_domain_gradient(domain, pts) -> np.ndarray:
-    """Gradient of the unit-density potential (the field, up to sign) of a
-    ``Ball`` or a ``Cube``; ``tetra_field`` gives a tetrahedron's."""
+    The ball's are closed forms.  The cube's gradient is a central
+    difference of the closed form at step 1e-6 of the side, accurate enough
+    for the droplet search: the points, then p + e_a, then p - e_a go
+    through one ``potential_cube`` call.  Raises ``TypeError`` for any other
+    domain.
+    """
     pts_arr = np.asarray(pts, dtype=float)
     single = pts_arr.ndim == 1
     p = np.atleast_2d(pts_arr)
     if isinstance(domain, Ball):
         d = p - np.asarray(domain.center)
-        r = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
+        r = np.linalg.norm(d, axis=1)
         q, R = domain.volume, domain.radius
-        mag = np.where(r < R, -q * r / R**3, -q / r**2)
-        out = (mag / r)[:, None] * d
+        phi = potential_ball(q, R, r)
+        r = np.maximum(r, 1e-300)
+        # at a centre -q / r**2 overflows, but np.where takes the inside branch
+        with np.errstate(divide="ignore"):
+            mag = np.where(r < R, -q * r / R**3, -q / r**2)
+        grad = (mag / r)[:, None] * d
     elif isinstance(domain, Cube):
-        out = _box_gradient(domain, p)
+        h = domain.side * 1e-6
+        e = (h * np.eye(3))[:, None, :]
+        stacked = np.concatenate([p[None], p + e, p - e])
+        phi = potential_cube(domain.side, stacked, domain.center)
+        grad = ((phi[1:4] - phi[4:]) / (2.0 * h)).T
+        phi = phi[0]
     else:
-        raise TypeError(f"no potential gradient rule for {type(domain).__name__}")
-    return out[0] if single else out
-
-
-def _box_gradient(cube: Cube, pts):
-    # central differences on the closed form, step 1e-6 of the side; accurate
-    # enough for penalties.  The six points pts + e_ax, then pts - e_ax, go
-    # through one call.
-    h = cube.side * 1e-6
-    e = (h * np.eye(3))[:, None, :]
-    phi = potential_cube(cube.side, np.concatenate([pts + e, pts - e]), cube.center)
-    return ((phi[:3] - phi[3:]) / (2.0 * h)).T
+        raise TypeError(f"no potential rule for {type(domain).__name__}")
+    return (phi[0], grad[0]) if single else (phi, grad)
 
 
 # ---------------------------------------------------------------------------

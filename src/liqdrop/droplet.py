@@ -21,11 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from liqdrop.coulomb.grid import grid_potential
-from liqdrop.coulomb.potentials import (
-    domain_pair_coulomb,
-    potential_domain,
-    potential_domain_gradient,
-)
+from liqdrop.coulomb.potentials import domain_field, domain_pair_coulomb
 from liqdrop.geom import Ball, BallUnion, Cube, VoxelSet, sample_in_domain
 from liqdrop.jellium import RestartStatus
 
@@ -106,12 +102,22 @@ class LiquidDropBreakdown:
     neutrality_defect: float  # droplet volume minus rho * container volume
 
 
-def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
+def _wall_margins(lam, c, r):
+    """Wall margins of the balls of centers ``c`` and radii ``r`` in the
+    container ``lam``: per axis in a ``Cube``, radial in a ``Ball``; all >= 0
+    iff every ball lies in ``lam``."""
+    d = c - np.asarray(lam.center)
+    if isinstance(lam, Ball):
+        return lam.radius - np.linalg.norm(d, axis=1) - r
+    return (lam.side / 2.0 - np.abs(d) - r[:, None]).ravel()
+
+
+def _ball_union_breakdown(omega: BallUnion, lam, rho):
     centers, radii = omega.centers, omega.radii
     k = len(radii)
     charges = 4.0 * np.pi * radii**3 / 3.0
     perimeter = omega.perimeter
-    if k and np.any(lam.inner_distance(centers) < radii - 1e-12):
+    if k and np.any(_wall_margins(lam, centers, radii) < -1e-12):
         raise ValueError("droplet set is not contained in the container")
     dd = float(np.sum(0.6 * charges**2 / radii)) if k else 0.0
     if k >= 2:
@@ -120,7 +126,7 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
         dd += float(np.sum(charges[iu] * charges[ju] / d))
     db = 0.0
     if rho > 0.0 and k:
-        phi = potential_domain(lam, centers)
+        phi, _ = domain_field(lam, centers)
         # exact coupling for a ball strictly inside the container: the
         # container potential splits into a harmonic part (mean value
         # property over the ball) and a quadratic part with a closed moment
@@ -137,14 +143,12 @@ def _ball_union_breakdown(omega: BallUnion, lam, rho, container_volume):
         background_background=bb,
         total=perimeter + dd + db + bb,
         droplet_volume=volume,
-        neutrality_defect=volume - rho * container_volume,
+        neutrality_defect=volume - rho * lam.volume,
     )
 
 
-def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
+def _voxel_breakdown(omega: VoxelSet, lam: VoxelSet, rho):
     h = omega.h
-    if not isinstance(lam, VoxelSet):
-        raise TypeError("voxel droplets need a voxel-set container")
     if abs(lam.h - h) > 1e-12 * h:
         raise ValueError("droplet and container voxel grids disagree")
     shift = (np.asarray(omega.origin) - np.asarray(lam.origin)) / h
@@ -179,7 +183,7 @@ def _voxel_breakdown(omega: VoxelSet, lam, rho, container_volume):
         background_background=bb,
         total=perimeter + dd + db + bb,
         droplet_volume=volume,
-        neutrality_defect=volume - rho * container_volume,
+        neutrality_defect=volume - rho * lam.measure,
     )
 
 
@@ -194,15 +198,24 @@ def liquid_drop_energy(
     Disjoint ball unions use exact closed forms throughout (spherical
     droplets interact like point charges at their centers); voxel sets use
     the free-space grid solver and a voxel perimeter estimate, and need a
-    voxel-set container on the same grid (``voxelize_domain``).
+    voxel-set container on the same grid (``voxelize_domain``).  A ball
+    union needs a ``Ball`` or a ``Cube`` container; any other container,
+    like any other droplet set, raises ``TypeError``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("background density must lie in [0, 1]")
-    container_volume = lam.measure if isinstance(lam, VoxelSet) else lam.volume
     if isinstance(omega, BallUnion):
-        return _ball_union_breakdown(omega, lam, rho, container_volume)
+        if not isinstance(lam, (Ball, Cube)):
+            raise TypeError(
+                f"ball-union droplets need a Ball or a Cube container, not {type(lam).__name__}"
+            )
+        return _ball_union_breakdown(omega, lam, rho)
     if isinstance(omega, VoxelSet):
-        return _voxel_breakdown(omega, lam, rho, container_volume)
+        if not isinstance(lam, VoxelSet):
+            raise TypeError(
+                f"voxel droplets need a voxel-set container, not {type(lam).__name__}"
+            )
+        return _voxel_breakdown(omega, lam, rho)
     raise TypeError("droplet set must be a BallUnion or a VoxelSet")
 
 
@@ -251,8 +264,7 @@ def _gc_objective_factory(lam, rho, k):
             np.add.at(gq, ju, q[iu] / dist)
             gr += gq * dq
         if rho > 0.0:
-            phi = potential_domain(lam, c)
-            dphi = potential_domain_gradient(lam, c)
+            phi, dphi = domain_field(lam, c)
             e -= rho * float(np.sum(q * (phi - (2.0 * np.pi / 5.0) * r**2)))
             gc -= rho * q[:, None] * dphi
             gr -= rho * (dq * (phi - (2.0 * np.pi / 5.0) * r**2)
@@ -263,18 +275,13 @@ def _gc_objective_factory(lam, rho, k):
 
 
 def _gc_margins(lam, k, x):
-    """Wall margins (per axis in a ``Cube``, radial in a ``Ball``) and pair
-    gaps of the union ``x`` (centers, then radii); all >= 0 iff it is feasible."""
+    """Wall margins and pair gaps of the union ``x`` (centers, then radii);
+    all >= 0 iff it is feasible."""
     c = x[: 3 * k].reshape(k, 3)
     r = x[3 * k:]
-    d = c - np.asarray(lam.center)
-    if isinstance(lam, Ball):
-        wall = lam.radius - np.linalg.norm(d, axis=1) - r
-    else:
-        wall = (lam.side / 2.0 - np.abs(d) - r[:, None]).ravel()
     iu, ju = np.triu_indices(k, 1)
     gaps = np.linalg.norm(c[iu] - c[ju], axis=1) - r[iu] - r[ju]
-    return np.concatenate([wall, gaps])
+    return np.concatenate([_wall_margins(lam, c, r), gaps])
 
 
 def grand_canonical_F(

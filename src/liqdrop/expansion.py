@@ -434,7 +434,8 @@ def gs_coulomb_inequality_check(
     (see the helpers above), so the layout does not change a digit.
 
     Raises ValueError unless ``ell`` is positive and finite and
-    ``samples_per_pair`` is at least 2.
+    ``samples_per_pair`` is at least 2, and TypeError at ``rho`` > 0 unless
+    ``lam`` is a ``Cube``.
     """
     if not 0.0 < ell < np.inf:
         raise ValueError("window scale ell must be positive and finite")
@@ -456,6 +457,8 @@ def gs_coulomb_inequality_check(
         comp_samplers.append(("ball", omega.centers[i], omega.radii[i],
                               4.0 * np.pi * omega.radii[i]**3 / 3.0, 1.0))
     if rho > 0.0:
+        if not isinstance(lam, Cube):
+            raise TypeError(f"the background sampler needs a Cube, not a {type(lam).__name__}")
         comp_samplers.append(("cube", np.asarray(lam.center), lam.side,
                               lam.side**3, -rho))
 

@@ -4,7 +4,8 @@ Everything downstream (lattice sums, droplet energies, localization checks)
 consumes these types.  Conventions used throughout the package:
 
 * lattice bases are row matrices, ``basis[i]`` is the i-th primitive vector;
-* domains are closed subsets of R^3 with closed-form volume and diameter;
+* domains are closed subsets of R^3 with closed-form volume; the droplet
+  containers, ``Ball`` and ``Cube``, also have a closed-form diameter;
 * voxel sets sample membership at cell centers on a uniform grid of pitch ``h``.
 """
 
@@ -144,12 +145,6 @@ class Cube:
         d = np.abs(pts - np.asarray(self.center)) - self.side / 2.0
         return np.all(d <= 1e-12, axis=1)
 
-    def inner_distance(self, pts) -> np.ndarray:
-        """Distance to the boundary, positive inside, negative outside."""
-        pts = np.atleast_2d(pts)
-        d = self.side / 2.0 - np.abs(pts - np.asarray(self.center))
-        return d.min(axis=1)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -169,11 +164,6 @@ class Ball:
         r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
         return r <= self.radius + 1e-12
 
-    def inner_distance(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
-        return self.radius - r
-
 
 @dataclass(frozen=True)
 class Tetrahedron:
@@ -191,12 +181,6 @@ class Tetrahedron:
     def volume(self) -> float:
         v = self.vertices
         return abs(np.linalg.det(v[1:] - v[0])) / 6.0
-
-    @property
-    def diameter(self) -> float:
-        v = self.vertices
-        d = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
-        return float(d.max())
 
     def face_planes(self):
         """Inward unit normals and offsets: x inside iff n.x >= off for all faces."""
@@ -217,14 +201,6 @@ class Tetrahedron:
         pts = np.atleast_2d(pts)
         n, off = self.face_planes()
         return np.all(pts @ n.T - off >= -1e-12, axis=1)
-
-    def inner_distance(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        n, off = self.face_planes()
-        return (pts @ n.T - off).min(axis=1)
-
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
 
 def regular_tetrahedron(volume: float = 1.0, center=(0.0, 0.0, 0.0)) -> Tetrahedron:
@@ -351,11 +327,6 @@ class VoxelSet:
     def measure(self) -> float:
         return float(self.occ.sum()) * self.h**3
 
-    def centers(self) -> np.ndarray:
-        """(M, 3) coordinates of occupied cell centers."""
-        idx = np.argwhere(self.occ)
-        return self.origin + (idx + 0.5) * self.h
-
     def perimeter(self) -> float:
         """Surface area estimate: line-intercept counts averaged over the 13
         lattice directions (Crofton).  It is unbiased for isotropic shapes
@@ -388,36 +359,24 @@ def voxelize(balls: BallUnion, h: float) -> VoxelSet:
     return VoxelSet(h=h, origin=origin, occ=occ)
 
 
-def voxelize_domain(domain, h: float) -> VoxelSet:
-    """Voxelize a cube/ball/tetra domain by cell-center membership.
+def voxelize_domain(cube: Cube, h: float) -> VoxelSet:
+    """Voxelize a ``Cube`` container by cell-center membership.
 
-    For an axis-aligned ``Cube`` the grid starts at the cube's lower corner;
-    when the side is an integer multiple of ``h`` the voxel set represents
-    the cube exactly, otherwise the cell count is rounded up.  Balls and
-    tetrahedra get a centered grid of ceil(diameter / h) + 2 cells per axis.
+    The grid starts at the cube's lower corner; when the side is an integer
+    multiple of ``h`` the voxel set represents the cube exactly, otherwise
+    the cell count is rounded up.  A ball droplet is voxelized as a one-ball
+    ``BallUnion`` by ``voxelize``.  Raises ``TypeError`` for any other domain.
     """
-    if isinstance(domain, Cube):
-        c = np.asarray(domain.center)
-        origin = c - domain.side / 2.0
-        n = int(round(domain.side / h))
-        if not np.isclose(n * h, domain.side, rtol=0, atol=1e-9 * h):
-            n = int(np.ceil(domain.side / h - 1e-12))
-    else:
-        if isinstance(domain, Tetrahedron):
-            c = domain.centroid()
-        else:
-            c = np.asarray(domain.center)
-        n = int(np.ceil(domain.diameter / h)) + 2
-        origin = c - n * h / 2.0
-    origin = np.asarray(origin, dtype=float)
+    if not isinstance(cube, Cube):
+        raise TypeError(f"voxelize_domain takes a Cube, not a {type(cube).__name__}")
+    c = np.asarray(cube.center)
+    origin = np.asarray(c - cube.side / 2.0, dtype=float)
+    n = int(round(cube.side / h))
+    if not np.isclose(n * h, cube.side, rtol=0, atol=1e-9 * h):
+        n = int(np.ceil(cube.side / h - 1e-12))
     ii = [origin[k] + (np.arange(n) + 0.5) * h for k in range(3)]
-    if isinstance(domain, Cube):
-        # Cube.contains tests |x_k - c_k| - side/2 <= 1e-12 on each axis, so
-        # the occupancy is the outer AND of one mask per axis
-        inside = [np.abs(ii[k] - c[k]) - domain.side / 2.0 <= 1e-12 for k in range(3)]
-        occ = inside[0][:, None, None] & inside[1][:, None] & inside[2]
-    else:
-        x, y, z = np.meshgrid(*ii, indexing="ij")
-        pts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
-        occ = domain.contains(pts).reshape((n, n, n))
+    # Cube.contains tests |x_k - c_k| - side/2 <= 1e-12 on each axis, so the
+    # occupancy is the outer AND of one mask per axis
+    inside = [np.abs(ii[k] - c[k]) - cube.side / 2.0 <= 1e-12 for k in range(3)]
+    occ = inside[0][:, None, None] & inside[1][:, None] & inside[2]
     return VoxelSet(h=h, origin=origin, occ=occ)

@@ -16,6 +16,7 @@ from liqdrop.coulomb import (
     CUBE_SELF_INTEGRAL,
     PeriodicKernel,
     completed_zeta,
+    domain_field,
     domain_pair_coulomb,
     epstein_zeta,
     epstein_zeta_direct,
@@ -23,18 +24,13 @@ from liqdrop.coulomb import (
     potential_ball,
     potential_box,
     potential_cube,
-    potential_domain,
     potential_tetra,
     tetra_field,
     upper_gamma,
 )
 from liqdrop.coulomb.ewald import _BLOCK, _CACHE_BLOCK, _MIN_SHIFTS, _block_shifts
 from liqdrop.coulomb.grid import grid_potential
-from liqdrop.coulomb.potentials import (
-    TetraBody,
-    _box_gradient,
-    _brick_antiderivative,
-)
+from liqdrop.coulomb.potentials import TetraBody, _brick_antiderivative
 from liqdrop.geom import (
     Ball,
     BallUnion,
@@ -676,8 +672,9 @@ def test_potential_box_bitwise_equal_to_corner_loop():
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         cube = Cube(side=side, center=tuple(center))
-        got = _box_gradient(cube, pts)
-        assert got.tobytes() == _axis_loop_gradient(cube, pts).tobytes()
+        phi, grad = domain_field(cube, pts)
+        assert phi.tobytes() == _corner_loop_box(lo, hi, pts).tobytes()
+        assert grad.tobytes() == _axis_loop_gradient(cube, pts).tobytes()
 
 
 def test_cube_self_integral_consistency():
@@ -717,7 +714,7 @@ def test_tetra_field_far_field_is_volume_over_r():
     body = TetraBody(t)
     direction = np.array([0.3, -0.7, 0.648]) / np.linalg.norm([0.3, -0.7, 0.648])
     for r, rel in ((30.0, 1e-5), (300.0, 1e-8), (3000.0, 1e-9)):
-        x = t.centroid() + r * direction
+        x = t.vertices.mean(axis=0) + r * direction
         phi, grad = tetra_field(body, x)
         assert phi == pytest.approx(t.volume / r, rel=rel)
         np.testing.assert_allclose(grad, -t.volume * r * direction / r**3, rtol=3 * rel)
@@ -751,8 +748,9 @@ def test_tetra_field_laplacian_is_minus_four_pi_inside_and_zero_outside():
     verts = regular_tetrahedron(1.0).vertices + 0.1 * rng.normal(size=(4, 3))
     t = Tetrahedron(vertices=verts)
     body = TetraBody(t)
-    inside = t.centroid() + 0.1 * rng.normal(size=(4, 3))
-    outside = t.centroid() + np.array(
+    centroid = t.vertices.mean(axis=0)
+    inside = centroid + 0.1 * rng.normal(size=(4, 3))
+    outside = centroid + np.array(
         [[1.5, 0.2, 0.1], [-0.3, -1.4, 0.9], [4.0, 4.0, -3.0]]
     )
     assert t.contains(inside).all() and not t.contains(outside).any()
@@ -816,7 +814,7 @@ def test_tetra_field_matches_apex_rule_at_order_800():
     normals, offsets = t.face_planes()
     pts = []
     for spread, inside in ((0.15, True), (1.0, False)):
-        cand = t.centroid() + spread * rng.normal(size=(20, 3))
+        cand = t.vertices.mean(axis=0) + spread * rng.normal(size=(20, 3))
         keep = np.abs(cand @ normals.T - offsets).min(axis=1) >= 0.1
         pts.append(cand[keep & (t.contains(cand) == inside)][:3])
     pts = np.concatenate(pts)
@@ -1041,21 +1039,23 @@ def test_domain_pair_coulomb_program_pairs_are_pinned():
 
 
 def test_potential_domain_dispatch():
+    # domain_field on the two containers; a tetrahedron's is tetra_field's
     pts = np.array([[0.3, 0.1, -0.2], [2.0, 1.0, 0.5]])
     ball = Ball(radius=0.8, center=(0.0, 0.0, 0.0))
-    np.testing.assert_allclose(
-        potential_domain(ball, pts),
-        potential_ball(ball.volume, 0.8, np.linalg.norm(pts, axis=1)),
-        rtol=1e-12,
-    )
+    r = np.linalg.norm(pts, axis=1)
+    phi, grad = domain_field(ball, pts)
+    np.testing.assert_allclose(phi, potential_ball(ball.volume, 0.8, r), rtol=1e-12)
+    # inside -Q x / R^3, outside -Q x / r^3
+    want = -ball.volume * pts / np.where(r < 0.8, 0.8, r)[:, None] ** 3
+    np.testing.assert_allclose(grad, want, rtol=1e-12)
     cube = Cube(side=1.0, center=(0.0, 0.0, 0.0))
-    np.testing.assert_allclose(
-        potential_domain(cube, pts), potential_cube(1.0, pts), rtol=1e-12
-    )
-    tet = regular_tetrahedron(1.0)
-    np.testing.assert_allclose(
-        potential_domain(tet, pts), potential_tetra(tet, pts), rtol=1e-9
-    )
+    phi, grad = domain_field(cube, pts)
+    np.testing.assert_allclose(phi, potential_cube(1.0, pts), rtol=1e-12)
+    # the cube's gradient bytes are pinned in test_potential_box_bitwise_equal_to_corner_loop
+    single = domain_field(cube, pts[0])
+    assert single[0] == phi[0] and np.array_equal(single[1], grad[0])
+    with pytest.raises(TypeError, match="Tetrahedron"):
+        domain_field(regular_tetrahedron(1.0), pts)
 
 
 def test_ball_pair_coulomb_closed_form():

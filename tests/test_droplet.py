@@ -136,11 +136,32 @@ def test_breakdown_validates_inputs():
         liquid_drop_energy(inside, lam, 1.5)
     with pytest.raises(TypeError):
         liquid_drop_energy("not a droplet", lam, 0.1)
+    # in a cube the margin is per axis: a ball touching a face is contained
+    cube = Cube(side=6.0, center=(1.0, 0.0, 0.0))
+    touching = BallUnion(centers=np.array([[3.5, 0.0, 0.0]]), radii=np.array([0.5]))
+    assert liquid_drop_energy(touching, cube, 0.0).droplet_volume > 0.0
+    poking_out = BallUnion(centers=np.array([[1.0, 0.0, -2.6]]), radii=np.array([0.5]))
+    with pytest.raises(ValueError, match="not contained"):
+        liquid_drop_energy(poking_out, cube, 0.0)
+
+
+@pytest.mark.parametrize("lam", [
+    voxelize_domain(Cube(side=4.0), 0.25),
+    "a string",
+    regular_tetrahedron(100.0),
+], ids=["VoxelSet", "str", "Tetrahedron"])
+def test_ball_union_breakdown_rejects_other_containers(lam):
+    # a ball union sits in a Ball or a Cube; the type is checked before the
+    # container's volume is read
+    omega = BallUnion(centers=np.zeros((1, 3)), radii=np.array([0.5]))
+    for rho in (0.0, 0.05):
+        with pytest.raises(TypeError, match=type(lam).__name__):
+            liquid_drop_energy(omega, lam, rho)
 
 
 def test_voxel_breakdown_approximates_closed_forms():
     R = 1.0
-    vox = voxelize_domain(Ball(radius=R, center=(0.0, 0.0, 0.0)), h=0.05)
+    vox = voxelize(BallUnion(centers=np.zeros((1, 3)), radii=np.array([R])), 0.05)
     br = liquid_drop_energy(vox, voxelize_domain(Cube(side=4.0), 0.05), 0.0)
     q = 4.0 * np.pi / 3.0
     assert br.droplet_droplet == pytest.approx(0.6 * q**2 / R, rel=2e-2)
@@ -170,7 +191,7 @@ def test_voxel_breakdown_is_pinned():
 
 
 def test_voxel_breakdown_requires_containment_and_alignment():
-    vox = voxelize_domain(Ball(radius=1.0, center=(0.0, 0.0, 0.0)), h=0.25)
+    vox = voxelize(BallUnion(centers=np.zeros((1, 3)), radii=np.array([1.0])), 0.25)
     small = voxelize_domain(Cube(side=1.0), 0.25)
     with pytest.raises(ValueError, match="not contained"):
         liquid_drop_energy(vox, small, 0.0)
@@ -211,7 +232,8 @@ def test_grand_canonical_background_prefers_droplets():
     assert rep.centers.shape == (rep.ball_count, 3)
     assert rep.radii.shape == (rep.ball_count,)
     # returned configuration is feasible
-    assert np.all(lam.inner_distance(rep.centers) >= rep.radii - 1e-9)
+    margins = lam.radius - np.linalg.norm(rep.centers - np.asarray(lam.center), axis=1)
+    assert np.all(margins >= rep.radii - 1e-9)
 
 
 def test_grand_canonical_finds_the_two_ball_optimum_at_the_checks_input():
@@ -306,7 +328,7 @@ def test_grand_canonical_rejects_empty_container_and_negative_kmax():
     regular_tetrahedron(100.0),
 ], ids=["BallUnion", "Tetrahedron"])
 def test_grand_canonical_rejects_unsupported_containers(lam):
-    # potential_domain_gradient has only Ball and Cube branches
+    # domain_field and the wall margins have only Ball and Cube branches
     with pytest.raises(TypeError, match=type(lam).__name__):
         grand_canonical_F(lam, 0.0, kmax=1, starts=1)
 

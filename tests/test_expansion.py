@@ -344,6 +344,15 @@ def test_window_checks_reject_meaningless_inputs(check, kwargs):
             )
 
 
+def test_coulomb_check_background_sampler_needs_a_cube():
+    # at rho > 0 the container is sampled as a cube; a ball container used to
+    # die reading its side
+    omega = BallUnion(centers=np.zeros((1, 3)), radii=np.array([1.0]))
+    with pytest.raises(TypeError, match="Ball"):
+        gs_coulomb_inequality_check(omega, Ball(radius=3.0), rho=0.05, ell=5.0,
+                                    samples_per_pair=100)
+
+
 # ---------------------------------------------------------------------------
 # cell decay
 # ---------------------------------------------------------------------------

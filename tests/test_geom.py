@@ -89,7 +89,9 @@ def test_cube_measures_and_membership():
     assert c.contains([(1.0, 0.0, 0.0)])[0]
     assert c.contains([(2.0, 1.0, 1.0)])[0]  # corner, closed set
     assert not c.contains([(2.1, 0.0, 0.0)])[0]
-    assert c.inner_distance([(1.0, 0.0, 0.0)])[0] == pytest.approx(1.0)
+    # the centre lies half a side from every face
+    margin = c.side / 2.0 - np.abs(np.subtract((1.0, 0.0, 0.0), c.center)).max()
+    assert margin == pytest.approx(1.0)
 
 
 def test_ball_measures_and_membership():
@@ -98,27 +100,24 @@ def test_ball_measures_and_membership():
     assert b.diameter == pytest.approx(3.0)
     assert b.contains([(0.0, 0.5, 0.0)])[0]
     assert not b.contains([(0.0, 0.51, 0.0)])[0]
-    assert b.inner_distance([(0.0, -1.0, 0.0)])[0] == pytest.approx(1.5)
+    margin = b.radius - np.linalg.norm(np.subtract((0.0, -1.0, 0.0), b.center))
+    assert margin == pytest.approx(1.5)
 
 
 def test_regular_tetrahedron_volume_and_planes():
     for vol in (1.0, 3.0):
         t = regular_tetrahedron(volume=vol, center=(0.2, 0.0, -0.1))
         assert t.volume == pytest.approx(vol, rel=1e-12)
-        np.testing.assert_allclose(t.centroid(), (0.2, 0.0, -0.1), atol=1e-12)
-        assert t.contains([t.centroid()])[0]
+        centroid = t.vertices.mean(axis=0)
+        np.testing.assert_allclose(centroid, (0.2, 0.0, -0.1), atol=1e-12)
+        assert t.contains([centroid])[0]
         # all four vertices lie on the closed boundary
         assert t.contains(t.vertices).all()
-        assert not t.contains([t.centroid() + 10.0])[0]
+        assert not t.contains([centroid + 10.0])[0]
         # centroid depth is positive, vertices have zero depth on one face
-        assert t.inner_distance([t.centroid()])[0] > 0.0
-        assert t.inner_distance(t.vertices).max() < 1e-10
-
-
-def test_tetrahedron_diameter_is_longest_edge():
-    t = regular_tetrahedron(volume=1.0)
-    e = (6.0 * math.sqrt(2.0)) ** (1.0 / 3.0)
-    assert t.diameter == pytest.approx(e, rel=1e-12)
+        n, off = t.face_planes()
+        assert (centroid @ n.T - off).min() > 0.0
+        assert (t.vertices @ n.T - off).min(axis=1).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_voxel_centers_roundtrip():
     # a side that is a multiple of h gives the cube exactly
     assert v.measure == 1.0
     np.testing.assert_array_equal(v.origin, (0.0, 0.0, 0.0))
-    pts = v.centers()
+    pts = v.origin + (np.argwhere(v.occ) + 0.5) * v.h
     assert len(pts) == 8
     assert c.contains(pts).all()
 
@@ -197,6 +196,13 @@ def test_voxelize_cube_equals_membership_of_cell_centers(cube, h, cells, inside)
     assert v.occ.shape == ref.shape
     assert v.occ.tobytes() == ref.tobytes()
     assert v.occ.sum() == inside**3
+
+
+def test_voxelize_domain_takes_a_cube_only():
+    # a ball droplet is voxelized as a one-ball union by voxelize
+    for domain in (Ball(radius=1.0), regular_tetrahedron(1.0)):
+        with pytest.raises(TypeError, match=type(domain).__name__):
+            voxelize_domain(domain, 0.25)
 
 
 def test_sample_in_domain_rejects_empty_bounding_box():
